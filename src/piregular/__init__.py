@@ -12,9 +12,7 @@ genuinely fail to be two-sided.
 from .errors import (
     BudgetExceeded,
     DegreeTooLarge,
-    DerivationViolation,
     DimMismatch,
-    InternalLemmaViolation,
     InternalViolation,
     InvalidBound,
     InvalidSpec,

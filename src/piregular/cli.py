@@ -5,8 +5,10 @@ standard output (canonical form: sorted keys, compact separators, integers
 only) and a one-line human summary on standard error.  Exit codes: 0 for a
 verified or positive result, 1 for a mathematically negative result (an
 identity fails, a witness is absent, a counterexample exists), 2 for usage
-and parse errors.  Timing is reported on standard error only, never inside
-the JSON, so repeated runs emit byte-identical documents.
+and parse errors, and 3 for an internal error (an identity that holds by
+construction failed: an implementation bug, not a verdict).  Timing is
+reported on standard error only, never inside the JSON, so repeated runs
+emit byte-identical documents.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import (
     BudgetExceeded,
     DegreeTooLarge,
     DimMismatch,
+    InternalViolation,
     InvalidBound,
     InvalidSpec,
     MalformedPayload,
@@ -294,6 +297,9 @@ def dispatch(argv) -> int:
     except _USAGE_ERRORS as exc:
         _say(f"usage error: {exc}")
         return 2
+    except InternalViolation as exc:
+        _say(f"internal error: {exc}")
+        return 3
 
 
 def entrypoint() -> None:

@@ -30,7 +30,7 @@ class BudgetExceeded(PiregularError):
 
 
 class InvalidBound(PiregularError):
-    """A sampling bound is missing or non-positive for an infinite ring."""
+    """A dimension, exponent, sample or worker count, or sampling bound is missing or below 1."""
 
 
 class ParseError(PiregularError):
@@ -45,14 +45,6 @@ class PreconditionFailed(PiregularError):
     """Input data does not satisfy the identity an operation assumes."""
 
 
-class InternalLemmaViolation(PiregularError):
-    """A machine-checked identity that is guaranteed by theory failed; implementation bug."""
-
-
-class DerivationViolation(PiregularError):
-    """A constructed witness failed its defining identity; implementation bug."""
-
-
 class DegreeTooLarge(PiregularError):
     """The standard identity degree exceeds the supported factorial range."""
 
@@ -62,7 +54,7 @@ class NonTerminating(PiregularError):
 
 
 class InternalViolation(PiregularError):
-    """An identity that must hold by construction failed; implementation bug."""
+    """An identity that must hold by construction or theory failed; implementation bug."""
 
 
 class UnverifiedCertificate(PiregularError):

@@ -27,6 +27,7 @@ from typing import Iterable, Optional
 
 from .errors import InternalViolation, InvalidSpec, NonTerminating, ParseError
 from .matrices import SquareMatrix
+from .rings import binary_power
 
 ALPHABET = "abcdwxyz"
 # rank for ascending comparison: z smallest, a largest
@@ -147,12 +148,7 @@ class NCPolynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = NCPolynomial({"": 1})
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return binary_power(self, exponent, NCPolynomial({"": 1}))
 
     def __eq__(self, other):
         other = self._coerce(other)

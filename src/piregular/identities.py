@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import DegreeTooLarge, DimMismatch, SpecMismatch
 from .jsonio import content_hash
 from .matrices import SquareMatrix
-from .rings import RingSpec, sample_element
+from .rings import RingSpec, require_positive, sample_element
 
 MAX_DEGREE = 8
 
@@ -91,6 +91,7 @@ def check_identity_on_samples(spec: RingSpec, dim: int, degree: int,
                               samples: int, seed: int, bound: int = 9) -> IdentityReport:
     """Sample tuples deterministically and evaluate the identity on each;
     stops at the first non-vanishing tuple, which becomes the witness."""
+    require_positive(samples=samples, dim=dim)
     rng = random.Random(seed)
     witness = None
     for _ in range(samples):

@@ -31,7 +31,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .matrices import SquareMatrix
-from .rings import IntegersMod, RingElem, RingSpec
+from .rings import IntegersMod, RingElem, RingSpec, require_positive
 from .witnesses import (
     RightWitnessInstance,
     matrix_to_json,
@@ -232,6 +232,7 @@ def _engine(spec: RingSpec, m: int) -> _Engine:
     key = (spec, m)
     engine = _ENGINES.get(key)
     if engine is None:
+        require_positive(dim=m)
         engine = _Engine(spec, m)
         _ENGINES[key] = engine
     return engine
@@ -290,6 +291,8 @@ def classify_all(spec: RingSpec, m: int, n_bound: Optional[int] = None,
     """Walk every matrix in enumeration order and record its right/left
     witness exponents up to ``n_bound`` or power-sequence stabilization,
     whichever comes first (stabilization index + 1 when no bound given)."""
+    if n_bound is not None:
+        require_positive(n_bound=n_bound)
     engine = _engine(spec, m)
     total = engine.q ** (m * m)
     _check_budget(total, budget)
@@ -398,16 +401,12 @@ def _cp_chunk(k: int, m: int, n: int, start: int, stop: int) -> dict:
                 {"A": engine.to_json(flat), "right": right, "left": left})
         if right:
             checked += 1
-            reason = None
             try:
-                cert = right_to_left_certificate(RightWitnessInstance(
+                right_to_left_certificate(RightWitnessInstance(
                     engine.to_square(flat), n, engine.to_square(x)))
-                if not cert.verified:
-                    reason = "certificate failed re-verification"
             except PiregularError as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-            if reason is not None:
-                failures.append({"A": engine.to_json(flat), "reason": reason})
+                failures.append({"A": engine.to_json(flat),
+                                 "reason": f"{type(exc).__name__}: {exc}"})
     return {"counts": counts, "counterexamples": counterexamples,
             "pipeline_checked": checked, "pipeline_failures": failures}
 
@@ -433,6 +432,7 @@ def cp_report(k: int, m: int, n: int, workers: Optional[int] = None,
     started = time.perf_counter()
     if workers is None:
         workers = default_workers()
+    require_positive(dim=m, n=n, workers=workers)
     spec = IntegersMod(k)
     total = spec.cardinality() ** (m * m)
     _check_budget(total, budget)

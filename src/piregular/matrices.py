@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimMismatch, NonCommutativeRing, ParseError, SpecMismatch
-from .rings import PolyOver, RingElem, RingSpec, parse_element
+from .rings import PolyOver, RingElem, RingSpec, binary_power, parse_element
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,16 +106,7 @@ class SquareMatrix:
         return SquareMatrix(self.ring, tuple(rows))
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("matrix exponent must be a non-negative integer")
-        result = SquareMatrix.identity(self.ring, self.dim)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return binary_power(self, exponent, SquareMatrix.identity(self.ring, self.dim))
 
     def scale(self, value) -> "SquareMatrix":
         c = self.ring.coerce(value)

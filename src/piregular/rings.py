@@ -33,6 +33,28 @@ from .errors import (
 Payload = Any
 
 
+def binary_power(base, exponent: int, one):
+    """base^exponent by square-and-multiply; ``one`` is the 0th power and is
+    never multiplied, and nothing is squared after the top bit."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = None
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return one if result is None else result
+
+
+def require_positive(**values) -> None:
+    """Raise InvalidBound unless every named value is an integer >= 1."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InvalidBound(f"{name} must be a positive integer, got {value!r}")
+
+
 class RingSpec:
     """Base class for ring descriptions.  Subclasses work on raw payloads;
     the element-level API wraps them into :class:`RingElem`."""
@@ -168,16 +190,7 @@ class RingElem:
         return RingElem(self.spec, self.spec.p_neg(self.payload))
 
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = RingElem(self.spec, self.spec.one_payload())
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
+        return binary_power(self, exponent, RingElem(self.spec, self.spec.one_payload()))
 
     @property
     def is_zero(self) -> bool:

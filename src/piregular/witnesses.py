@@ -14,19 +14,17 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
 3.  Y = w^(N-n+1) A^(N-n) lowers the left exponent back to n:
     A^n = Y A^(n+1).
 
-Every identity used along the way is re-checked on the actual matrices; a
-failure raises instead of returning a bad witness.  Certificates store all
-ingredients so a verifier needs nothing but the certificate itself.
+Each power of A is computed once and the seven certificate identities are
+checked once; a failure raises instead of returning a bad witness.  The
+verifier recomputes them on its own powers of A from the certificate alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
-    DerivationViolation,
-    DimMismatch,
-    InternalLemmaViolation,
+    InternalViolation,
     MalformedPayload,
     PreconditionFailed,
     SpecMismatch,
@@ -35,6 +33,32 @@ from .errors import (
 from .jsonio import canonical_dumps
 from .matrices import MatrixPolynomial, SquareMatrix, UniPolynomial, det_poly_matrix
 from .rings import RingSpec, parse_ring_spec
+
+
+def _powers(a: SquareMatrix, exponents) -> dict:
+    """A^k for every k in ``exponents``, each distinct power computed once.
+    A^(k+1) reuses A^k; any other power is binary powering, so an exponent
+    read from an untrusted certificate costs O(log k) products."""
+    out = {}
+    for k in sorted(set(exponents)):
+        out[k] = out[k - 1] * a if k >= 2 and k - 1 in out else a ** k
+    return out
+
+
+def _require(checks: tuple) -> tuple:
+    """Pass name/holds pairs through; any failure is an implementation bug."""
+    failing = [name for name, holds in checks if not holds]
+    if failing:
+        raise InternalViolation("identities failed: " + ", ".join(failing))
+    return checks
+
+
+def _commuting_witness(a_big, c, big_n):  # w = A^N C^(N+1); C right witness at N
+    return a_big * c ** (big_n + 1)
+
+
+def _lowered_left_witness(w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w left at N
+    return w ** (big_n - n + 1) * a_gap
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,8 +74,8 @@ class RightWitnessInstance:
             raise PreconditionFailed(f"exponent must be a positive integer, got {self.n!r}")
         if self.X.ring != self.A.ring or self.X.dim != self.A.dim:
             raise SpecMismatch("witness matrix must match the base matrix")
-        a_n = self.A ** self.n
-        if a_n != (self.A ** (self.n + 1)) * self.X:
+        powers = _powers(self.A, (self.n, self.n + 1))
+        if powers[self.n] != powers[self.n + 1] * self.X:
             raise PreconditionFailed(
                 f"A^{self.n} != A^{self.n + 1}*X: not a right witness instance")
 
@@ -87,10 +111,6 @@ class LeftWitnessCertificate:
     verified: bool
     identities: tuple
 
-    @property
-    def instance(self) -> RightWitnessInstance:
-        return RightWitnessInstance(self.A, self.n, self.X)
-
 
 @dataclass(frozen=True, slots=True)
 class CertificateVerdict:
@@ -106,14 +126,12 @@ def drazin_witness(a: SquareMatrix, x: SquareMatrix, n: int) -> SquareMatrix:
     is again a witness: a^n = a^(n+1) w, hence also a^n = w a^(n+1)."""
     if not isinstance(n, int) or n < 1:
         raise PreconditionFailed(f"exponent must be a positive integer, got {n!r}")
-    a_n = a ** n
-    if a_n != (a ** (n + 1)) * x:
+    powers = _powers(a, (n, n + 1))
+    if powers[n] != powers[n + 1] * x:
         raise PreconditionFailed(f"a^{n} != a^{n + 1}*x")
-    w = a_n * (x ** (n + 1))
-    if a * w != w * a:
-        raise InternalLemmaViolation("constructed witness does not commute with a")
-    if a_n != (a ** (n + 1)) * w:
-        raise InternalLemmaViolation("constructed witness fails a^n = a^(n+1)*w")
+    w = _commuting_witness(powers[n], x, n)
+    _require((("a*w = w*a", a * w == w * a),
+              ("a^n = a^(n+1)*w", powers[n] == powers[n + 1] * w)))
     return w
 
 
@@ -122,13 +140,12 @@ def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> Exponent
     gap closes in one multiplication: a^n = a^(n+k) x^k for k = m - n."""
     if not isinstance(n, int) or n < 1 or not isinstance(m, int) or m < n:
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
-    if (a ** n) != (a ** (n + 1)) * x:
+    powers = _powers(a, (n, n + 1, m, m + 1))
+    if powers[n] != powers[n + 1] * x:
         raise PreconditionFailed(f"a^{n} != a^{n + 1}*x")
     k = m - n
-    if (a ** m) != (a ** (m + 1)) * x:
-        raise InternalLemmaViolation("witness does not transfer to the higher exponent")
-    if (a ** n) != (a ** (n + k)) * (x ** k):
-        raise InternalLemmaViolation("iterated witness fails a^n = a^(n+k)*x^k")
+    _require((("a^m = a^(m+1)*x", powers[m] == powers[m + 1] * x),
+              ("a^n = a^(n+k)*x^k", powers[n] == powers[m] * x ** k)))
     return ExponentRaiseRecord(n=n, m=m, shift=k)
 
 
@@ -142,85 +159,66 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     """
     if not isinstance(n, int) or n < 1 or not isinstance(N, int) or N < n:
         raise PreconditionFailed(f"need 1 <= n <= N, got n={n!r}, N={N!r}")
-    if (a ** n) != (a ** (n + 1)) * x:
+    powers = _powers(a, (n, n + 1, N - n, N, N + 1))
+    if powers[n] != powers[n + 1] * x:
         raise PreconditionFailed(f"a^{n} != a^{n + 1}*x")
-    if (a ** N) != w * (a ** (N + 1)):
+    if powers[N] != w * powers[N + 1]:
         raise PreconditionFailed(f"a^{N} != w*a^{N + 1}")
-    y = (w ** (N - n + 1)) * (a ** (N - n))
-    if (a ** n) != y * (a ** (n + 1)):
-        raise DerivationViolation("constructed Y fails a^n = Y*a^(n+1)")
+    y = _lowered_left_witness(w, powers[N - n], N, n)
+    _require((("a^n = Y*a^(n+1)", powers[n] == y * powers[n + 1]),))
     return y
 
 
-def _char_witness(inst: RightWitnessInstance):
-    """Steps 1 and 2 of the pipeline: the factored determinant polynomial
-    p = x^(nm) * q and the raised right witness C read off from q."""
+def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertificate:
+    """Run the full pipeline and return a self-contained, verified
+    certificate; raises InternalViolation naming any failing identity."""
     a, n, x = inst.A, inst.n, inst.X
-    ring = a.ring
-    m = a.dim
-    ident = SquareMatrix.identity(ring, m)
+    ring, m = a.ring, a.dim
+    big_n = n * m
+    powers = _powers(a, (*range(m), n, n + 1, big_n - n, big_n, big_n + 1))
     # q(x) = det(I - x X); the full polynomial is p = x^(n m) * q(x).
-    q = det_poly_matrix(MatrixPolynomial.from_matrices(ring, m, [ident, -x]))
-    if q.coefficient(0) != ring.one():
-        raise InternalLemmaViolation("det(I - xX) must have constant term 1")
-    p = q.shift(n * m)
+    q = det_poly_matrix(MatrixPolynomial.from_matrices(
+        ring, m, [SquareMatrix.identity(ring, m), -x]))
     # C = -(s1 I + s2 A + ... + sm A^(m-1)) where q = 1 + s1 x + ... + sm x^m
     acc = SquareMatrix.zeros(ring, m)
-    power = ident
-    for i in range(1, m + 1):
-        acc = acc + power.scale(q.coefficient(i))
-        if i < m:
-            power = power * a
+    for i in range(m):
+        acc = acc + powers[i].scale(q.coefficient(i + 1))
     c = -acc
-    exponent = n * m
-    if (a ** exponent) != (a ** (exponent + 1)) * c:
-        raise InternalLemmaViolation(
-            "coefficient matrix is not a right witness at the raised exponent")
-    return p, q, c, exponent
+    w = _commuting_witness(powers[big_n], c, big_n)
+    y = _lowered_left_witness(w, powers[big_n - n], big_n, n)
+    cert = LeftWitnessCertificate(A=a, n=n, X=x, p=q.shift(big_n), C=c, N=big_n,
+                                  w=w, Y=y, verified=True, identities=())
+    return replace(cert, identities=_require(_certificate_checks(cert, powers)))
 
 
-def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertificate:
-    """Run the full pipeline and return a self-contained certificate."""
-    a, n, x = inst.A, inst.n, inst.X
-    if (a ** n) != (a ** (n + 1)) * x:
-        raise PreconditionFailed(f"A^{n} != A^{n + 1}*X")
-    p, _q, c, big_n = _char_witness(inst)
-    w = drazin_witness(a, c, big_n)
-    y = azumaya_lower_left(a, x, w, big_n, n)
-    checks = _certificate_checks(a, n, x, p, c, big_n, w, y)
-    return LeftWitnessCertificate(
-        A=a, n=n, X=x, p=p, C=c, N=big_n, w=w, Y=y,
-        verified=all(holds for _, holds in checks), identities=checks)
-
-
-def _certificate_checks(a, n, x, p, c, big_n, w, y) -> tuple:
-    ring = a.ring
-    m = a.dim
+def _certificate_checks(cert: LeftWitnessCertificate, powers: dict) -> tuple:
+    """The seven certificate identities, each evaluated once; ``powers``
+    holds A^n, A^(n+1), A^N and A^(N+1)."""
+    a, n, big_n, p, w = cert.A, cert.n, cert.N, cert.p, cert.w
     shape_ok = (
-        big_n == n * m
+        big_n == n * a.dim
         and p.degree >= big_n
         and all(p.coefficient(i).is_zero for i in range(big_n))
-        and p.coefficient(big_n) == ring.one()
+        and p.coefficient(big_n) == a.ring.one()
     )
-    a_n = a ** n
-    a_n1 = a ** (n + 1)
-    a_big = a ** big_n
-    a_big1 = a ** (big_n + 1)
+    a_n, a_n1 = powers[n], powers[n + 1]
+    a_big, a_big1 = powers[big_n], powers[big_n + 1]
     return (
-        ("right_witness", a_n == a_n1 * x),
-        ("exponent_is_n_times_dim", big_n == n * m),
+        ("right_witness", a_n == a_n1 * cert.X),
+        ("exponent_is_n_times_dim", big_n == n * a.dim),
         ("char_poly_factor_shape", shape_ok),
-        ("raised_right_witness", a_big == a_big1 * c),
+        ("raised_right_witness", a_big == a_big1 * cert.C),
         ("commuting_witness", a * w == w * a),
         ("raised_left_witness", a_big == w * a_big1),
-        ("left_witness", a_n == y * a_n1),
+        ("left_witness", a_n == cert.Y * a_n1),
     )
 
 
 def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
-    """Re-check every identity from the stored fields alone."""
-    checks = _certificate_checks(cert.A, cert.n, cert.X, cert.p, cert.C,
-                                 cert.N, cert.w, cert.Y)
+    """Re-check every identity from the stored fields alone, on powers of
+    the stored A computed here and shared with nothing else."""
+    checks = _certificate_checks(
+        cert, _powers(cert.A, (cert.n, cert.n + 1, cert.N, cert.N + 1)))
     return CertificateVerdict(ok=all(holds for _, holds in checks), identities=checks)
 
 
@@ -277,8 +275,8 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
         verified = bool(data["verified"])
     except KeyError as exc:
         raise MalformedPayload(f"certificate document missing field {exc}") from exc
-    if not isinstance(n, int) or not isinstance(big_n, int):
-        raise MalformedPayload("certificate exponents must be integers")
+    if any(isinstance(e, bool) or not isinstance(e, int) or e < 1 for e in (n, big_n)):
+        raise MalformedPayload("certificate exponents n and N must be positive integers")
     return LeftWitnessCertificate(
         A=mats["A"], n=n, X=mats["X"], p=p, C=mats["C"], N=big_n,
         w=mats["w"], Y=mats["Y"], verified=verified, identities=identities)

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from piregular import UniPolynomial, witnesses
 from piregular.cli import dispatch
 
 RTL_OK = ["right-to-left", "--ring", "zmod:4", "--dim", "2", "--n", "2",
@@ -62,6 +63,34 @@ def test_exit_1_on_mathematically_negative_inputs(capsys):
     assert "not a right witness" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cp-verify", "--k", "3", "--dim", "0"],
+    ["cp-verify", "--k", "3", "--dim", "-1"],
+    ["cp-verify", "--k", "3", "--n", "0"],
+    ["cp-verify", "--k", "3", "--workers", "-2"],
+    ["classify", "--ring", "zmod:2", "--dim", "0"],
+    ["classify", "--ring", "zmod:2", "--dim", "2", "--n-bound", "0"],
+    ["identity-check", "--ring", "int", "--dim", "2", "--degree", "4", "--samples", "-3"],
+    ["identity-check", "--ring", "int", "--dim", "0", "--degree", "4"],
+])
+def test_exit_2_on_out_of_range_sizes(argv, capsys):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a positive integer" in captured.err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(witnesses, "det_poly_matrix",
+                        lambda f: UniPolynomial.from_coeffs(f.ring, [1]))
+    assert dispatch(RTL_OK) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: identities failed:")
+    assert "left_witness" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     capsys.readouterr()
@@ -98,6 +127,18 @@ def test_verify_cert_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["verify-cert", "--path", str(path) + ".missing"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", ["n", "N"])
+def test_verify_cert_rejects_non_positive_exponent(field, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert dispatch(RTL_OK + ["--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc[field] = -1
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["verify-cert", "--path", str(path)]) == 2
+    assert "positive integers" in capsys.readouterr().err
 
 
 def test_drazin_command(capsys):

@@ -57,6 +57,24 @@ def test_nilpotent_square_is_zero():
     assert (a ** 0) == SquareMatrix.identity(Z, 2)
 
 
+@pytest.mark.parametrize("exponent, products",
+                         [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_powers_use_the_fewest_binary_products(monkeypatch, exponent, products):
+    # Matrices and ring elements share one square-and-multiply loop.
+    for base in (mat(Z, "[[1,2],[3,4]]"), Z.coerce(3)):
+        cls = type(base)
+        expected = base ** 0
+        for _ in range(exponent):
+            expected = expected * base
+        calls = []
+        plain_mul = cls.__mul__
+        monkeypatch.setattr(cls, "__mul__",
+                            lambda self, other: calls.append(1) or plain_mul(self, other))
+        assert base ** exponent == expected
+        monkeypatch.undo()
+        assert len(calls) == products, cls
+
+
 def test_arithmetic_identities_sampled():
     rng = random.Random(42)
     for spec, bound in ORACLE_RINGS:

@@ -6,12 +6,14 @@ import pytest
 from piregular import (
     Integers,
     IntegersMod,
+    InternalViolation,
     MalformedPayload,
     MatrixPolynomial,
     PreconditionFailed,
     RightWitnessInstance,
     SpecMismatch,
     SquareMatrix,
+    UniPolynomial,
     UnverifiedCertificate,
     azumaya_lower_left,
     certificate_from_json,
@@ -26,9 +28,11 @@ from piregular import (
     parse_matrix_literal,
     parse_ring_spec,
     right_to_left_certificate,
+    right_witness_search,
     sampled_finite_instance,
     verify_certificate,
 )
+from piregular import witnesses
 
 from helpers import naive_left_witness, random_matrix
 
@@ -217,6 +221,32 @@ def test_pipeline_y_matches_naive_left_existence():
     assert checked > 0
 
 
+def test_pipeline_computes_each_power_once(monkeypatch):
+    a = mat(Z9, "[[2,3],[1,5]]")
+    x = right_witness_search(a, 1)
+    calls = []
+    plain_mul = SquareMatrix.__mul__
+    monkeypatch.setattr(SquareMatrix, "__mul__",
+                        lambda self, other: calls.append(1) or plain_mul(self, other))
+    cert = right_to_left_certificate(RightWitnessInstance(a, 1, x))
+    produced = len(calls)
+    assert verify_certificate(cert).ok
+    assert len(calls) - produced <= 8
+    assert len(calls) <= 25
+
+
+def test_failing_identity_raises_internal_violation(monkeypatch):
+    # A wrong q(x) = 1 makes C = 0, so the raised and lowered witnesses fail.
+    monkeypatch.setattr(witnesses, "det_poly_matrix",
+                        lambda f: UniPolynomial.from_coeffs(f.ring, [1]))
+    a = mat(Z4, "[[2,0],[0,1]]")
+    inst = RightWitnessInstance(a, 2, SquareMatrix.identity(Z4, 2))
+    with pytest.raises(InternalViolation) as info:
+        right_to_left_certificate(inst)
+    assert str(info.value) == ("identities failed: raised_right_witness, "
+                               "raised_left_witness, left_witness")
+
+
 def test_factored_determinant_identity():
     # det(x^n I - x^(n+1) X) computed directly equals the stored factored p
     rng = random.Random(11)
@@ -284,6 +314,15 @@ def test_certificate_with_wrong_exponent_fails_shape_check():
     verdict = verify_certificate(certificate_from_json(payload))
     assert not verdict.ok
     assert "exponent_is_n_times_dim" in verdict.failing()
+
+
+@pytest.mark.parametrize("field, value",
+                         [("n", -1), ("N", -1), ("n", 0), ("N", 0), ("n", True), ("N", 4.0)])
+def test_certificate_exponents_must_be_positive_integers(field, value):
+    payload = certificate_to_json(build_cert())
+    payload[field] = value
+    with pytest.raises(MalformedPayload):
+        certificate_from_json(payload)
 
 
 def test_certificate_missing_field_rejected():
