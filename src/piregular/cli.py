@@ -38,7 +38,7 @@ from .freealg import nc_normal_form, overlap_check, parse_nc, shepherdson_demo, 
 from .identities import check_identity_on_samples
 from .jsonio import canonical_dumps, content_hash, hash_lines
 from .matrices import parse_matrix_literal
-from .rings import parse_ring_spec
+from .rings import parse_ring_spec, require_positive
 from .witnesses import (
     RightWitnessInstance,
     certificate_from_json,
@@ -82,6 +82,7 @@ def _parse_matrix_arg(spec, dim, text, label):
 
 
 def _cmd_right_to_left(args) -> int:
+    require_positive(n=args.n)
     spec = parse_ring_spec(args.ring)
     a = _parse_matrix_arg(spec, args.dim, args.A, "--A")
     x = _parse_matrix_arg(spec, args.dim, args.X, "--X")
@@ -114,6 +115,7 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_drazin(args) -> int:
+    require_positive(n=args.n)
     spec = parse_ring_spec(args.ring)
     a = _parse_matrix_arg(spec, args.dim, args.A, "--A")
     x = _parse_matrix_arg(spec, args.dim, args.X, "--X")

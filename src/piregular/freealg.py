@@ -21,13 +21,14 @@ left one.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import InternalViolation, InvalidSpec, NonTerminating, ParseError
 from .matrices import SquareMatrix
-from .rings import binary_power
+from .rings import RingSpec, binary_power
 
 ALPHABET = "abcdwxyz"
 # rank for ascending comparison: z smallest, a largest
@@ -202,7 +203,9 @@ def _word_str(word: str) -> str:
 
 
 class FreeAlgebra:
-    """Handle object so matrices can hold noncommutative entries."""
+    """Handle object so matrices can hold noncommutative entries.  Its
+    payloads are the polynomials themselves, so matrix arithmetic runs
+    through the same payload methods as over a :class:`RingSpec`."""
 
     commutative = False
 
@@ -211,6 +214,13 @@ class FreeAlgebra:
 
     def one(self) -> NCPolynomial:
         return NCPolynomial({"": 1})
+
+    zero_payload, one_payload = zero, one
+    p_add = staticmethod(operator.add)
+    p_sub = staticmethod(operator.sub)
+    p_neg = staticmethod(operator.neg)
+    p_mul = staticmethod(operator.mul)
+    p_dot = RingSpec.p_dot
 
     def gen(self, letter: str) -> NCPolynomial:
         return NCPolynomial.from_word(_check_word(letter))
@@ -221,6 +231,8 @@ class FreeAlgebra:
         if isinstance(value, (int, Fraction)):
             return NCPolynomial({"": value})
         raise InvalidSpec(f"cannot coerce {value!r} into the free algebra")
+
+    wrap = p_coerce = coerce
 
     def owns(self, value) -> bool:
         return isinstance(value, NCPolynomial)
@@ -397,12 +409,7 @@ class ShepherdsonReport:
 
 def _mat_nf(mat: SquareMatrix, system: RewriteSystem) -> SquareMatrix:
     return SquareMatrix(FREE, tuple(
-        tuple(nc_normal_form(entry, system) for entry in row) for row in mat.entries))
-
-
-def _mat_str(mat: SquareMatrix) -> str:
-    return "[" + ",".join(
-        "[" + ",".join(str(entry) for entry in row) + "]" for row in mat.entries) + "]"
+        tuple(nc_normal_form(entry, system) for entry in row) for row in mat.rows))
 
 
 def shepherdson_demo() -> ShepherdsonReport:
@@ -428,24 +435,24 @@ def shepherdson_demo() -> ShepherdsonReport:
 
     ab = nf(mat_a * mat_b)
     checks.append(DemoCheck("product_is_identity", ab == ident,
-                            (("AB", _mat_str(ab)),)))
+                            (("AB", str(ab)),)))
 
     ba = nf(mat_b * mat_a)
     checks.append(DemoCheck("reverse_product_is_not_identity", ba != ident,
-                            (("BA", _mat_str(ba)),
+                            (("BA", str(ba)),
                              ("BA[0][0]", str(ba.entry(0, 0))))))
 
     gap = nf(ident - ba)
     annihilated = nf(mat_a * gap)
     checks.append(DemoCheck("left_annihilates_gap",
                             annihilated.is_zero and not gap.is_zero,
-                            (("I-BA", _mat_str(gap)),
-                             ("A(I-BA)", _mat_str(annihilated)))))
+                            (("I-BA", str(gap)),
+                             ("A(I-BA)", str(annihilated)))))
 
     x_witness = mat_b * mat_b * mat_a
     right_ok = nf(mat_a * mat_a * x_witness) == nf(mat_a)
     checks.append(DemoCheck("right_witness_exists", right_ok,
-                            (("X", _mat_str(nf(x_witness))),)))
+                            (("X", str(nf(x_witness))),)))
 
     # if A = Y A^2 then Y = Y(A^2 B^2) = (Y A^2) B^2 = A B^2 = B, but B A^2 != A
     aabb = nf(mat_a * mat_a * mat_b * mat_b)
@@ -454,9 +461,9 @@ def shepherdson_demo() -> ShepherdsonReport:
     forced = aabb == ident and abb == nf(mat_b)
     refuted = baa != nf(mat_a)
     checks.append(DemoCheck("no_left_witness", forced and refuted,
-                            (("A^2B^2", _mat_str(aabb)),
-                             ("AB^2", _mat_str(abb)),
-                             ("BA^2", _mat_str(baa)))))
+                            (("A^2B^2", str(aabb)),
+                             ("AB^2", str(abb)),
+                             ("BA^2", str(baa)))))
 
     report = ShepherdsonReport(tuple(checks))
     if not report.verified:

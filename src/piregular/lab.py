@@ -31,7 +31,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .matrices import SquareMatrix
-from .rings import IntegersMod, RingElem, RingSpec, require_positive
+from .rings import IntegersMod, RingSpec, binary_power, require_positive
 from .witnesses import (
     RightWitnessInstance,
     matrix_to_json,
@@ -87,14 +87,7 @@ class _Engine:
         return tuple(out)
 
     def mat_pow(self, mat, exponent: int):
-        result = self.ident
-        base = mat
-        while exponent:
-            if exponent & 1:
-                result = self.mat_mul(result, base)
-            base = self.mat_mul(base, base)
-            exponent >>= 1
-        return result
+        return binary_power(mat, exponent, self.ident, self.mat_mul)
 
     def transpose(self, mat):
         m = self.m
@@ -110,13 +103,12 @@ class _Engine:
 
     def from_square(self, mat: SquareMatrix):
         index = self.index
-        return tuple(index[e.payload] for row in mat.entries for e in row)
+        return tuple(index[p] for row in mat.rows for p in row)
 
     def to_square(self, flat) -> SquareMatrix:
-        m, spec, payloads = self.m, self.spec, self.payloads
-        return SquareMatrix(spec, tuple(
-            tuple(RingElem(spec, payloads[flat[i * m + j]]) for j in range(m))
-            for i in range(m)))
+        m, payloads = self.m, self.payloads
+        return SquareMatrix(self.spec, tuple(
+            tuple(payloads[flat[i * m + j]] for j in range(m)) for i in range(m)))
 
     def to_json(self, flat):
         m, spec, payloads = self.m, self.spec, self.payloads
@@ -495,6 +487,7 @@ def transpose_closure_check(spec: RingSpec, m: int, n: int) -> TransposeClosureR
     when its transpose is.  Over a commutative ring the transpose condition
     restates left strong pi-regularity, so this must coincide with the
     two-sided agreement scan."""
+    require_positive(dim=m, n=n)
     engine = _engine(spec, m)
     total = engine.q ** (m * m)
     mismatches = []

@@ -1,7 +1,11 @@
 """Square matrices over described rings, with division-free determinants.
 
-Matrix arithmetic never assumes the entry ring is commutative, so the same
-type also carries matrices over the free algebra.  Determinant-flavoured
+A matrix holds rows of canonical payloads and does all of its arithmetic
+on them through the entry ring's payload methods (``p_add``, ``p_dot``,
+...).  ``RingElem`` appears only at the boundary, in ``entries`` and
+``entry``.  Matrix arithmetic never assumes the entry ring is commutative,
+so the same type also carries matrices over the free algebra, whose
+payloads are the polynomials themselves.  Determinant-flavoured
 operations (characteristic polynomial, determinants of polynomial matrices)
 do require commutativity and refuse anything else.
 
@@ -25,12 +29,15 @@ from .rings import PolyOver, RingElem, RingSpec, binary_power, parse_element
 class SquareMatrix:
     """An m-by-m matrix with entries from a single ring.
 
-    Build instances with :meth:`from_rows`; the dataclass constructor
-    assumes entries are already validated.
+    ``rows`` holds canonical payloads and all arithmetic runs on them
+    through the ring's ``p_*`` methods; :attr:`entries` and :meth:`entry`
+    wrap payloads into boundary elements on the way out.  Build instances
+    with :meth:`from_rows`; the dataclass constructor assumes canonical
+    payload rows.
     """
 
     ring: object
-    entries: tuple
+    rows: tuple
 
     @staticmethod
     def from_rows(ring, rows) -> "SquareMatrix":
@@ -43,84 +50,75 @@ class SquareMatrix:
             row = list(row)
             if len(row) != dim:
                 raise DimMismatch(f"expected {dim} entries per row, got {len(row)}")
-            coerced.append(tuple(ring.coerce(value) for value in row))
+            coerced.append(tuple(ring.p_coerce(value) for value in row))
         return SquareMatrix(ring, tuple(coerced))
 
     @staticmethod
     def identity(ring, dim: int) -> "SquareMatrix":
-        one, zero = ring.one(), ring.zero()
+        one, zero = ring.one_payload(), ring.zero_payload()
         return SquareMatrix(ring, tuple(
             tuple(one if i == j else zero for j in range(dim)) for i in range(dim)))
 
     @staticmethod
     def zeros(ring, dim: int) -> "SquareMatrix":
-        zero = ring.zero()
+        zero = ring.zero_payload()
         return SquareMatrix(ring, tuple(tuple(zero for _ in range(dim)) for _ in range(dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple:
+        wrap = self.ring.wrap
+        return tuple(tuple(map(wrap, row)) for row in self.rows)
 
     def entry(self, i: int, j: int):
-        return self.entries[i][j]
+        return self.ring.wrap(self.rows[i][j])
 
     def _match(self, other) -> "SquareMatrix":
         if not isinstance(other, SquareMatrix):
             raise SpecMismatch(f"cannot combine a matrix with {other!r}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise SpecMismatch("matrices live over different rings")
         if other.dim != self.dim:
             raise DimMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
         return other
 
-    def __add__(self, other):
-        other = self._match(other)
+    def _zip_with(self, op, other) -> "SquareMatrix":
         return SquareMatrix(self.ring, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+            tuple(map(op, ra, rb)) for ra, rb in zip(self.rows, self._match(other).rows)))
+
+    def __add__(self, other):
+        return self._zip_with(self.ring.p_add, other)
 
     def __sub__(self, other):
-        other = self._match(other)
-        return SquareMatrix(self.ring, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._zip_with(self.ring.p_sub, other)
 
     def __neg__(self):
-        return SquareMatrix(self.ring, tuple(tuple(-a for a in row) for row in self.entries))
+        neg = self.ring.p_neg
+        return SquareMatrix(self.ring, tuple(tuple(map(neg, row)) for row in self.rows))
 
     def __mul__(self, other):
-        other = self._match(other)
-        dim = self.dim
-        cols = tuple(tuple(other.entries[k][j] for k in range(dim)) for j in range(dim))
-        rows = []
-        for i in range(dim):
-            row_i = self.entries[i]
-            out_row = []
-            for j in range(dim):
-                col_j = cols[j]
-                acc = row_i[0] * col_j[0]
-                for k in range(1, dim):
-                    acc = acc + row_i[k] * col_j[k]
-                out_row.append(acc)
-            rows.append(tuple(out_row))
-        return SquareMatrix(self.ring, tuple(rows))
+        cols = tuple(zip(*self._match(other).rows))
+        dot = self.ring.p_dot
+        return SquareMatrix(self.ring, tuple(
+            tuple(dot(row, col) for col in cols) for row in self.rows))
 
     def __pow__(self, exponent: int):
         return binary_power(self, exponent, SquareMatrix.identity(self.ring, self.dim))
 
     def scale(self, value) -> "SquareMatrix":
-        c = self.ring.coerce(value)
-        return SquareMatrix(self.ring, tuple(tuple(a * c for a in row) for row in self.entries))
+        c, mul = self.ring.p_coerce(value), self.ring.p_mul
+        return SquareMatrix(self.ring, tuple(tuple(mul(a, c) for a in row) for row in self.rows))
 
     def transpose(self) -> "SquareMatrix":
-        dim = self.dim
-        return SquareMatrix(self.ring, tuple(
-            tuple(self.entries[j][i] for j in range(dim)) for i in range(dim)))
+        return SquareMatrix(self.ring, tuple(zip(*self.rows)))
 
     @property
     def is_zero(self) -> bool:
-        zero = self.ring.zero()
-        return all(a == zero for row in self.entries for a in row)
+        zero = self.ring.zero_payload()
+        return all(a == zero for row in self.rows for a in row)
 
     def __str__(self) -> str:
         return "[" + ",".join(
@@ -278,40 +276,29 @@ def berkowitz_char_poly(mat: SquareMatrix) -> UniPolynomial:
     Runs the Samuelson-Berkowitz recurrence over leading principal blocks:
     if the block grows by a bottom-right scalar a with new row R and column
     C against the old block M, the new coefficient vector is the Toeplitz
-    convolution of (1, -a, -RC, -RMC, -RM^2 C, ...) with the old one.
+    convolution of (1, -a, -RC, -RMC, -RM^2 C, ...) with the old one.  The
+    recurrence runs on payloads; only the coefficients are wrapped.
     """
     _require_commutative(mat.ring)
     ring = mat.ring
-    entries = mat.entries
+    dot, neg = ring.p_dot, ring.p_neg
+    rows = mat.rows
     m = mat.dim
-    coeffs = [ring.one()]  # leading-first; char poly of the empty block is 1
+    coeffs = [ring.one_payload()]  # leading-first; char poly of the empty block is 1
     for k in range(1, m + 1):
-        corner = entries[k - 1][k - 1]
-        row = entries[k - 1][:k - 1]
-        col = [entries[i][k - 1] for i in range(k - 1)]
-        toeplitz = [ring.one(), -corner]
-        vec = list(col)
+        block = [row[:k - 1] for row in rows[:k - 1]]
+        row = rows[k - 1][:k - 1]
+        toeplitz = [ring.one_payload(), neg(rows[k - 1][k - 1])]
+        vec = [rows[i][k - 1] for i in range(k - 1)]
         for _ in range(k - 1):
-            acc = ring.zero()
-            for r_val, v_val in zip(row, vec):
-                acc = acc + r_val * v_val
-            toeplitz.append(-acc)
-            vec = [_dot(entries[i][:k - 1], vec, ring) for i in range(k - 1)]
+            toeplitz.append(neg(dot(row, vec)))
+            vec = [dot(block_row, vec) for block_row in block]
         new = []
         for i in range(k + 1):
-            acc = ring.zero()
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                acc = acc + toeplitz[i - j] * coeffs[j]
-            new.append(acc)
+            js = range(max(0, i - k), min(i, k - 1) + 1)
+            new.append(dot([toeplitz[i - j] for j in js], [coeffs[j] for j in js]))
         coeffs = new
-    return UniPolynomial(ring, tuple(reversed(coeffs)))
-
-
-def _dot(row, vec, ring):
-    acc = ring.zero()
-    for a, b in zip(row, vec):
-        acc = acc + a * b
-    return acc
+    return UniPolynomial(ring, tuple(ring.wrap(c) for c in reversed(coeffs)))
 
 
 def determinant(mat: SquareMatrix) -> RingElem:
@@ -332,19 +319,12 @@ def det_poly_matrix(f: MatrixPolynomial) -> UniPolynomial:
     var = next(v for v in var_pool if v not in used)
     pspec = PolyOver(base, var)
     dim = f.dim
-    zero = base.zero_payload()
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            seq = [coeff.entries[i][j].payload for coeff in f.coefficients]
-            while seq and seq[-1] == zero:
-                seq.pop()
-            row.append(RingElem(pspec, tuple(seq)))
-        rows.append(tuple(row))
-    lifted = SquareMatrix(pspec, tuple(rows))
+    lifted = SquareMatrix(pspec, tuple(
+        tuple(pspec.canon([coeff.rows[i][j] for coeff in f.coefficients])
+              for j in range(dim))
+        for i in range(dim)))
     det = determinant(lifted)
-    return UniPolynomial(base, tuple(RingElem(base, c) for c in det.payload))
+    return UniPolynomial(base, tuple(map(base.wrap, det.payload)))
 
 
 def right_evaluate_poly(f, mat: SquareMatrix) -> SquareMatrix:

@@ -9,15 +9,20 @@ values carrying a canonical payload, so structural equality is ring equality:
 * polynomials as a low-to-high coefficient tuple with no trailing zeros,
 * quotient elements as the remainder after monic long division.
 
+``RingElem`` is the boundary type: bulk arithmetic (matrix products,
+Berkowitz) runs on bare payloads through the spec's ``p_*`` methods, and
+wraps a payload into a ``RingElem`` only when it is handed back to a caller.
+
 Specs can be written down and re-read through a small colon-separated
 grammar, e.g. ``"zmod:4"``, ``"poly:int:t"`` or ``"quot:zmod:3:t^2"``.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Any, Iterable, Optional
 
@@ -33,18 +38,19 @@ from .errors import (
 Payload = Any
 
 
-def binary_power(base, exponent: int, one):
-    """base^exponent by square-and-multiply; ``one`` is the 0th power and is
-    never multiplied, and nothing is squared after the top bit."""
+def binary_power(base, exponent: int, one, mul=operator.mul):
+    """base^exponent by square-and-multiply with the product ``mul``;
+    ``one`` is the 0th power and is never multiplied, and nothing is
+    squared after the top bit."""
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("exponent must be a non-negative integer")
     result = None
     while exponent:
         if exponent & 1:
-            result = base if result is None else result * base
+            result = base if result is None else mul(result, base)
         exponent >>= 1
         if exponent:
-            base = base * base
+            base = mul(base, base)
     return one if result is None else result
 
 
@@ -84,6 +90,10 @@ class RingSpec:
     def p_sub(self, a, b) -> Payload:
         return self.p_add(a, self.p_neg(b))
 
+    def p_dot(self, row, col) -> Payload:
+        """Sum of the products of paired entries of two nonempty sequences."""
+        return reduce(self.p_add, map(self.p_mul, row, col))
+
     def p_from_int(self, n: int) -> Payload:
         raise NotImplementedError
 
@@ -114,6 +124,14 @@ class RingSpec:
 
     def element(self, raw) -> "RingElem":
         return RingElem(self, self.canon(raw))
+
+    def wrap(self, payload) -> "RingElem":
+        """The boundary element of an already canonical payload."""
+        return RingElem(self, payload)
+
+    def p_coerce(self, value) -> Payload:
+        """The payload of anything :meth:`coerce` accepts."""
+        return self.coerce(value).payload
 
     def zero(self) -> "RingElem":
         return RingElem(self, self.zero_payload())
@@ -234,6 +252,9 @@ class Integers(RingSpec):
     def p_sub(self, a, b):
         return a - b
 
+    def p_dot(self, row, col):
+        return sum(map(operator.mul, row, col))
+
     def p_from_int(self, n):
         return n
 
@@ -285,6 +306,9 @@ class IntegersMod(RingSpec):
 
     def p_sub(self, a, b):
         return (a - b) % self.modulus
+
+    def p_dot(self, row, col):
+        return sum(map(operator.mul, row, col)) % self.modulus
 
     def p_from_int(self, n):
         return n % self.modulus

@@ -226,8 +226,7 @@ def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
 
 
 def matrix_to_json(mat: SquareMatrix):
-    spec = mat.ring
-    return [[spec.payload_to_json(e.payload) for e in row] for row in mat.entries]
+    return [list(map(mat.ring.payload_to_json, row)) for row in mat.rows]
 
 
 def matrix_from_json(spec: RingSpec, data, dim: int) -> SquareMatrix:
@@ -237,7 +236,7 @@ def matrix_from_json(spec: RingSpec, data, dim: int) -> SquareMatrix:
     for row in data:
         if not isinstance(row, list) or len(row) != dim:
             raise MalformedPayload(f"expected {dim} entries per matrix row")
-        rows.append([spec.element(spec.payload_from_json(v)) for v in row])
+        rows.append(tuple(map(spec.payload_from_json, row)))
     return SquareMatrix.from_rows(spec, rows)
 
 
@@ -268,10 +267,14 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
         n = data["n"]
         big_n = data["N"]
         mats = {key: matrix_from_json(spec, data[key], dim) for key in ("A", "X", "C", "w", "Y")}
+        p_coeffs, items = data["p_coeffs"], data["identities"]
+        if not (isinstance(p_coeffs, list) and isinstance(items, list)
+                and all(isinstance(item, dict) for item in items)):
+            raise MalformedPayload(
+                "certificate p_coeffs must be a list and identities a list of objects")
         p = UniPolynomial.from_coeffs(
-            spec, [spec.element(spec.payload_from_json(v)) for v in data["p_coeffs"]])
-        identities = tuple(
-            (item["name"], bool(item["holds"])) for item in data["identities"])
+            spec, [spec.element(spec.payload_from_json(v)) for v in p_coeffs])
+        identities = tuple((item["name"], bool(item["holds"])) for item in items)
         verified = bool(data["verified"])
     except KeyError as exc:
         raise MalformedPayload(f"certificate document missing field {exc}") from exc

@@ -73,6 +73,39 @@ def permutation_standard_identity(mats):
     return total
 
 
+def naive_product(ring, lhs, rhs):
+    """Entry rows of a product, each entry summed from ring.zero() with the
+    entries' own operators; ``lhs``/``rhs`` are ``mat.entries`` rows."""
+    dim = len(lhs)
+    out = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = ring.zero()
+            for k in range(dim):
+                acc = acc + lhs[i][k] * rhs[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def naive_power(ring, rows, exponent):
+    """Entry rows of rows^exponent by repeated naive products."""
+    dim = len(rows)
+    out = [[ring.one() if i == j else ring.zero() for j in range(dim)] for i in range(dim)]
+    for _ in range(exponent):
+        out = naive_product(ring, out, rows)
+    return out
+
+
+def naive_sum(lhs, rhs):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
+
+
+def naive_difference(lhs, rhs):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
+
+
 def random_matrix(spec, dim, rng, bound=None):
     return SquareMatrix.from_rows(
         spec, [[sample_element(spec, rng, bound) for _ in range(dim)]

@@ -72,6 +72,8 @@ def test_exit_1_on_mathematically_negative_inputs(capsys):
     ["classify", "--ring", "zmod:2", "--dim", "2", "--n-bound", "0"],
     ["identity-check", "--ring", "int", "--dim", "2", "--degree", "4", "--samples", "-3"],
     ["identity-check", "--ring", "int", "--dim", "0", "--degree", "4"],
+    RTL_OK[:5] + ["--n", "0"] + RTL_OK[7:],
+    ["drazin", "--ring", "zmod:5", "--dim", "1", "--n", "0", "--A", "[[2]]", "--X", "[[3]]"],
 ])
 def test_exit_2_on_out_of_range_sizes(argv, capsys):
     assert dispatch(argv) == 2
@@ -139,6 +141,22 @@ def test_verify_cert_rejects_non_positive_exponent(field, tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["verify-cert", "--path", str(path)]) == 2
     assert "positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value",
+                         [("identities", 5), ("identities", [5]), ("p_coeffs", 7)])
+def test_verify_cert_rejects_wrongly_shaped_lists(field, value, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert dispatch(RTL_OK + ["--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["verify-cert", "--path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p_coeffs must be a list" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_drazin_command(capsys):

@@ -7,6 +7,7 @@ from piregular import (
     BudgetExceeded,
     Integers,
     IntegersMod,
+    InvalidBound,
     NotEnumerable,
     PreconditionFailed,
     SquareMatrix,
@@ -20,6 +21,7 @@ from piregular import (
     right_witness_search,
     transpose_closure_check,
 )
+from piregular import lab
 
 from helpers import naive_left_witness, naive_right_witness, random_matrix
 
@@ -202,6 +204,28 @@ def test_transpose_closure_holds_on_z4():
     nil = mat("[[0,1],[0,0]]")
     assert right_witness_search(nil, 1) is None
     assert right_witness_search(nil.transpose(), 1) is None
+
+
+@pytest.mark.parametrize("m, n", [(1, -1), (1, 0), (0, 1), (-1, 1)])
+def test_transpose_closure_rejects_non_positive_sizes(m, n):
+    # n = -1 used to spin forever in the engine's matrix power
+    with pytest.raises(InvalidBound):
+        transpose_closure_check(Z2, m, n)
+
+
+@pytest.mark.parametrize("exponent, products",
+                         [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_engine_power_uses_the_fewest_binary_products(exponent, products):
+    engine = lab._Engine(Z5, 2)
+    a = mat("[[1,2],[3,4]]", Z5)
+    flat = engine.from_square(a)
+    plain_mul = engine.mat_mul
+    calls = []
+    engine.mat_mul = lambda lhs, rhs: calls.append(1) or plain_mul(lhs, rhs)
+    assert engine.to_square(engine.mat_pow(flat, exponent)) == a ** exponent
+    assert len(calls) == products
+    with pytest.raises(ValueError):
+        engine.mat_pow(flat, -1)
 
 
 def test_transpose_closure_agrees_with_cp_verdict():

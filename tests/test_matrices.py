@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piregular import (
     DimMismatch,
@@ -10,6 +12,9 @@ from piregular import (
     MatrixPolynomial,
     NonCommutativeRing,
     ParseError,
+    RightWitnessInstance,
+    RingElem,
+    RingSpec,
     SpecMismatch,
     SquareMatrix,
     UniPolynomial,
@@ -17,11 +22,23 @@ from piregular import (
     det_poly_matrix,
     determinant,
     parse_matrix_literal,
+    parse_nc,
     parse_ring_spec,
     right_evaluate_poly,
+    right_to_left_certificate,
+    right_witness_search,
+    standard_identity,
+    verify_certificate,
 )
 
-from helpers import cofactor_det, random_matrix
+from helpers import (
+    cofactor_det,
+    naive_difference,
+    naive_power,
+    naive_product,
+    naive_sum,
+    random_matrix,
+)
 
 Z = Integers()
 Z4 = IntegersMod(4)
@@ -292,3 +309,88 @@ def test_matrix_literal_errors():
         parse_matrix_literal(Z, "1,2")
     with pytest.raises(ParseError):
         parse_matrix_literal(Z, "[[]]")
+
+
+# -- payload kernel against entrywise oracles -----------------------------------
+
+NC_ENTRIES = ["0", "1", "a", "b", "2c - d", "1/2 w", "x y", "a + z", "y a - 3"]
+
+
+@st.composite
+def kernel_case(draw):
+    """A ring, a dimension and three matrices over it.  Commutative rings
+    are sampled from a drawn seed; free-algebra entries come from parse_nc."""
+    kind = draw(st.sampled_from(["int", "zmod", "poly:int:t", "quot:zmod:3:t^2", "free"]))
+    dim = draw(st.integers(1, 4))
+    if kind == "free":
+        def matrix():
+            return SquareMatrix.from_rows(FREE, [
+                [parse_nc(draw(st.sampled_from(NC_ENTRIES))) for _ in range(dim)]
+                for _ in range(dim)])
+        return FREE, dim, matrix(), matrix(), matrix()
+    token = f"zmod:{draw(st.integers(2, 30))}" if kind == "zmod" else kind
+    spec = parse_ring_spec(token)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    bound = None if spec.is_finite else 4
+    return (spec, dim, *(random_matrix(spec, dim, rng, bound) for _ in range(3)))
+
+
+def rows_of(mat):
+    return [list(row) for row in mat.entries]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_case(), st.integers(0, 4))
+def test_kernel_matches_entrywise_oracle(case, exponent):
+    ring, dim, a, b, c = case
+    ea, eb = a.entries, b.entries
+    scalar = c.entry(0, dim - 1)
+    expected = {
+        "mul": naive_product(ring, ea, eb),
+        "add": naive_sum(ea, eb),
+        "sub": naive_difference(ea, eb),
+        "neg": [[-e for e in row] for row in ea],
+        "scale": [[e * scalar for e in row] for row in ea],
+        "transpose": [[ea[j][i] for j in range(dim)] for i in range(dim)],
+        "pow": naive_power(ring, ea, exponent),
+    }
+    got = {"mul": a * b, "add": a + b, "sub": a - b, "neg": -a, "scale": a.scale(scalar),
+           "transpose": a.transpose(), "pow": a ** exponent}
+    for name, result in got.items():
+        assert rows_of(result) == expected[name], name
+        # stored rows are canonical payloads, so == is entrywise ring equality
+        assert result == SquareMatrix.from_rows(ring, expected[name]), name
+        assert result.is_zero == all(e == ring.zero() for row in expected[name] for e in row)
+    for i in range(dim):
+        for j in range(dim):
+            assert a.entry(i, j) == ea[i][j]
+            assert isinstance(ea[i][j], RingElem) == (ring is not FREE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["int", "zmod:2", "zmod:9", "zmod:97"]), st.integers(1, 6),
+       st.integers(0, 2 ** 32))
+def test_dot_overrides_agree_with_generic_dot(token, length, seed):
+    spec = parse_ring_spec(token)
+    rng = random.Random(seed)
+    row, col = ([spec.sample_payload(rng, 50) for _ in range(length)] for _ in range(2))
+    assert type(spec).p_dot is not RingSpec.p_dot
+    assert spec.p_dot(row, col) == RingSpec.p_dot(spec, row, col)
+
+
+def test_matrix_arithmetic_never_touches_ring_elements(monkeypatch):
+    # The kernel must stay on payloads: RingElem operators are off limits.
+    rng = random.Random(7)
+    z4, z9 = IntegersMod(4), IntegersMod(9)
+    mats = [random_matrix(z4, 3, rng) for _ in range(6)]
+    a = mat(z9, "[[2,3],[1,5]]")
+    x = right_witness_search(a, 1)
+
+    def forbidden(self, other):
+        raise AssertionError("RingElem arithmetic on the matrix hot path")
+
+    for name in ("__mul__", "__add__", "__sub__"):
+        monkeypatch.setattr(RingElem, name, forbidden)
+    assert standard_identity(mats).is_zero
+    cert = right_to_left_certificate(RightWitnessInstance(a, 1, x))
+    assert verify_certificate(cert).ok

@@ -325,6 +325,16 @@ def test_certificate_exponents_must_be_positive_integers(field, value):
         certificate_from_json(payload)
 
 
+@pytest.mark.parametrize("field, value",
+                         [("identities", 5), ("identities", [5]), ("identities", {"a": 1}),
+                          ("p_coeffs", 7), ("p_coeffs", "1")])
+def test_certificate_with_wrongly_shaped_lists_rejected(field, value):
+    payload = certificate_to_json(build_cert())
+    payload[field] = value
+    with pytest.raises(MalformedPayload):
+        certificate_from_json(payload)
+
+
 def test_certificate_missing_field_rejected():
     payload = certificate_to_json(build_cert())
     del payload["w"]
