@@ -22,6 +22,11 @@ from .rings import RingSpec, require_positive, sample_element
 MAX_DEGREE = 8
 
 
+def _require_degree(degree: int) -> None:
+    if degree < 1 or degree > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree must be between 1 and {MAX_DEGREE}, got {degree}")
+
+
 def standard_identity(mats: Sequence[SquareMatrix]) -> SquareMatrix:
     """Evaluate the standard identity on the given matrices.
 
@@ -31,8 +36,7 @@ def standard_identity(mats: Sequence[SquareMatrix]) -> SquareMatrix:
     """
     mats = list(mats)
     k = len(mats)
-    if k < 1 or k > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree must be between 1 and {MAX_DEGREE}, got {k}")
+    _require_degree(k)
     first = mats[0]
     for mat in mats[1:]:
         if mat.ring != first.ring:
@@ -92,6 +96,7 @@ def check_identity_on_samples(spec: RingSpec, dim: int, degree: int,
     """Sample tuples deterministically and evaluate the identity on each;
     stops at the first non-vanishing tuple, which becomes the witness."""
     require_positive(samples=samples, dim=dim)
+    _require_degree(degree)
     rng = random.Random(seed)
     witness = None
     for _ in range(samples):
@@ -123,8 +128,8 @@ def matrix_units(spec: RingSpec, dim: int) -> list:
 def search_nonvanishing(spec: RingSpec, dim: int, degree: int) -> Optional[tuple]:
     """Exhaust tuples of matrix units in lexicographic order and return the
     first one on which the identity does not vanish, or None."""
-    if degree < 1 or degree > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree must be between 1 and {MAX_DEGREE}, got {degree}")
+    require_positive(dim=dim)
+    _require_degree(degree)
     units = matrix_units(spec, dim)
     for combo in product(units, repeat=degree):
         if not standard_identity(combo).is_zero:

@@ -2,16 +2,20 @@
 
 Finite rings are compiled once into index tables (element list in canonical
 order plus addition/multiplication tables), so the inner loops work on flat
-tuples of small integers no matter how nested the ring tower is.
+tuples of small integers no matter how nested the ring tower is.  Every
+exhaustive walk reads its matrices from one row-major iterator,
+:meth:`_Engine.matrices`, and each matrix's powers from one ladder,
+A, A^2, ... up to the first repeat.
 
-Witness searches are brute force over a deterministic enumeration.  The
-search for X with A^n = A^(n+1) X factors through the columns: column j of
-X only has to solve B v = t_j with B = A^(n+1) and t_j the j-th column of
-A^n, and those constraints are independent.  Scanning candidate columns in
-lexicographic order therefore returns exactly the witness a full row-major
-scan over whole matrices would have found first, at a fraction of the cost.
-Solutions are memoized per B, which collapses the exhaustive suites because
-distinct powers are few.  The left search mirrors this with rows.
+There is one witness search: the first X in row-major order with T = B X.
+Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
+those constraints are independent, so per-column lexicographic minima give
+exactly the witness a full scan over whole matrices would find first.
+Solutions are memoized per B; distinct powers are few.  A right witness
+solves A^n = A^(n+1) X.  A left witness, A^n = Y A^(n+1), is the transpose of
+that search on the transposes, as (Y B)^T = B^T Y^T over a commutative ring;
+the rows of Y are scanned in the same lexicographic order, so the tie-breaks
+agree, and the memoized tables are shared.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
+from functools import partial
+from itertools import islice, product
 from typing import Iterator, Optional
 
 from .errors import (
@@ -50,7 +55,11 @@ def _check_budget(total: int, budget: Optional[int]) -> None:
 
 
 class _Engine:
-    """Index-table arithmetic for m-by-m matrices over one finite ring."""
+    """Index-table arithmetic for m-by-m matrices over one finite ring.
+
+    The ring must be commutative: the left search runs as the transposed
+    right search.  Every finite ``RingSpec`` in the package is commutative.
+    """
 
     def __init__(self, spec: RingSpec, m: int):
         if not spec.is_finite:
@@ -70,7 +79,6 @@ class _Engine:
         self.ident = tuple(self.one if i == j else self.zero
                            for i in range(m) for j in range(m))
         self._col_maps = {}
-        self._row_maps = {}
 
     # -- flat-matrix arithmetic -------------------------------------------
 
@@ -93,13 +101,10 @@ class _Engine:
         m = self.m
         return tuple(mat[j * m + i] for i in range(m) for j in range(m))
 
-    def decode(self, index: int):
-        """Matrix number ``index`` in row-major enumeration order."""
-        digits = []
-        for _ in range(self.m * self.m):
-            index, r = divmod(index, self.q)
-            digits.append(r)
-        return tuple(reversed(digits))
+    def matrices(self, start: int = 0, stop: Optional[int] = None):
+        """Matrices number ``start`` to ``stop - 1`` in row-major
+        enumeration order."""
+        return islice(product(range(self.q), repeat=self.m * self.m), start, stop)
 
     def from_square(self, mat: SquareMatrix):
         index = self.index
@@ -115,7 +120,33 @@ class _Engine:
         return [[spec.payload_to_json(payloads[flat[i * m + j]]) for j in range(m)]
                 for i in range(m)]
 
-    # -- witness searches ---------------------------------------------------
+    # -- powers ---------------------------------------------------------------
+
+    def ladder(self, mat):
+        """The powers A, A^2, ... A^L up to the first repeat, and the
+        exponent ``index`` with A^(L+1) = A^index; from ``index`` on, the
+        powers cycle with period L + 1 - index."""
+        seen = {}
+        powers = []
+        power = mat
+        while power not in seen:
+            powers.append(power)
+            seen[power] = len(powers)
+            power = self.mat_mul(power, mat)
+        return powers, seen[power]
+
+    def power_index(self, mat):
+        """(index, cycle_length): index is the first exponent whose power
+        lies on the eventual cycle of A, A^2, A^3, ..."""
+        powers, index = self.ladder(mat)
+        return index, len(powers) + 1 - index
+
+    def power_pair(self, mat, n: int):
+        """(A^n, A^(n+1))."""
+        low = self.mat_pow(mat, n)
+        return low, self.mat_mul(low, mat)
+
+    # -- the witness search ---------------------------------------------------
 
     def _col_map(self, mat):
         """For each achievable column target of v -> mat*v, the first v in
@@ -138,32 +169,12 @@ class _Engine:
         self._col_maps[mat] = table
         return table
 
-    def _row_map(self, mat):
-        """Same as :meth:`_col_map` for u -> u*mat acting on row vectors."""
-        cached = self._row_maps.get(mat)
-        if cached is not None:
-            return cached
-        m, q, add, mul = self.m, self.q, self.add, self.mul
-        table = [-1] * (q ** m)
-        for ucode, vec in enumerate(self.vectors):
-            code = 0
-            for j in range(m):
-                acc = mul[vec[0]][mat[j]]
-                for k in range(1, m):
-                    acc = add[acc][mul[vec[k]][mat[k * m + j]]]
-                code = code * q + acc
-            if table[code] < 0:
-                table[code] = ucode
-        self._row_maps[mat] = table
-        return table
-
-    def right_witness(self, mat, n: int):
-        """First X in row-major enumeration order with A^n = A^(n+1) X, or
+    def solve(self, target, base):
+        """First X in row-major enumeration order with target = base X, or
         None.  Column constraints are independent, so per-column lex minima
         assemble exactly that first X."""
         m, q = self.m, self.q
-        target = self.mat_pow(mat, n)
-        table = self._col_map(self.mat_pow(mat, n + 1))
+        table = self._col_map(base)
         chosen = []
         for j in range(m):
             code = 0
@@ -175,46 +186,12 @@ class _Engine:
             chosen.append(self.vectors[vcode])
         return tuple(chosen[j][i] for i in range(m) for j in range(m))
 
-    def left_witness(self, mat, n: int):
-        """First Y in row-major enumeration order with A^n = Y A^(n+1)."""
-        m, q = self.m, self.q
-        target = self.mat_pow(mat, n)
-        table = self._row_map(self.mat_pow(mat, n + 1))
-        rows = []
-        for i in range(m):
-            code = 0
-            for j in range(m):
-                code = code * q + target[i * m + j]
-            ucode = table[code]
-            if ucode < 0:
-                return None
-            rows.append(self.vectors[ucode])
-        return tuple(rows[i][j] for i in range(m) for j in range(m))
-
-    def power_index(self, mat):
-        """Tortoise-hare on the power sequence A, A^2, A^3, ...; returns
-        (index, cycle_length) where index is the first exponent whose power
-        lies on the eventual cycle."""
-        def step(p):
-            return self.mat_mul(p, mat)
-
-        tortoise = step(mat)
-        hare = step(tortoise)
-        while tortoise != hare:
-            tortoise = step(tortoise)
-            hare = step(step(hare))
-        mu = 0
-        tortoise = mat
-        while tortoise != hare:
-            tortoise = step(tortoise)
-            hare = step(hare)
-            mu += 1
-        length = 1
-        hare = step(tortoise)
-        while tortoise != hare:
-            hare = step(hare)
-            length += 1
-        return mu + 1, length
+    def solve_left(self, target, base):
+        """First Y in row-major enumeration order with target = Y base: the
+        transpose of :meth:`solve` on the transposes."""
+        t = self.transpose
+        found = self.solve(t(target), t(base))
+        return None if found is None else t(found)
 
 
 _ENGINES: dict = {}
@@ -230,22 +207,23 @@ def _engine(spec: RingSpec, m: int) -> _Engine:
     return engine
 
 
-def right_witness_search(mat: SquareMatrix, n: int) -> Optional[SquareMatrix]:
-    """First X in deterministic enumeration order with A^n = A^(n+1) X."""
+def _search(mat: SquareMatrix, n: int, left: bool) -> Optional[SquareMatrix]:
     if not isinstance(n, int) or n < 1:
         raise PreconditionFailed(f"exponent must be a positive integer, got {n!r}")
     engine = _engine(mat.ring, mat.dim)
-    found = engine.right_witness(engine.from_square(mat), n)
+    low, high = engine.power_pair(engine.from_square(mat), n)
+    found = engine.solve_left(low, high) if left else engine.solve(low, high)
     return None if found is None else engine.to_square(found)
+
+
+def right_witness_search(mat: SquareMatrix, n: int) -> Optional[SquareMatrix]:
+    """First X in deterministic enumeration order with A^n = A^(n+1) X."""
+    return _search(mat, n, left=False)
 
 
 def left_witness_search(mat: SquareMatrix, n: int) -> Optional[SquareMatrix]:
     """First Y in deterministic enumeration order with A^n = Y A^(n+1)."""
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionFailed(f"exponent must be a positive integer, got {n!r}")
-    engine = _engine(mat.ring, mat.dim)
-    found = engine.left_witness(engine.from_square(mat), n)
-    return None if found is None else engine.to_square(found)
+    return _search(mat, n, left=True)
 
 
 def power_sequence_index(mat: SquareMatrix) -> tuple:
@@ -290,20 +268,24 @@ def classify_all(spec: RingSpec, m: int, n_bound: Optional[int] = None,
     _check_budget(total, budget)
 
     def walk():
-        for number in range(total):
-            flat = engine.decode(number)
-            index, _cycle = engine.power_index(flat)
+        for flat in engine.matrices():
+            powers, index = engine.ladder(flat)
+            cycle = powers[index - 1:]
+            powers += cycle + cycle  # past the ladder, the powers repeat its cycle
             bound = index + 1 if n_bound is None else min(n_bound, index + 1)
             rights = []
             lefts = []
             for n in range(1, bound + 1):
-                x = engine.right_witness(flat, n)
+                low, high = powers[n - 1], powers[n]
+                x = engine.solve(low, high)
                 if x is not None:
-                    _spot_verify_right(engine, flat, n, x)
+                    if low != engine.mat_mul(high, x):
+                        raise InternalViolation("stored right witness fails its identity")
                     rights.append((n, engine.to_square(x)))
-                y = engine.left_witness(flat, n)
+                y = engine.solve_left(low, high)
                 if y is not None:
-                    _spot_verify_left(engine, flat, n, y)
+                    if low != engine.mat_mul(y, high):
+                        raise InternalViolation("stored left witness fails its identity")
                     lefts.append((n, engine.to_square(y)))
             if index <= bound and all(n != index for n, _ in rights):
                 raise InternalViolation(
@@ -315,16 +297,6 @@ def classify_all(spec: RingSpec, m: int, n_bound: Optional[int] = None,
                 agrees=agrees)
 
     return walk()
-
-
-def _spot_verify_right(engine, flat, n, x):
-    if engine.mat_pow(flat, n) != engine.mat_mul(engine.mat_pow(flat, n + 1), x):
-        raise InternalViolation("stored right witness fails its identity")
-
-
-def _spot_verify_left(engine, flat, n, y):
-    if engine.mat_pow(flat, n) != engine.mat_mul(y, engine.mat_pow(flat, n + 1)):
-        raise InternalViolation("stored left witness fails its identity")
 
 
 # -- two-sided agreement report ----------------------------------------------
@@ -375,10 +347,10 @@ def _cp_chunk(k: int, m: int, n: int, start: int, stop: int) -> dict:
     counterexamples = []
     failures = []
     checked = 0
-    for number in range(start, stop):
-        flat = engine.decode(number)
-        x = engine.right_witness(flat, n)
-        y = engine.left_witness(flat, n)
+    for flat in engine.matrices(start, stop):
+        low, high = engine.power_pair(flat, n)
+        x = engine.solve(low, high)
+        y = engine.solve_left(low, high)
         right, left = x is not None, y is not None
         if right and left:
             counts["both"] += 1
@@ -401,10 +373,6 @@ def _cp_chunk(k: int, m: int, n: int, start: int, stop: int) -> dict:
                                  "reason": f"{type(exc).__name__}: {exc}"})
     return {"counts": counts, "counterexamples": counterexamples,
             "pipeline_checked": checked, "pipeline_failures": failures}
-
-
-def _cp_chunk_task(args):
-    return _cp_chunk(*args)
 
 
 def default_workers() -> int:
@@ -433,9 +401,8 @@ def cp_report(k: int, m: int, n: int, workers: Optional[int] = None,
     else:
         chunk_count = workers * 4
         bounds = [total * i // chunk_count for i in range(chunk_count + 1)]
-        tasks = [(k, m, n, bounds[i], bounds[i + 1]) for i in range(chunk_count)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_cp_chunk_task, tasks))
+            parts = list(pool.map(partial(_cp_chunk, k, m, n), bounds[:-1], bounds[1:]))
     counts = {"both": 0, "right_only": 0, "left_only": 0, "neither": 0}
     counterexamples = []
     failures = []
@@ -492,10 +459,11 @@ def transpose_closure_check(spec: RingSpec, m: int, n: int) -> TransposeClosureR
     total = engine.q ** (m * m)
     mismatches = []
     right_count = 0
-    for number in range(total):
-        flat = engine.decode(number)
-        here = engine.right_witness(flat, n) is not None
-        there = engine.right_witness(engine.transpose(flat), n) is not None
+    for flat in engine.matrices():
+        low, high = engine.power_pair(flat, n)
+        here = engine.solve(low, high) is not None
+        # (A^T)^k = (A^k)^T
+        there = engine.solve(engine.transpose(low), engine.transpose(high)) is not None
         if here:
             right_count += 1
         if here != there:

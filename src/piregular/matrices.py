@@ -22,7 +22,21 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimMismatch, NonCommutativeRing, ParseError, SpecMismatch
-from .rings import PolyOver, RingElem, RingSpec, binary_power, parse_element
+from .rings import (
+    PolyOver,
+    RingElem,
+    RingSpec,
+    _seq_add,
+    _seq_mul,
+    _seq_neg,
+    binary_power,
+    parse_element,
+)
+
+
+def _require_dim(dim: int) -> None:
+    if dim < 1:
+        raise DimMismatch(f"matrices must have dimension >= 1, got {dim}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,8 +57,7 @@ class SquareMatrix:
     def from_rows(ring, rows) -> "SquareMatrix":
         rows = list(rows)
         dim = len(rows)
-        if dim == 0:
-            raise DimMismatch("matrices must have dimension >= 1")
+        _require_dim(dim)
         coerced = []
         for row in rows:
             row = list(row)
@@ -55,12 +68,14 @@ class SquareMatrix:
 
     @staticmethod
     def identity(ring, dim: int) -> "SquareMatrix":
+        _require_dim(dim)
         one, zero = ring.one_payload(), ring.zero_payload()
         return SquareMatrix(ring, tuple(
             tuple(one if i == j else zero for j in range(dim)) for i in range(dim)))
 
     @staticmethod
     def zeros(ring, dim: int) -> "SquareMatrix":
+        _require_dim(dim)
         zero = ring.zero_payload()
         return SquareMatrix(ring, tuple(tuple(zero for _ in range(dim)) for _ in range(dim)))
 
@@ -162,30 +177,29 @@ class UniPolynomial:
             raise SpecMismatch("polynomials live over different rings")
         return other
 
+    @staticmethod
+    def _of(spec: RingSpec, payloads) -> "UniPolynomial":
+        """The polynomial with these canonical coefficient payloads."""
+        return UniPolynomial(spec, tuple(map(spec.wrap, payloads)))
+
+    def _seq(self, op, *others) -> "UniPolynomial":
+        """Apply a payload-sequence operation (``rings._seq_*``) to this
+        polynomial and ``others``."""
+        operands = (self, *map(self._match, others))
+        return UniPolynomial._of(self.spec, op(self.spec, *(
+            tuple(c.payload for c in p.coefficients) for p in operands)))
+
     def __add__(self, other):
-        other = self._match(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return UniPolynomial.from_coeffs(
-            self.spec, [self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return self._seq(_seq_add, other)
 
     def __sub__(self, other):
-        other = self._match(other)
-        n = max(len(self.coefficients), len(other.coefficients))
-        return UniPolynomial.from_coeffs(
-            self.spec, [self.coefficient(i) - other.coefficient(i) for i in range(n)])
+        return self + -self._match(other)
 
     def __neg__(self):
-        return UniPolynomial(self.spec, tuple(-c for c in self.coefficients))
+        return self._seq(_seq_neg)
 
     def __mul__(self, other):
-        other = self._match(other)
-        if self.is_zero or other.is_zero:
-            return UniPolynomial(self.spec, ())
-        out = [self.spec.zero()] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = out[i + j] + a * b
-        return UniPolynomial.from_coeffs(self.spec, out)
+        return self._seq(_seq_mul, other)
 
     def shift(self, k: int) -> "UniPolynomial":
         """Multiply by x^k."""
@@ -298,7 +312,7 @@ def berkowitz_char_poly(mat: SquareMatrix) -> UniPolynomial:
             js = range(max(0, i - k), min(i, k - 1) + 1)
             new.append(dot([toeplitz[i - j] for j in js], [coeffs[j] for j in js]))
         coeffs = new
-    return UniPolynomial(ring, tuple(ring.wrap(c) for c in reversed(coeffs)))
+    return UniPolynomial._of(ring, reversed(coeffs))
 
 
 def determinant(mat: SquareMatrix) -> RingElem:
@@ -324,7 +338,7 @@ def det_poly_matrix(f: MatrixPolynomial) -> UniPolynomial:
               for j in range(dim))
         for i in range(dim)))
     det = determinant(lifted)
-    return UniPolynomial(base, tuple(map(base.wrap, det.payload)))
+    return UniPolynomial._of(base, det.payload)
 
 
 def right_evaluate_poly(f, mat: SquareMatrix) -> SquareMatrix:

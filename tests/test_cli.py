@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piregular import UniPolynomial, witnesses
 from piregular.cli import dispatch
+from piregular.identities import MAX_DEGREE
 
 RTL_OK = ["right-to-left", "--ring", "zmod:4", "--dim", "2", "--n", "2",
           "--A", "[[2,0],[0,1]]", "--X", "[[1,0],[0,1]]"]
@@ -234,3 +239,54 @@ def test_exit_code_matrix_subprocess():
         assert proc.returncode == expected, (argv, proc.stderr)
         if expected != 2:
             json.loads(proc.stdout)
+
+
+# -- the exit-code contract on drawn argument vectors ------------------------------
+
+CLI_RINGS = ["zmod:2", "zmod:3", "quot:zmod:2:t^2", "int", "quot:zmod:2"]
+CLI_SIZES = {
+    "cp-verify": {"k": range(-1, 4), "dim": range(-1, 3), "n": range(-2, 4),
+                  "workers": range(-2, 4)},
+    "classify": {"dim": range(-1, 3), "n-bound": range(-2, 4)},
+    "identity-check": {"dim": range(-1, 3), "degree": [-1, 0, 1, 2, 3, 4, 9],
+                       "samples": range(-2, 4)},
+}
+OPTIONAL_SIZES = {"n", "workers", "n-bound", "samples"}
+
+
+@st.composite
+def sized_argv(draw):
+    """A cp-verify, classify or identity-check argument vector with small
+    sizes, and whether one of them is out of range (below 1, or a degree
+    above MAX_DEGREE).  At most one size is drawn out of range, so each
+    guard is exercised on its own; an optional size may be left out."""
+    command = draw(st.sampled_from(sorted(CLI_SIZES)))
+    sizes = CLI_SIZES[command]
+    bad = draw(st.sampled_from([None, *sizes]))
+    argv = [command]
+    if command != "cp-verify":
+        argv += ["--ring", draw(st.sampled_from(CLI_RINGS))]
+    if command == "identity-check":
+        argv.append(f"--seed={draw(st.integers(0, 3))}")
+    for name, values in sizes.items():
+        pool = [v for v in values if (1 <= v <= MAX_DEGREE) != (name == bad)]
+        if name in OPTIONAL_SIZES and name != bad:
+            pool.insert(0, None)
+        value = draw(st.sampled_from(pool))
+        if value is not None:
+            argv.append(f"--{name}={value}")
+    return argv, bad is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(sized_argv())
+def test_drawn_argument_vectors_keep_the_exit_code_contract(case):
+    argv, out_of_range = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if out_of_range:
+        assert code == 2, (argv, err.getvalue())
+        assert out.getvalue() == ""

@@ -7,6 +7,7 @@ from piregular import (
     DegreeTooLarge,
     Integers,
     IntegersMod,
+    InvalidBound,
     SpecMismatch,
     SquareMatrix,
     check_identity_on_samples,
@@ -14,6 +15,7 @@ from piregular import (
     search_nonvanishing,
     standard_identity,
 )
+from piregular import identities
 
 from helpers import permutation_standard_identity, random_matrix
 
@@ -97,7 +99,7 @@ def test_amitsur_levitzki_sampled():
         assert standard_identity(mats).is_zero
 
 
-def test_degree_and_spec_guards():
+def test_degree_and_spec_guards(monkeypatch):
     rng = random.Random(8)
     nine = [random_matrix(Z, 2, rng, 2) for _ in range(9)]
     with pytest.raises(DegreeTooLarge):
@@ -106,6 +108,11 @@ def test_degree_and_spec_guards():
         standard_identity([random_matrix(Z, 2, rng, 2), random_matrix(Z6, 2, rng)])
     with pytest.raises(DegreeTooLarge):
         standard_identity([])
+    # the sampled check refuses a bad degree before drawing any matrix
+    monkeypatch.setattr(identities, "_sample_matrix", None)
+    for degree in (-1, 0, 9):
+        with pytest.raises(DegreeTooLarge, match=f"got {degree}$"):
+            check_identity_on_samples(Z, 2, degree, samples=5, seed=0)
 
 
 def test_search_finds_s3_witness_quickly():
@@ -122,6 +129,10 @@ def test_search_finds_s3_witness_quickly():
 def test_search_confirms_vanishing_degrees():
     assert search_nonvanishing(Z, 1, 2) is None
     assert search_nonvanishing(Z, 2, 4) is None
+    # no units to search is not a vanishing identity
+    for dim in (0, -2):
+        with pytest.raises(InvalidBound):
+            search_nonvanishing(Z, dim, 3)
 
 
 def test_sampled_report_is_deterministic_and_honest():

@@ -28,6 +28,7 @@ from helpers import naive_left_witness, naive_right_witness, random_matrix
 Z4 = IntegersMod(4)
 Z2 = IntegersMod(2)
 Z5 = IntegersMod(5)
+DUAL_Z2 = parse_ring_spec("quot:zmod:2:t^2")
 
 
 def mat(text, spec=Z4):
@@ -61,10 +62,10 @@ def test_diag_example_witness():
 
 def test_search_agrees_with_naive_full_scan():
     rng = random.Random(271828)
-    for spec in (Z2, IntegersMod(3)):
+    for spec in (Z2, IntegersMod(3), DUAL_Z2):
         for _ in range(12):
             a = random_matrix(spec, 2, rng)
-            for n in (1, 2):
+            for n in (1, 2, 3):
                 assert right_witness_search(a, n) == naive_right_witness(a, n)
                 assert left_witness_search(a, n) == naive_left_witness(a, n)
 
@@ -90,16 +91,17 @@ def test_power_sequence_examples():
 
 def test_power_sequence_matches_brute_force():
     rng = random.Random(5050)
-    for _ in range(20):
-        a = random_matrix(Z4, 2, rng)
-        index, cycle = power_sequence_index(a)
-        powers = [a]
-        for _ in range(index + 2 * cycle + 2):
-            powers.append(powers[-1] * a)
-        # exponents are 1-based: powers[e-1] = A^e
-        assert powers[index - 1] == powers[index - 1 + cycle]
-        if index > 1:
-            assert powers[index - 2] != powers[index - 2 + cycle]
+    for spec in (Z4, DUAL_Z2):
+        for _ in range(20):
+            a = random_matrix(spec, 2, rng)
+            index, cycle = power_sequence_index(a)
+            powers = [a]
+            for _ in range(index + 2 * cycle + 2):
+                powers.append(powers[-1] * a)
+            # exponents are 1-based: powers[e-1] = A^e
+            assert powers[index - 1] == powers[index - 1 + cycle]
+            if index > 1:
+                assert powers[index - 2] != powers[index - 2 + cycle]
 
 
 def test_every_matrix_is_right_sr_at_its_index():
@@ -226,6 +228,22 @@ def test_engine_power_uses_the_fewest_binary_products(exponent, products):
     assert len(calls) == products
     with pytest.raises(ValueError):
         engine.mat_pow(flat, -1)
+
+
+def test_scans_compute_each_power_once(monkeypatch):
+    # one power ladder per classified matrix, and one (A^n, A^(n+1)) pair
+    # per scanned matrix shared by both search directions
+    calls = []
+    plain_mul = lab._Engine.mat_mul
+    monkeypatch.setattr(lab._Engine, "mat_mul",
+                        lambda self, lhs, rhs: calls.append(1) or plain_mul(self, lhs, rhs))
+    assert sum(1 for _ in classify_all(Z4, 2)) == 256
+    assert len(calls) <= 2048
+    for scan in (lambda: cp_report(4, 2, 1, workers=1),
+                 lambda: transpose_closure_check(Z4, 2, 1)):
+        calls.clear()
+        scan()
+        assert len(calls) == 256
 
 
 def test_transpose_closure_agrees_with_cp_verdict():

@@ -27,6 +27,7 @@ from piregular import (
     right_evaluate_poly,
     right_to_left_certificate,
     right_witness_search,
+    sample_element,
     standard_identity,
     verify_certificate,
 )
@@ -115,6 +116,11 @@ def test_shape_and_spec_mismatches():
         a * mat(Z4, "[[1,2],[3,4]]")
     with pytest.raises(DimMismatch):
         SquareMatrix.from_rows(Z, [[1, 2], [3]])
+    for dim in (0, -1):
+        with pytest.raises(DimMismatch):
+            SquareMatrix.identity(Z, dim)
+        with pytest.raises(DimMismatch):
+            SquareMatrix.zeros(Z, dim)
     with pytest.raises(ValueError):
         a ** -1
 
@@ -277,14 +283,34 @@ def test_determinant_refuses_noncommutative_entries():
 
 
 def test_unipolynomial_algebra():
-    x = UniPolynomial.x_power(Z, 1)
-    one = UniPolynomial.from_coeffs(Z, [1])
-    p = (x + one) * (x - one)
-    assert p == UniPolynomial.from_coeffs(Z, [-1, 0, 1])
-    assert p.shift(2) == UniPolynomial.from_coeffs(Z, [0, 0, -1, 0, 1])
-    assert (p - p).is_zero
-    assert p.coefficient(7) == Z.zero()
-    assert UniPolynomial.from_coeffs(Z, [1, 0, 0]).degree == 0
+    for spec, text in ((Z, "-1+x^2"), (DUAL_Z3, "2+x^2")):
+        x = UniPolynomial.x_power(spec, 1)
+        one = UniPolynomial.from_coeffs(spec, [1])
+        p = (x + one) * (x - one)
+        assert p == UniPolynomial.from_coeffs(spec, [-1, 0, 1])
+        assert str(p) == text
+        assert p.shift(2) == UniPolynomial.from_coeffs(spec, [0, 0, -1, 0, 1])
+        assert (p - p).is_zero
+        assert p.coefficient(7) == spec.zero()
+        assert UniPolynomial.from_coeffs(spec, [1, 0, 0]).degree == 0
+        # against coefficient-wise RingElem arithmetic; over the dual numbers
+        # leading coefficients can multiply to zero and must be stripped
+        rng = random.Random(29)
+        for _ in range(30):
+            f, g = (UniPolynomial.from_coeffs(spec, [sample_element(spec, rng, 4)
+                                                     for _ in range(rng.randint(0, 3))])
+                    for _ in range(2))
+            n = max(f.degree, g.degree) + 1
+            assert f + g == UniPolynomial.from_coeffs(
+                spec, [f.coefficient(i) + g.coefficient(i) for i in range(n)])
+            assert f - g == UniPolynomial.from_coeffs(
+                spec, [f.coefficient(i) - g.coefficient(i) for i in range(n)])
+            assert -f == UniPolynomial.from_coeffs(spec, [-c for c in f.coefficients])
+            product = [spec.zero()] * (f.degree + g.degree + 2)
+            for i, a in enumerate(f.coefficients):
+                for j, b in enumerate(g.coefficients):
+                    product[i + j] = product[i + j] + a * b
+            assert f * g == UniPolynomial.from_coeffs(spec, product)
 
 
 # -- literals ---------------------------------------------------------------------
