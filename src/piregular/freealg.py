@@ -149,7 +149,7 @@ class NCPolynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int):
-        return binary_power(self, exponent, NCPolynomial({"": 1}))
+        return binary_power(self, exponent, lambda: NCPolynomial({"": 1}))
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -12,25 +12,33 @@ import json
 
 from .errors import MalformedPayload
 
-_ALLOWED_SCALARS = (str, int, bool, type(None))
+_ALLOWED_SCALARS = frozenset((str, int, bool, type(None)))
 
 
-def _check_exact(obj, path="$"):
+def _spelled(path) -> str:
+    return "$" + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+
+
+def _check_exact(obj, path=()):
+    """Refuse what canonical JSON cannot carry exactly.  ``path`` holds the
+    indices and keys down to ``obj`` and is spelled out only in an error."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
         return
     if isinstance(obj, float):
-        raise MalformedPayload(f"floating point value at {path}; all numbers must be exact")
+        raise MalformedPayload(f"floating point value at {_spelled(path)}; all numbers must be exact")
     if isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            _check_exact(item, f"{path}[{i}]")
+            if type(item) not in _ALLOWED_SCALARS:
+                _check_exact(item, (*path, i))
         return
     if isinstance(obj, dict):
         for key, value in obj.items():
             if not isinstance(key, str):
-                raise MalformedPayload(f"non-string key {key!r} at {path}")
-            _check_exact(value, f"{path}.{key}")
+                raise MalformedPayload(f"non-string key {key!r} at {_spelled(path)}")
+            if type(value) not in _ALLOWED_SCALARS:
+                _check_exact(value, (*path, key))
         return
-    raise MalformedPayload(f"unserializable value {obj!r} at {path}")
+    raise MalformedPayload(f"unserializable value {obj!r} at {_spelled(path)}")
 
 
 def canonical_dumps(obj) -> str:

@@ -95,7 +95,7 @@ class _Engine:
         return tuple(out)
 
     def mat_pow(self, mat, exponent: int):
-        return binary_power(mat, exponent, self.ident, self.mat_mul)
+        return binary_power(mat, exponent, lambda: self.ident, self.mat_mul)
 
     def transpose(self, mat):
         m = self.m
@@ -208,8 +208,7 @@ def _engine(spec: RingSpec, m: int) -> _Engine:
 
 
 def _search(mat: SquareMatrix, n: int, left: bool) -> Optional[SquareMatrix]:
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionFailed(f"exponent must be a positive integer, got {n!r}")
+    require_positive(PreconditionFailed, exponent=n)
     engine = _engine(mat.ring, mat.dim)
     low, high = engine.power_pair(engine.from_square(mat), n)
     found = engine.solve_left(low, high) if left else engine.solve(low, high)

@@ -121,7 +121,7 @@ class SquareMatrix:
             tuple(dot(row, col) for col in cols) for row in self.rows))
 
     def __pow__(self, exponent: int):
-        return binary_power(self, exponent, SquareMatrix.identity(self.ring, self.dim))
+        return binary_power(self, exponent, lambda: SquareMatrix.identity(self.ring, self.dim))
 
     def scale(self, value) -> "SquareMatrix":
         c, mul = self.ring.p_coerce(value), self.ring.p_mul
@@ -210,9 +210,7 @@ class UniPolynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
-        var_pool = "xyzuvw"
-        used = _variables_of(self.spec)
-        var = next(v for v in var_pool if v not in used)
+        var = _fresh_variable(self.spec, "xyzuvw")
         pieces = []
         for degree, c in enumerate(self.coefficients):
             if c.is_zero:
@@ -267,16 +265,13 @@ class MatrixPolynomial:
         return SquareMatrix.zeros(self.ring, self.dim)
 
 
-def _variables_of(spec) -> set:
+def _fresh_variable(spec, pool: str) -> str:
+    """The first name in ``pool`` that no polynomial layer of ``spec`` uses."""
     used = set()
-    while True:
-        var = getattr(spec, "variable", None)
-        if var is not None:
-            used.add(var)
-        base = getattr(spec, "base", None)
-        if base is None:
-            return used
-        spec = base
+    while spec is not None:
+        used.add(getattr(spec, "variable", None))
+        spec = getattr(spec, "base", None)
+    return next(v for v in pool if v not in used)
 
 
 def _require_commutative(ring):
@@ -328,10 +323,7 @@ def det_poly_matrix(f: MatrixPolynomial) -> UniPolynomial:
     polynomial ring and pushed through the same division-free routine."""
     _require_commutative(f.ring)
     base = f.ring
-    var_pool = "xyzuvwstp"
-    used = _variables_of(base)
-    var = next(v for v in var_pool if v not in used)
-    pspec = PolyOver(base, var)
+    pspec = PolyOver(base, _fresh_variable(base, "xyzuvwstp"))
     dim = f.dim
     lifted = SquareMatrix(pspec, tuple(
         tuple(pspec.canon([coeff.rows[i][j] for coeff in f.coefficients])

@@ -40,8 +40,8 @@ Payload = Any
 
 def binary_power(base, exponent: int, one, mul=operator.mul):
     """base^exponent by square-and-multiply with the product ``mul``;
-    ``one`` is the 0th power and is never multiplied, and nothing is
-    squared after the top bit."""
+    ``one()`` builds the 0th power and is called only at exponent 0, and
+    nothing is squared after the top bit."""
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("exponent must be a non-negative integer")
     result = None
@@ -51,14 +51,15 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
         exponent >>= 1
         if exponent:
             base = mul(base, base)
-    return one if result is None else result
+    return one() if result is None else result
 
 
-def require_positive(**values) -> None:
-    """Raise InvalidBound unless every named value is an integer >= 1."""
+def require_positive(error=InvalidBound, /, **values) -> None:
+    """Raise ``error`` unless every named value is an integer >= 1; a bool
+    is not a count or an exponent."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise InvalidBound(f"{name} must be a positive integer, got {value!r}")
+            raise error(f"{name} must be a positive integer, got {value!r}")
 
 
 class RingSpec:
@@ -208,7 +209,7 @@ class RingElem:
         return RingElem(self.spec, self.spec.p_neg(self.payload))
 
     def __pow__(self, exponent: int):
-        return binary_power(self, exponent, RingElem(self.spec, self.spec.one_payload()))
+        return binary_power(self, exponent, self.spec.one)
 
     @property
     def is_zero(self) -> bool:

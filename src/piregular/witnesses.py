@@ -5,10 +5,10 @@ A^n = A^(n+1) X.  Over a commutative coefficient ring the conversion to a
 left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
 
 1.  A kills the matrix polynomial x^n I - x^(n+1) X under right
-    substitution, so it also kills the scalar polynomial
-    p(x) = det(x^n I - x^(n+1) X) = x^(nm) * q(x) with q(x) = det(I - xX)
-    and q(0) = 1.  Reading the coefficients of q off gives a right witness
-    C at the raised exponent N = n*m:  A^N = A^(N+1) C.
+    substitution, so it also kills p(x) = det(x^n I - x^(n+1) X) =
+    x^(nm) q(x), where q(x) = det(I - xX) = x^m det(x^-1 I - X) is the
+    characteristic polynomial of X read backwards, and q(0) = 1.  Its
+    coefficients give a right witness C at N = n*m:  A^N = A^(N+1) C.
 2.  w = A^N C^(N+1) commutes with A and still satisfies A^N = A^(N+1) w,
     hence A^N = w A^(N+1): a left witness at exponent N.
 3.  Y = w^(N-n+1) A^(N-n) lowers the left exponent back to n:
@@ -31,8 +31,9 @@ from .errors import (
     UnverifiedCertificate,
 )
 from .jsonio import canonical_dumps
-from .matrices import MatrixPolynomial, SquareMatrix, UniPolynomial, det_poly_matrix
-from .rings import RingSpec, parse_ring_spec
+from .matrices import SquareMatrix, UniPolynomial, berkowitz_char_poly
+from .matrices import det_poly_matrix  # noqa: F401  (perfbench/tracing.py wraps it by name)
+from .rings import RingSpec, parse_ring_spec, require_positive
 
 
 def _powers(a: SquareMatrix, exponents) -> dict:
@@ -70,8 +71,7 @@ class RightWitnessInstance:
     X: SquareMatrix
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise PreconditionFailed(f"exponent must be a positive integer, got {self.n!r}")
+        require_positive(PreconditionFailed, exponent=self.n)
         if self.X.ring != self.A.ring or self.X.dim != self.A.dim:
             raise SpecMismatch("witness matrix must match the base matrix")
         powers = _powers(self.A, (self.n, self.n + 1))
@@ -124,8 +124,7 @@ class CertificateVerdict:
 def drazin_witness(a: SquareMatrix, x: SquareMatrix, n: int) -> SquareMatrix:
     """From a^n = a^(n+1) x build w = a^n x^(n+1), which commutes with a and
     is again a witness: a^n = a^(n+1) w, hence also a^n = w a^(n+1)."""
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionFailed(f"exponent must be a positive integer, got {n!r}")
+    require_positive(PreconditionFailed, exponent=n)
     powers = _powers(a, (n, n + 1))
     if powers[n] != powers[n + 1] * x:
         raise PreconditionFailed(f"a^{n} != a^{n + 1}*x")
@@ -138,7 +137,8 @@ def drazin_witness(a: SquareMatrix, x: SquareMatrix, n: int) -> SquareMatrix:
 def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> ExponentRaiseRecord:
     """Check that a right witness at n is one at any m >= n, and that the
     gap closes in one multiplication: a^n = a^(n+k) x^k for k = m - n."""
-    if not isinstance(n, int) or n < 1 or not isinstance(m, int) or m < n:
+    require_positive(PreconditionFailed, n=n, m=m)
+    if m < n:
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
     powers = _powers(a, (n, n + 1, m, m + 1))
     if powers[n] != powers[n + 1] * x:
@@ -157,7 +157,8 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     Y = w^(N-n+1) a^(N-n) satisfies a^n = Y a^(n+1); the returned Y is
     checked against that identity before it leaves.
     """
-    if not isinstance(n, int) or n < 1 or not isinstance(N, int) or N < n:
+    require_positive(PreconditionFailed, n=n, N=N)
+    if N < n:
         raise PreconditionFailed(f"need 1 <= n <= N, got n={n!r}, N={N!r}")
     powers = _powers(a, (n, n + 1, N - n, N, N + 1))
     if powers[n] != powers[n + 1] * x:
@@ -176,14 +177,13 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
     ring, m = a.ring, a.dim
     big_n = n * m
     powers = _powers(a, (*range(m), n, n + 1, big_n - n, big_n, big_n + 1))
-    # q(x) = det(I - x X); the full polynomial is p = x^(n m) * q(x).
-    q = det_poly_matrix(MatrixPolynomial.from_matrices(
-        ring, m, [SquareMatrix.identity(ring, m), -x]))
-    # C = -(s1 I + s2 A + ... + sm A^(m-1)) where q = 1 + s1 x + ... + sm x^m
-    acc = SquareMatrix.zeros(ring, m)
-    for i in range(m):
-        acc = acc + powers[i].scale(q.coefficient(i + 1))
-    c = -acc
+    # q(x) = det(I - xX), the char poly of X reversed (step 1); p = x^(nm) q(x)
+    q = UniPolynomial.from_coeffs(ring, reversed(berkowitz_char_poly(x).coefficients))
+    # C = -(s1 I + s2 A + ... + sm A^(m-1)) where q = 1 + s1 x + ... + sm x^m;
+    # each entry is (-s1, ..., -sm) dotted with that entry of A^0, ..., A^(m-1).
+    neg_s = [ring.p_neg(q.coefficient(i).payload) for i in range(1, m + 1)]
+    c = SquareMatrix(ring, tuple(tuple(ring.p_dot(neg_s, stack) for stack in zip(*row_stack))
+                                 for row_stack in zip(*(powers[i].rows for i in range(m)))))
     w = _commuting_witness(powers[big_n], c, big_n)
     y = _lowered_left_witness(w, powers[big_n - n], big_n, n)
     cert = LeftWitnessCertificate(A=a, n=n, X=x, p=q.shift(big_n), C=c, N=big_n,

@@ -88,8 +88,8 @@ def test_exit_2_on_out_of_range_sizes(argv, capsys):
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(witnesses, "det_poly_matrix",
-                        lambda f: UniPolynomial.from_coeffs(f.ring, [1]))
+    monkeypatch.setattr(witnesses, "berkowitz_char_poly",
+                        lambda x: UniPolynomial.x_power(x.ring, x.dim))
     assert dispatch(RTL_OK) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -93,6 +93,22 @@ def test_powers_use_the_fewest_binary_products(monkeypatch, exponent, products):
         assert len(calls) == products, cls
 
 
+def test_positive_powers_build_no_identity(monkeypatch):
+    # The identity is the 0th power only; binary powering never multiplies by it.
+    a = mat(Z, "[[1,2],[3,4]]")
+    calls = []
+    plain_identity = SquareMatrix.identity
+    monkeypatch.setattr(SquareMatrix, "identity", staticmethod(
+        lambda ring, dim: calls.append(1) or plain_identity(ring, dim)))
+    expected = a
+    for k in range(1, 6):
+        assert a ** k == expected
+        expected = expected * a
+    assert calls == []
+    assert a ** 0 == plain_identity(Z, 2)
+    assert calls == [1]
+
+
 def test_arithmetic_identities_sampled():
     rng = random.Random(42)
     for spec, bound in ORACLE_RINGS:

@@ -236,9 +236,10 @@ def test_pipeline_computes_each_power_once(monkeypatch):
 
 
 def test_failing_identity_raises_internal_violation(monkeypatch):
-    # A wrong q(x) = 1 makes C = 0, so the raised and lowered witnesses fail.
-    monkeypatch.setattr(witnesses, "det_poly_matrix",
-                        lambda f: UniPolynomial.from_coeffs(f.ring, [1]))
+    # A char poly x^m gives the wrong q(x) = 1, which makes C = 0, so the
+    # raised and lowered witnesses fail.
+    monkeypatch.setattr(witnesses, "berkowitz_char_poly",
+                        lambda x: UniPolynomial.x_power(x.ring, x.dim))
     a = mat(Z4, "[[2,0],[0,1]]")
     inst = RightWitnessInstance(a, 2, SquareMatrix.identity(Z4, 2))
     with pytest.raises(InternalViolation) as info:
@@ -262,6 +263,27 @@ def test_factored_determinant_identity():
             factored = det_poly_matrix(MatrixPolynomial.from_matrices(
                 spec, dim, [ident, -x])).shift(n * dim)
             assert direct == factored
+
+
+@pytest.mark.parametrize("token, bound", [("int", 3), ("zmod:4", None), ("zmod:12", None),
+                                          ("quot:zmod:3:t^2", None)])
+def test_certificate_p_is_the_direct_determinant(token, bound):
+    # The producer reads q off the characteristic polynomial of X; the oracle
+    # is det(x^n I - x^(n+1) X) expanded over the polynomial ring.  A = 0
+    # takes any X, and an idempotent E takes X = I + (I - E) Z for any Z.
+    spec = parse_ring_spec(token)
+    rng = random.Random(17)
+    for dim in range(1, 5):
+        ident, zero = SquareMatrix.identity(spec, dim), SquareMatrix.zeros(spec, dim)
+        idem = SquareMatrix.from_rows(
+            spec, [[1 if i == j and 2 * i < dim else 0 for j in range(dim)] for i in range(dim)])
+        for n in range(1, 4):
+            for a, x in ((zero, random_matrix(spec, dim, rng, bound)),
+                         (idem, ident + (ident - idem) * random_matrix(spec, dim, rng, bound))):
+                cert = right_to_left_certificate(RightWitnessInstance(a, n, x))
+                direct = det_poly_matrix(MatrixPolynomial.from_matrices(
+                    spec, dim, [zero] * n + [ident, -x]))
+                assert cert.p == direct, (token, dim, n)
 
 
 def test_transpose_carries_right_witness_to_left():
@@ -342,6 +364,27 @@ def test_certificate_missing_field_rejected():
         certificate_from_json(payload)
     with pytest.raises(MalformedPayload):
         certificate_from_json("not a dict")
+
+
+ONE_Z4 = SquareMatrix.identity(Z4, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: right_witness_search(ONE_Z4, True),
+    lambda: left_witness_search(ONE_Z4, True),
+    lambda: RightWitnessInstance(ONE_Z4, True, ONE_Z4),
+    lambda: drazin_witness(ONE_Z4, ONE_Z4, True),
+    lambda: exponent_raise(ONE_Z4, ONE_Z4, True, 2),
+    lambda: exponent_raise(ONE_Z4, ONE_Z4, 1, True),
+    lambda: azumaya_lower_left(ONE_Z4, ONE_Z4, ONE_Z4, 2, True),
+    lambda: azumaya_lower_left(ONE_Z4, ONE_Z4, ONE_Z4, True, 1),
+], ids=["right_search", "left_search", "instance", "drazin", "raise_n", "raise_m",
+        "azumaya_n", "azumaya_N"])
+def test_bool_exponents_are_refused(call):
+    # True == 1 as an int, but a certificate built from n=True would carry
+    # "n":true, which certificate_from_json refuses.
+    with pytest.raises(PreconditionFailed, match="must be a positive integer, got True"):
+        call()
 
 
 def test_instance_validation():
