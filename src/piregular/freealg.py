@@ -74,11 +74,6 @@ class NCPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def leading_word(self) -> str:
-        if not self._terms:
-            raise InvalidSpec("the zero polynomial has no leading word")
-        return max(self._terms, key=deglex_key)
-
     def coefficient(self, word: str) -> Fraction:
         return self._terms.get(word, Fraction(0))
 

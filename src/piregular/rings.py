@@ -15,6 +15,13 @@ wraps a payload into a ``RingElem`` only when it is handed back to a caller.
 
 Specs can be written down and re-read through a small colon-separated
 grammar, e.g. ``"zmod:4"``, ``"poly:int:t"`` or ``"quot:zmod:3:t^2"``.
+
+A quotient ring over a finite base computes each sum, product and literal
+once and reads it from a table after that; ``payload_from_json`` maps each
+canonical literal it has spelled back to its payload without the parser.
+Equal specs share the tables through a registry keyed by ``(base,
+variable, modulus)``, a pickled spec carries none, and each table stops
+growing at ``_MEMO_CAP`` entries.  Infinite quotient rings store nothing.
 """
 
 from __future__ import annotations
@@ -476,6 +483,29 @@ class PolyOver(RingSpec):
         return f"poly:{self.base.token()}:{self.variable}"
 
 
+_MEMO_CAP = 1 << 16  # entries per result table of one finite quotient ring
+_TABLES: dict = {}  # (base, variable, modulus) -> the tables equal specs share
+
+
+class _Table(dict):
+    """Results of one quotient-ring operation by argument: a missing key is
+    computed and kept while the table holds fewer than ``cap`` entries."""
+
+    __slots__ = ("compute", "cap")
+
+    def __init__(self, compute, cap: int):
+        super().__init__()
+        self.compute, self.cap = compute, cap
+
+    def __missing__(self, key):
+        return self.keep(key, self.compute(key))
+
+    def keep(self, key, value):
+        if len(self) < self.cap:
+            self[key] = value
+        return value
+
+
 @dataclass(frozen=True)
 class QuotientPoly(RingSpec):
     """The quotient of ``base[variable]`` by a monic modulus of degree >= 1."""
@@ -498,6 +528,17 @@ class QuotientPoly(RingSpec):
         if mod[-1] != self.base.one_payload():
             raise InvalidSpec("quotient modulus must be monic")
         object.__setattr__(self, "modulus", mod)
+        key, base = (self.base, self.variable, mod), self.base
+        if key not in _TABLES:
+            cap = _MEMO_CAP if base.is_finite else 0
+            _TABLES[key] = dict(
+                _add=_Table(lambda pair: _seq_add(base, *pair), cap),
+                _mul=_Table(lambda pair: _monic_rem(base, _seq_mul(base, *pair), mod), cap),
+                _show=_Table(self._spell, cap), _literal=_Table(None, cap))
+        vars(self).update(_TABLES[key])
+
+    def __reduce__(self):  # the tables stay in the registry of each process
+        return QuotientPoly, (self.base, self.variable, self.modulus)
 
     def canon(self, raw):
         return _monic_rem(self.base, _canon_coeff_seq(self.base, raw), self.modulus)
@@ -509,13 +550,13 @@ class QuotientPoly(RingSpec):
         return _monic_rem(self.base, (self.base.one_payload(),), self.modulus)
 
     def p_add(self, a, b):
-        return _seq_add(self.base, a, b)
+        return self._add[a, b]
 
     def p_neg(self, a):
         return _seq_neg(self.base, a)
 
     def p_mul(self, a, b):
-        return _monic_rem(self.base, _seq_mul(self.base, a, b), self.modulus)
+        return self._mul[a, b]
 
     def p_from_int(self, n):
         return _monic_rem(self.base, _strip(self.base, [self.base.p_from_int(n)]), self.modulus)
@@ -524,7 +565,17 @@ class QuotientPoly(RingSpec):
         return self.element((self.base.zero_payload(), self.base.one_payload()))
 
     def show_payload(self, payload):
-        return _poly_payload_str(self.base, payload, self.variable)
+        return self._show[payload]
+
+    def _spell(self, payload):
+        text = _poly_payload_str(self.base, payload, self.variable)
+        if self.canon(payload) == payload:  # else the parser reads text as another payload
+            self._literal.keep(text, payload)
+        return text
+
+    def payload_from_json(self, value):
+        payload = self._literal.get(value) if isinstance(value, str) else None
+        return super().payload_from_json(value) if payload is None else payload
 
     @property
     def is_finite(self):
@@ -583,10 +634,16 @@ def sample_element(spec: RingSpec, rng, bound: Optional[int] = None) -> RingElem
 
 
 def parse_ring_spec(text: str) -> RingSpec:
-    """Parse ``"int" | "zmod:<k>" | "poly:<base>:<var>" | "quot:<base>:<monic>"``."""
+    """Parse ``"int" | "zmod:<k>" | "poly:<base>:<var>" | "quot:<base>:<monic>"``.
+    Specs are immutable, so a recently parsed token returns the same spec."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty ring spec")
-    parts = text.strip().split(":")
+    return _parse_ring_token(text.strip())
+
+
+@lru_cache(maxsize=256)
+def _parse_ring_token(token: str) -> RingSpec:
+    parts = token.split(":")
     spec, used = _parse_spec_parts(parts, 0)
     if used != len(parts):
         raise ParseError(f"trailing ring-spec tokens {':'.join(parts[used:])!r}")

@@ -71,6 +71,8 @@ class RightWitnessInstance:
     X: SquareMatrix
 
     def __post_init__(self):
+        if not (isinstance(self.A, SquareMatrix) and isinstance(self.X, SquareMatrix)):
+            raise SpecMismatch("base and witness must be square matrices")
         require_positive(PreconditionFailed, exponent=self.n)
         if self.X.ring != self.A.ring or self.X.dim != self.A.dim:
             raise SpecMismatch("witness matrix must match the base matrix")
@@ -230,6 +232,7 @@ def matrix_to_json(mat: SquareMatrix):
 
 
 def matrix_from_json(spec: RingSpec, data, dim: int) -> SquareMatrix:
+    require_positive(MalformedPayload, dim=dim)
     if not isinstance(data, list) or len(data) != dim:
         raise MalformedPayload(f"expected {dim} matrix rows")
     rows = []
@@ -237,7 +240,7 @@ def matrix_from_json(spec: RingSpec, data, dim: int) -> SquareMatrix:
         if not isinstance(row, list) or len(row) != dim:
             raise MalformedPayload(f"expected {dim} entries per matrix row")
         rows.append(tuple(map(spec.payload_from_json, row)))
-    return SquareMatrix.from_rows(spec, rows)
+    return SquareMatrix(spec, tuple(rows))
 
 
 def certificate_to_json(cert: LeftWitnessCertificate) -> dict:
@@ -273,13 +276,15 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
             raise MalformedPayload(
                 "certificate p_coeffs must be a list and identities a list of objects")
         p = UniPolynomial.from_coeffs(
-            spec, [spec.element(spec.payload_from_json(v)) for v in p_coeffs])
-        identities = tuple((item["name"], bool(item["holds"])) for item in items)
-        verified = bool(data["verified"])
+            spec, [spec.wrap(spec.payload_from_json(v)) for v in p_coeffs])
+        identities = tuple((item["name"], item["holds"]) for item in items)
+        verified = data["verified"]
     except KeyError as exc:
         raise MalformedPayload(f"certificate document missing field {exc}") from exc
     if any(isinstance(e, bool) or not isinstance(e, int) or e < 1 for e in (n, big_n)):
         raise MalformedPayload("certificate exponents n and N must be positive integers")
+    if not all(isinstance(flag, bool) for flag in (verified, *(h for _, h in identities))):
+        raise MalformedPayload("certificate verified and every holds must be true or false")
     return LeftWitnessCertificate(
         A=mats["A"], n=n, X=mats["X"], p=p, C=mats["C"], N=big_n,
         w=mats["w"], Y=mats["Y"], verified=verified, identities=identities)

@@ -164,6 +164,34 @@ def test_verify_cert_rejects_wrongly_shaped_lists(field, value, tmp_path, capsys
     assert "Traceback" not in captured.err
 
 
+RTL_1X1 = ["right-to-left", "--ring", "zmod:4", "--dim", "1", "--n", "1",
+           "--A", "[[3]]", "--X", "[[3]]"]
+
+
+@pytest.mark.parametrize("argv, field, value, message", [
+    (RTL_1X1, "dim", True, "dim must be a positive integer, got True"),
+    (RTL_1X1, "dim", 1.0, "dim must be a positive integer, got 1.0"),
+    (RTL_OK, "verified", "no", "verified and every holds must be true or false"),
+    (RTL_OK, "holds", "no", "verified and every holds must be true or false"),
+], ids=["dim-true", "dim-float", "verified-string", "holds-string"])
+def test_verify_cert_rejects_wrongly_typed_dim_and_flags(argv, field, value, message,
+                                                        tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert dispatch(argv + ["--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    if field == "holds":
+        doc["identities"][-1]["holds"] = value
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert dispatch(["verify-cert", "--path", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_drazin_command(capsys):
     argv = ["drazin", "--ring", "zmod:5", "--dim", "1", "--n", "1",
             "--A", "[[2]]", "--X", "[[3]]"]

@@ -32,7 +32,7 @@ from piregular import (
     sampled_finite_instance,
     verify_certificate,
 )
-from piregular import witnesses
+from piregular import matrices, rings, witnesses
 
 from helpers import naive_left_witness, random_matrix
 
@@ -235,6 +235,27 @@ def test_pipeline_computes_each_power_once(monkeypatch):
     assert len(calls) <= 25
 
 
+def test_warm_quotient_certificates_make_no_products_or_parses(monkeypatch):
+    # Once a dual-number certificate has been built and verified, its ring's
+    # tables hold every sum, product and literal that building it again,
+    # emitting, loading and verifying the loaded copy need.
+    inst = sampled_finite_instance(parse_ring_spec("quot:zmod:3:t^2"), 3, 5)
+    assert verify_certificate(right_to_left_certificate(inst)).ok
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(rings, "_seq_mul", counted("_seq_mul", rings._seq_mul))
+    monkeypatch.setattr(matrices, "_seq_mul", counted("_seq_mul", matrices._seq_mul))
+    monkeypatch.setattr(rings._LiteralParser, "parse",
+                        counted("parse", rings._LiteralParser.parse))
+    cert = right_to_left_certificate(RightWitnessInstance(inst.A, inst.n, inst.X))
+    again = certificate_from_json(json.loads(emit_certificate(cert)))
+    assert again == cert and verify_certificate(again).ok
+    assert calls == []
+
+
 def test_failing_identity_raises_internal_violation(monkeypatch):
     # A char poly x^m gives the wrong q(x) = 1, which makes C = 0, so the
     # raised and lowered witnesses fail.
@@ -357,6 +378,28 @@ def test_certificate_with_wrongly_shaped_lists_rejected(field, value):
         certificate_from_json(payload)
 
 
+def one_by_one_cert():
+    return right_to_left_certificate(RightWitnessInstance(mat(Z4, "[[3]]"), 1, mat(Z4, "[[3]]")))
+
+
+@pytest.mark.parametrize("build, edit, message", [
+    (one_by_one_cert, lambda doc: doc.update(dim=True), "dim must be a positive integer"),
+    (one_by_one_cert, lambda doc: doc.update(dim=1.0), "dim must be a positive integer"),
+    (build_cert, lambda doc: doc.update(dim=True), "dim must be a positive integer, got True"),
+    (build_cert, lambda doc: doc.update(dim=0), "dim must be a positive integer, got 0"),
+    (build_cert, lambda doc: doc.update(verified="no"), "verified and every holds"),
+    (build_cert, lambda doc: doc["identities"][3].update(holds="no"), "verified and every holds"),
+    (build_cert, lambda doc: doc["identities"][0].update(holds=1), "verified and every holds"),
+], ids=["dim-true-1x1", "dim-float-1x1", "dim-true", "dim-zero", "verified-string",
+        "holds-string", "holds-int"])
+def test_certificate_dim_and_flags_must_have_their_json_types(build, edit, message):
+    payload = certificate_to_json(build())
+    assert certificate_from_json(payload) == build()
+    edit(payload)
+    with pytest.raises(MalformedPayload, match=message):
+        certificate_from_json(payload)
+
+
 def test_certificate_missing_field_rejected():
     payload = certificate_to_json(build_cert())
     del payload["w"]
@@ -395,3 +438,8 @@ def test_instance_validation():
         RightWitnessInstance(a, 0, SquareMatrix.identity(Z4, 2))
     with pytest.raises(SpecMismatch):
         RightWitnessInstance(a, 2, SquareMatrix.identity(Z5, 2))
+    # right_witness_search returns None when A has no witness at n
+    assert right_witness_search(mat(Z4, "[[2,1],[0,2]]"), 1) is None
+    for args in ((a, 2, None), (None, 2, a), (a, 2, [[1, 0], [0, 1]])):
+        with pytest.raises(SpecMismatch, match="must be square matrices"):
+            RightWitnessInstance(*args)
