@@ -16,12 +16,11 @@ wraps a payload into a ``RingElem`` only when it is handed back to a caller.
 Specs can be written down and re-read through a small colon-separated
 grammar, e.g. ``"zmod:4"``, ``"poly:int:t"`` or ``"quot:zmod:3:t^2"``.
 
-A quotient ring over a finite base computes each sum, product and literal
-once and reads it from a table after that; ``payload_from_json`` maps each
-canonical literal it has spelled back to its payload without the parser.
-Equal specs share the tables through a registry keyed by ``(base,
-variable, modulus)``, a pickled spec carries none, and each table stops
-growing at ``_MEMO_CAP`` entries.  Infinite quotient rings store nothing.
+A finite quotient ring of at most 256 elements computes each sum, product,
+literal and parse once and then reads it from a table of at most
+``_MEMO_CAP`` entries.  Equal specs share the tables through a registry keyed
+by ``(base, variable, modulus)``, which only grows; a pickled spec carries
+none.  Larger and infinite quotient rings compute every result afresh.
 """
 
 from __future__ import annotations
@@ -483,27 +482,44 @@ class PolyOver(RingSpec):
         return f"poly:{self.base.token()}:{self.variable}"
 
 
-_MEMO_CAP = 1 << 16  # entries per result table of one finite quotient ring
-_TABLES: dict = {}  # (base, variable, modulus) -> the tables equal specs share
+_MEMO_CAP = 1 << 16  # entries per table; a ring is memoized only if all its pairs fit
+_TABLES: dict = {}  # (base, variable, modulus) -> the memoized ops equal specs share
 
 
 class _Table(dict):
-    """Results of one quotient-ring operation by argument: a missing key is
-    computed and kept while the table holds fewer than ``cap`` entries."""
+    """A missing key is computed and kept while there are under _MEMO_CAP entries."""
 
-    __slots__ = ("compute", "cap")
-
-    def __init__(self, compute, cap: int):
-        super().__init__()
-        self.compute, self.cap = compute, cap
+    def __init__(self, compute):
+        self.compute = compute
 
     def __missing__(self, key):
         return self.keep(key, self.compute(key))
 
     def keep(self, key, value):
-        if len(self) < self.cap:
+        if len(self) < _MEMO_CAP:
             self[key] = value
         return value
+
+
+def _memo_ops(spec: "QuotientPoly") -> dict:
+    """Table-backed payload ops of a small finite quotient ring; the literal
+    table memoizes the parser, and ``show_payload`` seeds it."""
+    base, mod, var = spec.base, spec.modulus, spec.variable
+    add = _Table(lambda pair: _seq_add(base, *pair))
+    mul = _Table(lambda pair: _monic_rem(base, _seq_mul(base, *pair), mod))
+    literal = _Table(lambda value: RingSpec.payload_from_json(spec, value))
+
+    def spell(payload):
+        text = _poly_payload_str(base, payload, var)
+        literal.keep(text, payload)
+        return text
+
+    def from_json(value):  # only a string can be a literal
+        return literal[value] if isinstance(value, str) else literal.compute(value)
+
+    show = _Table(spell)
+    return dict(p_add=lambda a, b: add[a, b], p_mul=lambda a, b: mul[a, b],
+                show_payload=show.__getitem__, payload_from_json=from_json)
 
 
 @dataclass(frozen=True)
@@ -528,16 +544,11 @@ class QuotientPoly(RingSpec):
         if mod[-1] != self.base.one_payload():
             raise InvalidSpec("quotient modulus must be monic")
         object.__setattr__(self, "modulus", mod)
-        key, base = (self.base, self.variable, mod), self.base
-        if key not in _TABLES:
-            cap = _MEMO_CAP if base.is_finite else 0
-            _TABLES[key] = dict(
-                _add=_Table(lambda pair: _seq_add(base, *pair), cap),
-                _mul=_Table(lambda pair: _monic_rem(base, _seq_mul(base, *pair), mod), cap),
-                _show=_Table(self._spell, cap), _literal=_Table(None, cap))
-        vars(self).update(_TABLES[key])
+        if self.is_finite and self.cardinality() ** 2 <= _MEMO_CAP:
+            key = (self.base, self.variable, mod)
+            vars(self).update(_TABLES.get(key) or _TABLES.setdefault(key, _memo_ops(self)))
 
-    def __reduce__(self):  # the tables stay in the registry of each process
+    def __reduce__(self):  # the memoized ops stay in the registry of each process
         return QuotientPoly, (self.base, self.variable, self.modulus)
 
     def canon(self, raw):
@@ -550,13 +561,13 @@ class QuotientPoly(RingSpec):
         return _monic_rem(self.base, (self.base.one_payload(),), self.modulus)
 
     def p_add(self, a, b):
-        return self._add[a, b]
+        return _seq_add(self.base, a, b)
 
     def p_neg(self, a):
         return _seq_neg(self.base, a)
 
     def p_mul(self, a, b):
-        return self._mul[a, b]
+        return _monic_rem(self.base, _seq_mul(self.base, a, b), self.modulus)
 
     def p_from_int(self, n):
         return _monic_rem(self.base, _strip(self.base, [self.base.p_from_int(n)]), self.modulus)
@@ -565,17 +576,7 @@ class QuotientPoly(RingSpec):
         return self.element((self.base.zero_payload(), self.base.one_payload()))
 
     def show_payload(self, payload):
-        return self._show[payload]
-
-    def _spell(self, payload):
-        text = _poly_payload_str(self.base, payload, self.variable)
-        if self.canon(payload) == payload:  # else the parser reads text as another payload
-            self._literal.keep(text, payload)
-        return text
-
-    def payload_from_json(self, value):
-        payload = self._literal.get(value) if isinstance(value, str) else None
-        return super().payload_from_json(value) if payload is None else payload
+        return _poly_payload_str(self.base, payload, self.variable)
 
     @property
     def is_finite(self):
@@ -603,7 +604,8 @@ class QuotientPoly(RingSpec):
         return _monic_rem(self.base, _strip(self.base, coeffs), self.modulus)
 
     def token(self):
-        return f"quot:{self.base.token()}:{self.show_payload(self.modulus)}"
+        modulus = _poly_payload_str(self.base, self.modulus, self.variable)
+        return f"quot:{self.base.token()}:{modulus}"
 
 
 # -- enumeration and sampling ----------------------------------------------
@@ -634,8 +636,8 @@ def sample_element(spec: RingSpec, rng, bound: Optional[int] = None) -> RingElem
 
 
 def parse_ring_spec(text: str) -> RingSpec:
-    """Parse ``"int" | "zmod:<k>" | "poly:<base>:<var>" | "quot:<base>:<monic>"``.
-    Specs are immutable, so a recently parsed token returns the same spec."""
+    """Parse ``"int" | "zmod:<k>" | "poly:<base>:<var>" | "quot:<base>:<monic>"``;
+    a recently parsed token returns the same (immutable) spec."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("empty ring spec")
     return _parse_ring_token(text.strip())

@@ -261,40 +261,59 @@ def test_poly_mul_matches_convolution(xs, ys):
     assert p * q == spec.element(conv)
 
 
-# -- memo tables of finite quotient rings -----------------------------------------
+# -- memo tables of small finite quotient rings -----------------------------------
 
 
 def _forbidden(*args):
-    raise AssertionError("the literal parser ran")
+    raise AssertionError("a raw helper ran")
+
+
+MEMO_OPS = {"p_add", "p_mul", "show_payload", "payload_from_json"}
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty registry, and no cached spec that outlives it."""
+    monkeypatch.setattr(rings, "_TABLES", {})
+    rings._parse_ring_token.cache_clear()
+    yield
+    rings._parse_ring_token.cache_clear()
 
 
 @pytest.mark.parametrize("spec", [DUAL_Z3, parse_ring_spec("quot:zmod:2:t^3+t+1"),
                                   parse_ring_spec("quot:quot:zmod:2:t^2+t+1:u^2")], ids=str)
-def test_memoized_quotient_ops_match_the_raw_helpers(spec):
+def test_memoized_quotient_ops_match_the_raw_helpers(spec, monkeypatch):
     base, mod, var = spec.base, spec.modulus, spec.variable
     payloads = spec.payloads()
-    for _ in range(2):  # the first pass may fill the tables, the second reads them
-        for a in payloads:
-            text = spec.show_payload(a)
-            assert text == _poly_payload_str(base, a, var)
-            assert spec.payload_from_json(text) == a == _LiteralParser(spec, text).parse().payload
-            for b in payloads:
-                assert spec.p_add(a, b) == _seq_add(base, a, b)
-                assert spec.p_mul(a, b) == _monic_rem(base, _seq_mul(base, a, b), mod)
-    assert len(spec._mul) == len(spec._add) == len(payloads) ** 2
+    results = {}
+    for a in payloads:
+        text = spec.show_payload(a)
+        assert text == _poly_payload_str(base, a, var)
+        assert spec.payload_from_json(text) == a == _LiteralParser(spec, text).parse().payload
+        for b in payloads:
+            results[a, b] = spec.p_add(a, b), spec.p_mul(a, b)
+            assert results[a, b] == (_seq_add(base, a, b),
+                                     _monic_rem(base, _seq_mul(base, a, b), mod))
+    # a second pass reads every result from the tables
+    for name in ("_seq_add", "_seq_mul", "_poly_payload_str"):
+        monkeypatch.setattr(rings, name, _forbidden)
+    monkeypatch.setattr(_LiteralParser, "parse", _forbidden)
+    for a in payloads:
+        assert spec.payload_from_json(spec.show_payload(a)) == a
+        for b in payloads:
+            assert (spec.p_add(a, b), spec.p_mul(a, b)) == results[a, b]
 
 
 def test_literals_outside_the_table_take_the_parser():
     for p in DUAL_Z3.payloads():
         DUAL_Z3.show_payload(p)
-    # spelled, but not canonical: the parser reads these texts as other payloads
-    assert DUAL_Z3.show_payload(DUAL_Z3.modulus) == "t^2"
-    assert DUAL_Z3.show_payload((4,)) == "4"
+    assert DUAL_Z3.token() == "quot:zmod:3:t^2"
     assert DUAL_Z3.payload_from_json("t^2") == ()
     assert DUAL_Z3.payload_from_json("4") == (1,)
     assert DUAL_Z3.payload_from_json("t+1") == (1, 1)
-    with pytest.raises(ParseError, match="unknown symbol 'u'"):
-        DUAL_Z3.payload_from_json("u")
+    for _ in range(2):  # a failed parse is not kept
+        with pytest.raises(ParseError, match="unknown symbol 'u'"):
+            DUAL_Z3.payload_from_json("u")
     for value in (1, [1], {"t": 1}):
         with pytest.raises(MalformedPayload):
             DUAL_Z3.payload_from_json(value)
@@ -306,41 +325,46 @@ def test_equal_specs_share_tables_and_variables_keep_their_own(monkeypatch):
     assert t_ring.show_payload((0, 1)) == "t" and u_ring.show_payload((0, 1)) == "u"
     with pytest.raises(ParseError):
         u_ring.payload_from_json("t")
-    assert u_ring._literal is not t_ring._literal
+    assert u_ring.show_payload is not t_ring.show_payload
     parsed = parse_ring_spec("quot:zmod:5:t^2")
     reparsed = parse_ring_spec("quot:zmod:5:t^2+0*t")
     assert parsed == reparsed == t_ring and parsed is not reparsed
-    assert parsed._mul is reparsed._mul is t_ring._mul
+    assert all(getattr(parsed, op) is getattr(reparsed, op) is getattr(t_ring, op)
+               for op in MEMO_OPS)
     monkeypatch.setattr(_LiteralParser, "parse", _forbidden)
     assert reparsed.payload_from_json("t") == (0, 1)
 
 
-def test_infinite_quotient_rings_store_nothing():
+@pytest.mark.parametrize("token, memoized", [
+    ("quot:zmod:2:t^8", True), ("quot:zmod:17:t^2", False), ("quot:int:t^2", False)])
+def test_only_rings_whose_pairs_fit_a_table_are_memoized(token, memoized, fresh_tables):
+    spec = parse_ring_spec(token)
     rng = random.Random(4)
-    spec = parse_ring_spec("quot:int:t^2")
     for _ in range(50):
         a, b = sample_element(spec, rng, 9), sample_element(spec, rng, 9)
         assert spec.parse(spec.payload_to_json((a * b + a).payload)) == a * b + a
     assert spec.payload_from_json(str(a)) == a.payload
-    assert not (spec._add or spec._mul or spec._show or spec._literal)
+    assert MEMO_OPS & vars(spec).keys() == (MEMO_OPS if memoized else set())
+    assert bool(rings._TABLES) == memoized
 
 
-def test_no_table_grows_past_the_cap(monkeypatch):
-    monkeypatch.setattr(rings, "_TABLES", {})
-    monkeypatch.setattr(rings, "_MEMO_CAP", 10)
+def test_no_table_grows_past_the_cap(monkeypatch, fresh_tables):
     spec = QuotientPoly(IntegersMod(3), "t", (0, 0, 1))
+    monkeypatch.setattr(rings, "_MEMO_CAP", 10)
+    table = rings._Table(lambda key: 2 * key)
+    assert [table[k] for k in range(25)] == [2 * k for k in range(25)]
+    assert len(table) == 10 and table.keep(99, 7) == 7 and 99 not in table
     for a in spec.payloads():
         assert spec.payload_from_json(spec.show_payload(a)) == a
         for b in spec.payloads():
             assert spec.p_add(a, b) == _seq_add(spec.base, a, b)
             assert spec.p_mul(a, b) == _monic_rem(spec.base, _seq_mul(spec.base, a, b),
                                                   spec.modulus)
-    assert [len(t) for t in (spec._add, spec._mul, spec._show, spec._literal)] == [10, 10, 9, 9]
-    assert spec.show_payload(spec.modulus) == "t^2" and len(spec._show) == 10
+    assert len(spec.show_payload.__self__) == 9
+    assert [len(cell.cell_contents) for cell in spec.p_mul.__closure__] == [10]
 
 
-def test_specs_pickle_without_their_tables(monkeypatch):
-    monkeypatch.setattr(rings, "_TABLES", {})
+def test_specs_pickle_without_their_tables(fresh_tables):
     tower = parse_ring_spec("quot:quot:zmod:2:t^2+t+1:u^2")
     spec = QuotientPoly(tower.base, "u", ((), (), (1,)))
     cold = pickle.dumps(spec)
@@ -351,4 +375,4 @@ def test_specs_pickle_without_their_tables(monkeypatch):
     assert pickle.dumps(spec) == cold
     again = pickle.loads(cold)
     assert again == spec and again.token() == spec.token()
-    assert again._mul is spec._mul
+    assert all(getattr(again, op) is getattr(spec, op) for op in MEMO_OPS)
