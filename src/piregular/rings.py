@@ -514,12 +514,10 @@ def _memo_ops(spec: "QuotientPoly") -> dict:
         literal.keep(text, payload)
         return text
 
-    def from_json(value):  # only a string can be a literal
-        return literal[value] if isinstance(value, str) else literal.compute(value)
-
     show = _Table(spell)
     return dict(p_add=lambda a, b: add[a, b], p_mul=lambda a, b: mul[a, b],
-                show_payload=show.__getitem__, payload_from_json=from_json)
+                show_payload=show.__getitem__, payload_from_json=lambda value: (
+                    literal[value] if isinstance(value, str) else literal.compute(value)))
 
 
 @dataclass(frozen=True)
