@@ -216,6 +216,7 @@ class FreeAlgebra:
     p_neg = staticmethod(operator.neg)
     p_mul = staticmethod(operator.mul)
     p_dot = RingSpec.p_dot
+    p_matmul = RingSpec.p_matmul
 
     def gen(self, letter: str) -> NCPolynomial:
         return NCPolynomial.from_word(_check_word(letter))

@@ -2,12 +2,14 @@
 
 A matrix holds rows of canonical payloads and does all of its arithmetic
 on them through the entry ring's payload methods (``p_add``, ``p_dot``,
-...).  ``RingElem`` appears only at the boundary, in ``entries`` and
-``entry``.  Matrix arithmetic never assumes the entry ring is commutative,
-so the same type also carries matrices over the free algebra, whose
-payloads are the polynomials themselves.  Determinant-flavoured
-operations (characteristic polynomial, determinants of polynomial matrices)
-do require commutativity and refuse anything else.
+...); ``SquareMatrix.__mul__``, the only product path, is one ``p_matmul``
+call on both operands' rows.  ``RingElem`` appears only at the boundary, in
+``entries``, ``entry`` and ``UniPolynomial.coefficients``.  Matrix
+arithmetic never assumes the entry ring is commutative, so the same type
+also carries matrices over the free algebra, whose payloads are the
+polynomials themselves.  Determinant-flavoured operations (characteristic
+polynomial, determinants of polynomial matrices) do require commutativity
+and refuse anything else.
 
 Characteristic polynomials use the Samuelson-Berkowitz recurrence: the
 coefficient vector of each leading principal block is pushed through a
@@ -29,6 +31,7 @@ from .rings import (
     _seq_add,
     _seq_mul,
     _seq_neg,
+    _strip,
     binary_power,
     parse_element,
 )
@@ -96,8 +99,8 @@ class SquareMatrix:
             raise SpecMismatch(f"cannot combine a matrix with {other!r}")
         if other.ring is not self.ring and other.ring != self.ring:
             raise SpecMismatch("matrices live over different rings")
-        if other.dim != self.dim:
-            raise DimMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if len(other.rows) != len(self.rows):
+            raise DimMismatch(f"dimension mismatch: {len(self.rows)} vs {len(other.rows)}")
         return other
 
     def _zip_with(self, op, other) -> "SquareMatrix":
@@ -115,10 +118,7 @@ class SquareMatrix:
         return SquareMatrix(self.ring, tuple(tuple(map(neg, row)) for row in self.rows))
 
     def __mul__(self, other):
-        cols = tuple(zip(*self._match(other).rows))
-        dot = self.ring.p_dot
-        return SquareMatrix(self.ring, tuple(
-            tuple(dot(row, col) for col in cols) for row in self.rows))
+        return SquareMatrix(self.ring, self.ring.p_matmul(self.rows, self._match(other).rows))
 
     def __pow__(self, exponent: int):
         return binary_power(self, exponent, lambda: SquareMatrix.identity(self.ring, self.dim))
@@ -142,34 +142,41 @@ class SquareMatrix:
 
 @dataclass(frozen=True, slots=True)
 class UniPolynomial:
-    """A univariate polynomial with coefficients in a described ring,
-    stored low-to-high with no trailing zeros."""
+    """A univariate polynomial over a described ring, stored as canonical
+    coefficient payloads low-to-high with no trailing zeros; ``coefficients``
+    and ``coefficient`` wrap them on the way out."""
 
     spec: RingSpec
-    coefficients: tuple
+    payloads: tuple
 
     @staticmethod
     def from_coeffs(spec: RingSpec, coeffs) -> "UniPolynomial":
-        out = [spec.coerce(c) for c in coeffs]
-        while out and out[-1].is_zero:
-            out.pop()
-        return UniPolynomial(spec, tuple(out))
+        return UniPolynomial.from_payloads(spec, map(spec.p_coerce, coeffs))
+
+    @staticmethod
+    def from_payloads(spec: RingSpec, payloads) -> "UniPolynomial":
+        """The polynomial with these canonical payloads, low to high."""
+        return UniPolynomial(spec, _strip(spec, list(payloads)))
 
     @staticmethod
     def x_power(spec: RingSpec, k: int) -> "UniPolynomial":
-        return UniPolynomial(spec, tuple([spec.zero()] * k + [spec.one()]))
+        return UniPolynomial(spec, (spec.zero_payload(),) * k + (spec.one_payload(),))
 
     @property
     def degree(self) -> int:
-        return len(self.coefficients) - 1
+        return len(self.payloads) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.payloads
+
+    @property
+    def coefficients(self) -> tuple:
+        return tuple(map(self.spec.wrap, self.payloads))
 
     def coefficient(self, k: int) -> RingElem:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
+        if 0 <= k < len(self.payloads):
+            return self.spec.wrap(self.payloads[k])
         return self.spec.zero()
 
     def _match(self, other) -> "UniPolynomial":
@@ -177,17 +184,12 @@ class UniPolynomial:
             raise SpecMismatch("polynomials live over different rings")
         return other
 
-    @staticmethod
-    def _of(spec: RingSpec, payloads) -> "UniPolynomial":
-        """The polynomial with these canonical coefficient payloads."""
-        return UniPolynomial(spec, tuple(map(spec.wrap, payloads)))
-
     def _seq(self, op, *others) -> "UniPolynomial":
         """Apply a payload-sequence operation (``rings._seq_*``) to this
         polynomial and ``others``."""
         operands = (self, *map(self._match, others))
-        return UniPolynomial._of(self.spec, op(self.spec, *(
-            tuple(c.payload for c in p.coefficients) for p in operands)))
+        return UniPolynomial.from_payloads(
+            self.spec, op(self.spec, *(p.payloads for p in operands)))
 
     def __add__(self, other):
         return self._seq(_seq_add, other)
@@ -205,7 +207,7 @@ class UniPolynomial:
         """Multiply by x^k."""
         if self.is_zero:
             return self
-        return UniPolynomial(self.spec, tuple([self.spec.zero()] * k) + self.coefficients)
+        return UniPolynomial(self.spec, (self.spec.zero_payload(),) * k + self.payloads)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -307,7 +309,7 @@ def berkowitz_char_poly(mat: SquareMatrix) -> UniPolynomial:
             js = range(max(0, i - k), min(i, k - 1) + 1)
             new.append(dot([toeplitz[i - j] for j in js], [coeffs[j] for j in js]))
         coeffs = new
-    return UniPolynomial._of(ring, reversed(coeffs))
+    return UniPolynomial.from_payloads(ring, reversed(coeffs))
 
 
 def determinant(mat: SquareMatrix) -> RingElem:
@@ -330,7 +332,7 @@ def det_poly_matrix(f: MatrixPolynomial) -> UniPolynomial:
               for j in range(dim))
         for i in range(dim)))
     det = determinant(lifted)
-    return UniPolynomial._of(base, det.payload)
+    return UniPolynomial.from_payloads(base, det.payload)
 
 
 def right_evaluate_poly(f, mat: SquareMatrix) -> SquareMatrix:

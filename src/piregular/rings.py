@@ -101,6 +101,11 @@ class RingSpec:
         """Sum of the products of paired entries of two nonempty sequences."""
         return reduce(self.p_add, map(self.p_mul, row, col))
 
+    def p_matmul(self, rows, other_rows) -> tuple:
+        """Payload rows of the product of two square matrices' payload rows."""
+        cols, dot = tuple(zip(*other_rows)), self.p_dot
+        return tuple([tuple([dot(row, col) for col in cols]) for row in rows])
+
     def p_from_int(self, n: int) -> Payload:
         raise NotImplementedError
 
@@ -262,6 +267,10 @@ class Integers(RingSpec):
     def p_dot(self, row, col):
         return sum(map(operator.mul, row, col))
 
+    def p_matmul(self, rows, other_rows):
+        cols, mul = tuple(zip(*other_rows)), operator.mul
+        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in rows])
+
     def p_from_int(self, n):
         return n
 
@@ -316,6 +325,10 @@ class IntegersMod(RingSpec):
 
     def p_dot(self, row, col):
         return sum(map(operator.mul, row, col)) % self.modulus
+
+    def p_matmul(self, rows, other_rows):
+        cols, mul, k = tuple(zip(*other_rows)), operator.mul, self.modulus
+        return tuple([tuple([sum(map(mul, row, col)) % k for col in cols]) for row in rows])
 
     def p_from_int(self, n):
         return n % self.modulus

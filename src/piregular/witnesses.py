@@ -14,14 +14,16 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
 3.  Y = w^(N-n+1) A^(N-n) lowers the left exponent back to n:
     A^n = Y A^(n+1).
 
-Each power of A is computed once and the seven certificate identities are
-checked once; a failure raises instead of returning a bad witness.  The
-verifier recomputes them on its own powers of A from the certificate alone.
+Each power of A is computed once, from the A^n and A^(n+1) of the instance
+check on, and the seven certificate identities are checked once; a failure
+raises instead of returning a bad witness.  The verifier recomputes them on
+its own powers of A from the certificate alone.  Emitting trusts only this
+producer's certificates; it verifies every other one first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .errors import (
     InternalViolation,
@@ -36,12 +38,13 @@ from .matrices import det_poly_matrix  # noqa: F401  (perfbench/tracing.py wraps
 from .rings import RingSpec, parse_ring_spec, require_positive
 
 
-def _powers(a: SquareMatrix, exponents) -> dict:
-    """A^k for every k in ``exponents``, each distinct power computed once.
-    A^(k+1) reuses A^k; any other power is binary powering, so an exponent
-    read from an untrusted certificate costs O(log k) products."""
-    out = {}
-    for k in sorted(set(exponents)):
+def _powers(a: SquareMatrix, exponents, known=()) -> dict:
+    """A^k for every k in ``exponents`` and in ``known`` (k -> A^k), each
+    distinct power computed once.  A^(k+1) reuses A^k; any other power is
+    binary powering, so an exponent read from an untrusted certificate
+    costs O(log k) products."""
+    out = dict(known)
+    for k in sorted(set(exponents).difference(out)):
         out[k] = out[k - 1] * a if k >= 2 and k - 1 in out else a ** k
     return out
 
@@ -64,11 +67,13 @@ def _lowered_left_witness(w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w left 
 
 @dataclass(frozen=True, slots=True)
 class RightWitnessInstance:
-    """A verified instance of A^n = A^(n+1) X; checked at construction."""
+    """A verified instance of A^n = A^(n+1) X; checked at construction,
+    which keeps the A^n and A^(n+1) it compared for the producer."""
 
     A: SquareMatrix
     n: int
     X: SquareMatrix
+    _checked_powers: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (isinstance(self.A, SquareMatrix) and isinstance(self.X, SquareMatrix)):
@@ -80,6 +85,7 @@ class RightWitnessInstance:
         if powers[self.n] != powers[self.n + 1] * self.X:
             raise PreconditionFailed(
                 f"A^{self.n} != A^{self.n + 1}*X: not a right witness instance")
+        object.__setattr__(self, "_checked_powers", powers)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +118,7 @@ class LeftWitnessCertificate:
     Y: SquareMatrix
     verified: bool
     identities: tuple
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,41 +185,44 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
     a, n, x = inst.A, inst.n, inst.X
     ring, m = a.ring, a.dim
     big_n = n * m
-    powers = _powers(a, (*range(m), n, n + 1, big_n - n, big_n, big_n + 1))
-    # q(x) = det(I - xX), the char poly of X reversed (step 1); p = x^(nm) q(x)
-    q = UniPolynomial.from_coeffs(ring, reversed(berkowitz_char_poly(x).coefficients))
-    # C = -(s1 I + s2 A + ... + sm A^(m-1)) where q = 1 + s1 x + ... + sm x^m;
-    # each entry is (-s1, ..., -sm) dotted with that entry of A^0, ..., A^(m-1).
-    neg_s = [ring.p_neg(q.coefficient(i).payload) for i in range(1, m + 1)]
+    powers = _powers(a, (*range(m), big_n - n, big_n, big_n + 1), inst._checked_powers)
+    # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
+    q = berkowitz_char_poly(x).payloads[::-1]  # (step 1); p = x^(nm) q(x)
+    p = UniPolynomial.from_payloads(ring, [ring.zero_payload()] * big_n + list(q))
+    # C = -(s1 I + s2 A + ... + sm A^(m-1)); each entry is (-s1, ..., -sm)
+    # dotted with that entry of A^0, ..., A^(m-1).
+    neg_s = list(map(ring.p_neg, q[1:]))
     c = SquareMatrix(ring, tuple(tuple(ring.p_dot(neg_s, stack) for stack in zip(*row_stack))
                                  for row_stack in zip(*(powers[i].rows for i in range(m)))))
     w = _commuting_witness(powers[big_n], c, big_n)
     y = _lowered_left_witness(w, powers[big_n - n], big_n, n)
-    cert = LeftWitnessCertificate(A=a, n=n, X=x, p=q.shift(big_n), C=c, N=big_n,
-                                  w=w, Y=y, verified=True, identities=())
-    return replace(cert, identities=_require(_certificate_checks(cert, powers)))
+    identities = _require(_certificate_checks(powers, a, n, x, p, c, big_n, w, y))
+    cert = LeftWitnessCertificate(A=a, n=n, X=x, p=p, C=c, N=big_n,
+                                  w=w, Y=y, verified=True, identities=identities)
+    object.__setattr__(cert, "_checked", True)
+    return cert
 
 
-def _certificate_checks(cert: LeftWitnessCertificate, powers: dict) -> tuple:
-    """The seven certificate identities, each evaluated once; ``powers``
-    holds A^n, A^(n+1), A^N and A^(N+1)."""
-    a, n, big_n, p, w = cert.A, cert.n, cert.N, cert.p, cert.w
+def _certificate_checks(powers: dict, a, n, x, p, c, big_n, w, y) -> tuple:
+    """The seven identities on the certificate fields A, n, X, p, C, N, w, Y,
+    each evaluated once; ``powers`` holds A^n, A^(n+1), A^N and A^(N+1)."""
+    ring, zero = a.ring, a.ring.zero_payload()
     shape_ok = (
         big_n == n * a.dim
-        and p.degree >= big_n
-        and all(p.coefficient(i).is_zero for i in range(big_n))
-        and p.coefficient(big_n) == a.ring.one()
+        and p.spec == ring and p.degree >= big_n
+        and all(c_i == zero for c_i in p.payloads[:big_n])
+        and p.payloads[big_n] == ring.one_payload()
     )
     a_n, a_n1 = powers[n], powers[n + 1]
     a_big, a_big1 = powers[big_n], powers[big_n + 1]
     return (
-        ("right_witness", a_n == a_n1 * cert.X),
+        ("right_witness", a_n == a_n1 * x),
         ("exponent_is_n_times_dim", big_n == n * a.dim),
         ("char_poly_factor_shape", shape_ok),
-        ("raised_right_witness", a_big == a_big1 * cert.C),
+        ("raised_right_witness", a_big == a_big1 * c),
         ("commuting_witness", a * w == w * a),
         ("raised_left_witness", a_big == w * a_big1),
-        ("left_witness", a_n == cert.Y * a_n1),
+        ("left_witness", a_n == y * a_n1),
     )
 
 
@@ -220,7 +230,8 @@ def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
     """Re-check every identity from the stored fields alone, on powers of
     the stored A computed here and shared with nothing else."""
     checks = _certificate_checks(
-        cert, _powers(cert.A, (cert.n, cert.n + 1, cert.N, cert.N + 1)))
+        _powers(cert.A, (cert.n, cert.n + 1, cert.N, cert.N + 1)),
+        cert.A, cert.n, cert.X, cert.p, cert.C, cert.N, cert.w, cert.Y)
     return CertificateVerdict(ok=all(holds for _, holds in checks), identities=checks)
 
 
@@ -252,7 +263,7 @@ def certificate_to_json(cert: LeftWitnessCertificate) -> dict:
         "N": cert.N,
         "A": matrix_to_json(cert.A),
         "X": matrix_to_json(cert.X),
-        "p_coeffs": [spec.payload_to_json(c.payload) for c in cert.p.coefficients],
+        "p_coeffs": [spec.payload_to_json(c) for c in cert.p.payloads],
         "C": matrix_to_json(cert.C),
         "w": matrix_to_json(cert.w),
         "Y": matrix_to_json(cert.Y),
@@ -275,8 +286,7 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
                 and all(isinstance(item, dict) for item in items)):
             raise MalformedPayload(
                 "certificate p_coeffs must be a list and identities a list of objects")
-        p = UniPolynomial.from_coeffs(
-            spec, [spec.wrap(spec.payload_from_json(v)) for v in p_coeffs])
+        p = UniPolynomial.from_payloads(spec, map(spec.payload_from_json, p_coeffs))
         identities = tuple((item["name"], item["holds"]) for item in items)
         verified = data["verified"]
     except KeyError as exc:
@@ -291,9 +301,11 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
 
 
 def emit_certificate(cert: LeftWitnessCertificate) -> str:
-    """Canonical JSON for a certificate; refuses one that does not verify."""
-    verdict = verify_certificate(cert)
-    if not verdict.ok:
-        raise UnverifiedCertificate(
-            f"refusing to emit certificate; failing identities: {verdict.failing()}")
+    """Canonical JSON for a certificate; refuses one that does not verify.
+    Only a certificate from :func:`right_to_left_certificate` skips the check."""
+    if not cert._checked:
+        verdict = verify_certificate(cert)
+        if not verdict.ok:
+            raise UnverifiedCertificate(
+                f"refusing to emit certificate; failing identities: {verdict.failing()}")
     return canonical_dumps(certificate_to_json(cert))

@@ -126,8 +126,10 @@ def test_arithmetic_identities_sampled():
 
 def test_shape_and_spec_mismatches():
     a = mat(Z, "[[1,2],[3,4]]")
-    with pytest.raises(DimMismatch):
+    with pytest.raises(DimMismatch, match=r"^dimension mismatch: 2 vs 1$"):
         a * mat(Z, "[[1]]")
+    with pytest.raises(SpecMismatch, match="cannot combine a matrix with 3"):
+        a * 3
     with pytest.raises(SpecMismatch):
         a * mat(Z4, "[[1,2],[3,4]]")
     with pytest.raises(DimMismatch):
@@ -329,6 +331,33 @@ def test_unipolynomial_algebra():
             assert f * g == UniPolynomial.from_coeffs(spec, product)
 
 
+@pytest.mark.parametrize("token, coeffs, text", [
+    ("int", [3, -1, 0, 1, 0], "3+(-1)*x+x^3"),
+    ("zmod:4", [5, 0, 3, 1], "1+(3)*x^2+x^3"),
+    ("quot:zmod:3:t^2", ["1+t", 0, "2*t", 1], "1+t+(2*t)*x^2+x^3"),
+    ("poly:int:t", ["t", -1, 1], "t+(-1)*x+x^2"),
+    ("int", [0, 0], "0"),
+])
+def test_unipolynomial_boundary_surface(token, coeffs, text):
+    # Coefficients are stored as payloads but cross the boundary as
+    # RingElems of the spec; ints and RingElems build the same polynomial.
+    spec = parse_ring_spec(token)
+    mixed = [spec.parse(c) if isinstance(c, str) else c for c in coeffs]
+    elems = [spec.coerce(c) for c in mixed]
+    p = UniPolynomial.from_coeffs(spec, mixed)
+    assert p == UniPolynomial.from_coeffs(spec, elems)
+    assert p == UniPolynomial.from_payloads(spec, [c.payload for c in elems])
+    assert str(p) == text
+    assert all(isinstance(c, RingElem) and c.spec == spec for c in p.coefficients)
+    assert p.coefficients == tuple(elems[:p.degree + 1])
+    for k in range(-1, len(coeffs) + 2):
+        got = p.coefficient(k)
+        assert isinstance(got, RingElem) and got.spec == spec
+        assert got == (elems[k] if 0 <= k < len(elems) else spec.zero())
+    assert p != UniPolynomial.from_coeffs(spec, elems + [1])
+    assert p.shift(1) == UniPolynomial.from_coeffs(spec, [0] + elems)
+
+
 # -- literals ---------------------------------------------------------------------
 
 
@@ -361,8 +390,11 @@ NC_ENTRIES = ["0", "1", "a", "b", "2c - d", "1/2 w", "x y", "a + z", "y a - 3"]
 @st.composite
 def kernel_case(draw):
     """A ring, a dimension and three matrices over it.  Commutative rings
-    are sampled from a drawn seed; free-algebra entries come from parse_nc."""
-    kind = draw(st.sampled_from(["int", "zmod", "poly:int:t", "quot:zmod:3:t^2", "free"]))
+    are sampled from a drawn seed; free-algebra entries come from parse_nc.
+    Of the two quotient rings, Z_3[t]/(t^2) computes through its memo
+    tables and Z_17[t]/(t^2), too large for a table, through plain methods."""
+    kind = draw(st.sampled_from(["int", "zmod", "poly:int:t", "quot:zmod:3:t^2",
+                                 "quot:zmod:17:t^2", "free"]))
     dim = draw(st.integers(1, 4))
     if kind == "free":
         def matrix():

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -233,6 +234,38 @@ def test_pipeline_computes_each_power_once(monkeypatch):
     assert verify_certificate(cert).ok
     assert len(calls) - produced <= 8
     assert len(calls) <= 25
+
+
+def count_products(monkeypatch):
+    calls = []
+    plain_mul = SquareMatrix.__mul__
+    monkeypatch.setattr(SquareMatrix, "__mul__",
+                        lambda self, other: calls.append(1) or plain_mul(self, other))
+    return calls
+
+
+def test_certificate_reuses_the_instance_powers(monkeypatch):
+    # The instance check computes A^2 and A^2 X; the certificate reuses A^2.
+    a = mat(Z9, "[[2,3],[1,5]]")
+    x = right_witness_search(a, 1)
+    calls = count_products(monkeypatch)
+    cert = right_to_left_certificate(RightWitnessInstance(a, 1, x))
+    produced = len(calls)
+    assert verify_certificate(cert).ok
+    assert produced <= 14
+    assert len(calls) - produced <= 8
+
+
+def test_emit_trusts_only_its_producer(monkeypatch):
+    cert = build_cert()
+    calls = count_products(monkeypatch)
+    text = emit_certificate(cert)
+    assert calls == []
+    loaded = certificate_from_json(json.loads(text))
+    assert loaded == cert
+    assert emit_certificate(loaded) == text and calls != []
+    with pytest.raises(UnverifiedCertificate):
+        emit_certificate(replace(cert, Y=SquareMatrix.zeros(Z4, 2)))
 
 
 def test_warm_quotient_certificates_make_no_products_or_parses(monkeypatch):
