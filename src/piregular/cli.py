@@ -249,8 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--workers", type=int, default=None,
-                   help=f"process count (default: ${lab.WORKERS_ENV_VAR} or 1)")
+    p.add_argument("--workers", type=int, default=1, help="process count (default: 1)")
     p.set_defaults(handler=_cmd_cp_verify)
 
     p = sub.add_parser("classify", parents=[common],

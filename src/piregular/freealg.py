@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 
 from .errors import InternalViolation, InvalidSpec, NonTerminating, ParseError
 from .matrices import SquareMatrix
-from .rings import RingSpec, binary_power
+from .rings import RingSpec, _ExpressionParser, _tokenize, binary_power
 
 ALPHABET = "abcdwxyz"
 # rank for ascending comparison: z smallest, a largest
@@ -88,24 +88,13 @@ class NCPolynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            total = out.get(word, Fraction(0)) + coeff
-            if total:
-                out[word] = total
-            else:
-                out.pop(word, None)
-        result = NCPolynomial()
-        result._terms = out
-        return result
+        return _summed(other._terms.items(), dict(self._terms))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        result = NCPolynomial()
-        result._terms = {word: -coeff for word, coeff in self._terms.items()}
-        return result
+        return _summed((word, -coeff) for word, coeff in self._terms.items())
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -118,25 +107,11 @@ class NCPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            result = NCPolynomial()
-            if scalar:
-                result._terms = {w: c * scalar for w, c in self._terms.items()}
-            return result
+            return _summed((w, c * other) for w, c in self._terms.items())
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        out = {}
-        for u, cu in self._terms.items():
-            for v, cv in other._terms.items():
-                word = u + v
-                total = out.get(word, Fraction(0)) + cu * cv
-                if total:
-                    out[word] = total
-                else:
-                    out.pop(word, None)
-        result = NCPolynomial()
-        result._terms = out
-        return result
+        return _summed((u + v, cu * cv) for u, cu in self._terms.items()
+                       for v, cv in other._terms.items())
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -180,6 +155,22 @@ class NCPolynomial:
 
     def __repr__(self):
         return f"NCPolynomial({str(self)!r})"
+
+
+def _summed(terms, into=None) -> NCPolynomial:
+    """The polynomial of ``into`` (a word -> coefficient dict, updated in
+    place) plus the (word, coefficient) pairs ``terms``; a word whose
+    coefficient cancels is dropped."""
+    into = {} if into is None else into
+    for word, coeff in terms:
+        total = into.get(word, 0) + coeff
+        if total:
+            into[word] = total
+        else:
+            into.pop(word, None)
+    result = NCPolynomial()
+    result._terms = into
+    return result
 
 
 def _word_str(word: str) -> str:
@@ -229,9 +220,6 @@ class FreeAlgebra:
         raise InvalidSpec(f"cannot coerce {value!r} into the free algebra")
 
     wrap = p_coerce = coerce
-
-    def owns(self, value) -> bool:
-        return isinstance(value, NCPolynomial)
 
     def parse(self, text: str) -> NCPolynomial:
         return parse_nc(text)
@@ -331,20 +319,15 @@ def nc_normal_form(poly: NCPolynomial, system: Optional[RewriteSystem] = None,
             if target:
                 break
         if target is None:
-            return NCPolynomial(terms)
+            return _summed((), terms)
         steps += 1
         if steps > budget:
             raise NonTerminating(f"exceeded {budget} rewrite steps")
         word, rule, pos = target
         coeff = terms.pop(word)
         left, right = word[:pos], word[pos + len(rule.lead):]
-        for rep_word, rep_coeff in rule.replacement.terms().items():
-            new_word = left + rep_word + right
-            total = terms.get(new_word, Fraction(0)) + coeff * rep_coeff
-            if total:
-                terms[new_word] = total
-            else:
-                terms.pop(new_word, None)
+        _summed(((left + rep_word + right, coeff * rep_coeff)
+                 for rep_word, rep_coeff in rule.replacement._terms.items()), terms)
 
 
 @dataclass(frozen=True)
@@ -471,93 +454,18 @@ def shepherdson_demo() -> ShepherdsonReport:
 # -- expression parser --------------------------------------------------------
 
 
-def _tokenize_nc(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j]))
-            i = j
-            continue
-        if ch.isalpha():
-            tokens.append(("letter", ch))
-            i += 1
-            continue
-        if ch in "+-*^()/":
-            tokens.append((ch, ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} in expression")
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _NCParser:
-    """Sums of juxtaposed factors: ``2ab - (1/2)w^2(x + y)`` and the like."""
+class _NCParser(_ExpressionParser):
+    """Sums of juxtaposed factors: ``2ab - (1/2)w^2(x + y)`` and the like.
+    Each letter is a generator of its own, so a run of letters is split."""
 
     def __init__(self, text: str):
-        self.tokens = _tokenize_nc(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> NCPolynomial:
-        value = self.expression()
-        if self.peek()[0] != "end":
-            raise ParseError(f"unexpected token {self.peek()[1]!r}")
-        return value
-
-    def expression(self) -> NCPolynomial:
-        negate = False
-        if self.peek()[0] in "+-":
-            negate = self.take()[0] == "-"
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek()[0] in "+-":
-            op = self.take()[0]
-            rhs = self.term()
-            value = value - rhs if op == "-" else value + rhs
-        return value
-
-    def term(self) -> NCPolynomial:
-        value = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
-                self.take()
-                value = value * self.factor()
-            elif kind in ("int", "letter", "("):
-                value = value * self.factor()
-            else:
-                return value
-
-    def factor(self) -> NCPolynomial:
-        value = self.primary()
-        if self.peek()[0] == "^":
-            self.take()
-            value = value ** int(self.take("int")[1])
-        return value
+        tokens = [(kind, part) for kind, run in _tokenize(text)
+                  for part in (run if kind == "name" else (run,))]
+        super().__init__(FREE, tokens=tokens)
 
     def primary(self) -> NCPolynomial:
-        kind, text = self.peek()
+        kind, text = self.take()
         if kind == "int":
-            self.take()
             numerator = int(text)
             if self.peek()[0] == "/":
                 self.take()
@@ -566,17 +474,13 @@ class _NCParser:
                     raise ParseError("zero denominator in rational literal")
                 return NCPolynomial({"": Fraction(numerator, denominator)})
             return NCPolynomial({"": numerator})
-        if kind == "letter":
-            self.take()
+        if kind == "name":
             if text not in _RANK:
                 raise ParseError(f"unknown generator {text!r}; alphabet is {ALPHABET!r}")
             return NCPolynomial.from_word(text)
         if kind == "(":
-            self.take()
             value = self.expression()
-            tok = self.take()
-            if tok[0] != ")":
-                raise ParseError(f"expected ')', found {tok[1]!r}")
+            self.take(")")
             return value
         raise ParseError(f"unexpected token {text!r}")
 

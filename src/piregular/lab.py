@@ -20,7 +20,6 @@ agree, and the memoized tables are shared.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -42,8 +41,6 @@ from .witnesses import (
     matrix_to_json,
     right_to_left_certificate,
 )
-
-WORKERS_ENV_VAR = "PIREGULAR_WORKERS"
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -374,23 +371,12 @@ def _cp_chunk(k: int, m: int, n: int, start: int, stop: int) -> dict:
             "pipeline_checked": checked, "pipeline_failures": failures}
 
 
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise PreconditionFailed(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}")
-    return max(1, value)
-
-
-def cp_report(k: int, m: int, n: int, workers: Optional[int] = None,
+def cp_report(k: int, m: int, n: int, workers: int = 1,
               budget: Optional[int] = None) -> CpReport:
     """Scan all of M_m(Z_k) at exponent n; the enumeration splits into
     contiguous chunks across workers and partial results merge in chunk
     order, so output is identical for any worker count."""
     started = time.perf_counter()
-    if workers is None:
-        workers = default_workers()
     require_positive(dim=m, n=n, workers=workers)
     spec = IntegersMod(k)
     total = spec.cardinality() ** (m * m)

@@ -14,7 +14,9 @@ Berkowitz) runs on bare payloads through the spec's ``p_*`` methods, and
 wraps a payload into a ``RingElem`` only when it is handed back to a caller.
 
 Specs can be written down and re-read through a small colon-separated
-grammar, e.g. ``"zmod:4"``, ``"poly:int:t"`` or ``"quot:zmod:3:t^2"``.
+grammar, e.g. ``"zmod:4"``, ``"poly:int:t"`` or ``"quot:zmod:3:t^2"``, and
+elements through literals such as ``1+2*t``; the free algebra reuses the
+literal parser's tokenizer and recursive descent.
 
 A finite quotient ring of at most 256 elements computes each sum, product,
 literal and parse once and then reads it from a table of at most
@@ -30,6 +32,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
+from string import digits
 from typing import Any, Iterable, Optional
 
 from .errors import (
@@ -168,9 +171,6 @@ class RingSpec:
         if isinstance(value, int):
             return self.from_int(value)
         return self.element(value)
-
-    def owns(self, value) -> bool:
-        return isinstance(value, RingElem) and value.spec == self
 
     def parse(self, text: str) -> "RingElem":
         return parse_element(self, text)
@@ -475,7 +475,7 @@ class PolyOver(RingSpec):
         return _strip(self.base, [self.base.p_from_int(n)])
 
     def gen(self):
-        return RingElem(self, (self.base.zero_payload(), self.base.one_payload()))
+        return self.element((self.base.zero_payload(), self.base.one_payload()))
 
     def show_payload(self, payload):
         return _poly_payload_str(self.base, payload, self.variable)
@@ -534,21 +534,15 @@ def _memo_ops(spec: "QuotientPoly") -> dict:
 
 
 @dataclass(frozen=True)
-class QuotientPoly(RingSpec):
-    """The quotient of ``base[variable]`` by a monic modulus of degree >= 1."""
+class QuotientPoly(PolyOver):
+    """The quotient of ``base[variable]`` by a monic modulus of degree >= 1.
+    Constants need no reduction, so ``one_payload`` and ``p_from_int`` are
+    the polynomial ring's."""
 
-    base: RingSpec
-    variable: str
     modulus: tuple
 
-    atomic_literals = False
-
     def __post_init__(self):
-        if not isinstance(self.base, RingSpec):
-            raise InvalidSpec("quotient base must be a RingSpec")
-        if not (isinstance(self.variable, str) and len(self.variable) == 1
-                and self.variable.isalpha()):
-            raise InvalidSpec(f"variable must be a single letter, got {self.variable!r}")
+        super().__post_init__()
         mod = _canon_coeff_seq(self.base, self.modulus)
         if len(mod) < 2:
             raise InvalidSpec("quotient modulus must have degree >= 1")
@@ -565,29 +559,8 @@ class QuotientPoly(RingSpec):
     def canon(self, raw):
         return _monic_rem(self.base, _canon_coeff_seq(self.base, raw), self.modulus)
 
-    def zero_payload(self):
-        return ()
-
-    def one_payload(self):
-        return _monic_rem(self.base, (self.base.one_payload(),), self.modulus)
-
-    def p_add(self, a, b):
-        return _seq_add(self.base, a, b)
-
-    def p_neg(self, a):
-        return _seq_neg(self.base, a)
-
     def p_mul(self, a, b):
         return _monic_rem(self.base, _seq_mul(self.base, a, b), self.modulus)
-
-    def p_from_int(self, n):
-        return _monic_rem(self.base, _strip(self.base, [self.base.p_from_int(n)]), self.modulus)
-
-    def gen(self):
-        return self.element((self.base.zero_payload(), self.base.one_payload()))
-
-    def show_payload(self, payload):
-        return _poly_payload_str(self.base, payload, self.variable)
 
     @property
     def is_finite(self):
@@ -673,7 +646,7 @@ def _parse_spec_parts(parts, i):
         if i + 1 >= len(parts):
             raise ParseError("zmod needs a modulus")
         raw = parts[i + 1]
-        if not raw.isdigit():
+        if not (raw.isascii() and raw.isdigit()):
             raise ParseError(f"invalid modulus token {raw!r}")
         modulus = int(raw)
         if modulus < 2:
@@ -704,45 +677,38 @@ def _parse_spec_parts(parts, i):
     raise ParseError(f"unknown ring kind {head!r}")
 
 
-# -- element literals --------------------------------------------------------
+# -- expressions and element literals ----------------------------------------
 
 
-def _tokenize(text: str):
-    tokens = []
-    i = 0
+def _tokenize(text: str) -> list:
+    """``(kind, text)`` tokens ending in ``("end", "")``: a run of ASCII
+    digits is an ``int``, a run of letters a ``name``, and each of
+    ``+-*/^()`` is a kind of its own."""
+    tokens, i = [], 0
     while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
+        c, j = text[i], i + 1
+        if c in digits:
+            while j < len(text) and text[j] in digits:
                 j += 1
             tokens.append(("int", text[i:j]))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
+        elif c.isalpha():
             while j < len(text) and text[j].isalpha():
                 j += 1
             tokens.append(("name", text[i:j]))
-            i = j
-            continue
-        if c in "+-*^()":
+        elif c in "+-*/^()":
             tokens.append((c, c))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r} in literal")
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}")
+        i = j
     tokens.append(("end", ""))
     return tokens
 
 
-class _LiteralParser:
-    """Recursive-descent parser for ring-element literals such as
-    ``-3``, ``1+2*t``, ``t^2`` or ``(1+t)*u^2`` for nested towers."""
+class _ExpressionParser:
+    """Recursive descent over signed sums of products of powers, where
+    juxtaposition multiplies; a subclass reads one ``primary`` of ``spec``."""
 
-    def __init__(self, spec: RingSpec, text: str = None, tokens=None, pos=0):
+    def __init__(self, spec, text: str = None, tokens=None, pos=0):
         self.spec = spec
         self.tokens = _tokenize(text) if tokens is None else tokens
         self.pos = pos
@@ -753,17 +719,17 @@ class _LiteralParser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}")
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}")
         self.pos += 1
         return tok
 
-    def parse(self) -> RingElem:
+    def parse(self):
         value = self.expression()
         if self.peek()[0] != "end":
             raise ParseError(f"unexpected token {self.peek()[1]!r}")
         return value
 
-    def expression(self) -> RingElem:
+    def expression(self):
         negate = False
         if self.peek()[0] in "+-":
             negate = self.take()[0] == "-"
@@ -776,7 +742,7 @@ class _LiteralParser:
             value = value - rhs if op == "-" else value + rhs
         return value
 
-    def term(self) -> RingElem:
+    def term(self):
         value = self.factor()
         while True:
             kind = self.peek()[0]
@@ -788,36 +754,37 @@ class _LiteralParser:
             else:
                 return value
 
-    def factor(self) -> RingElem:
+    def factor(self):
         value = self.primary()
         if self.peek()[0] == "^":
             self.take()
-            exp_tok = self.take("int")
-            value = value ** int(exp_tok[1])
+            value = value ** int(self.take("int")[1])
         return value
 
+    def primary(self):
+        raise NotImplementedError
+
+
+class _LiteralParser(_ExpressionParser):
+    """Ring-element literals such as ``-3``, ``1+2*t``, ``t^2`` or
+    ``(1+t)*u^2`` for nested towers."""
+
     def primary(self) -> RingElem:
-        kind, text = self.peek()
+        kind, text = self.take()
         if kind == "int":
-            self.take()
             return self.spec.from_int(int(text))
         if kind == "name":
-            self.take()
-            variable = getattr(self.spec, "variable", None)
-            if variable is not None and text == variable:
+            if text == getattr(self.spec, "variable", None):
                 return self.spec.gen()
             raise ParseError(f"unknown symbol {text!r} for ring {self.spec}")
         if kind == "(":
-            self.take()
             base = getattr(self.spec, "base", None)
             if base is None:
                 raise ParseError(f"parenthesized coefficients not allowed in {self.spec}")
             inner = _LiteralParser(base, tokens=self.tokens, pos=self.pos)
             value = inner.expression()
             self.pos = inner.pos
-            tok = self.take()
-            if tok[0] != ")":
-                raise ParseError(f"expected ')', found {tok[1]!r}")
+            self.take(")")
             # lift the base element into this ring as a constant
             return self.spec.element([value.payload])
         raise ParseError(f"unexpected token {text!r}")

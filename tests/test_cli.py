@@ -54,10 +54,22 @@ def test_exit_2_on_parse_errors(capsys):
         ["no-such-command"],
         [],
         ["cp-verify"],  # --k is required
+        # str.isdigit accepts a superscript digit that int() refuses
+        ["nf", "--expr", "a²"],
+        ["right-to-left", "--ring", "zmod:4", "--dim", "1", "--n", "1",
+         "--A", "[[²]]", "--X", "[[1]]"],
+        ["identity-check", "--ring", "zmod:²", "--dim", "2", "--degree", "4"],
+        ["classify", "--ring", "quot:zmod:2:t²", "--dim", "1"],
     ]
     for argv in cases:
         assert dispatch(argv) == 2, argv
         capsys.readouterr()
+
+
+def test_cp_verify_ignores_a_workers_environment_variable(monkeypatch, capsys):
+    monkeypatch.setenv("PIREGULAR_WORKERS", "abc")
+    assert dispatch(["cp-verify", "--k", "2"]) == 0
+    assert "1 worker(s)" in capsys.readouterr().err
 
 
 def test_exit_1_on_mathematically_negative_inputs(capsys):

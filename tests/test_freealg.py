@@ -179,6 +179,9 @@ def test_parser_basics():
     assert parse_nc("(a+b)*(w+x)") == parse_nc("aw + ax + bw + bx")
     assert parse_nc("1/2 * a + 1/2 * a") == FREE.gen("a")
     assert parse_nc("-a") == -FREE.gen("a")
+    assert parse_nc("ab^2") == NCPolynomial.from_word("abb")
+    assert parse_nc("2ab") == NCPolynomial.from_word("ab", 2)
+    assert parse_nc("(a+b)^2w") == parse_nc("aaw + abw + baw + bbw")
 
 
 def test_parser_round_trips_canonical_printing():
@@ -189,7 +192,7 @@ def test_parser_round_trips_canonical_printing():
 
 
 def test_parser_rejects_garbage():
-    for bad in ("e", "a +", "(a", "a**w", "2.5", ""):
+    for bad in ("e", "a +", "(a", "a**w", "2.5", "", "a²"):
         with pytest.raises(ParseError):
             parse_nc(bad)
 

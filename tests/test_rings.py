@@ -190,7 +190,8 @@ def test_ring_spec_grammar_round_trip(token):
 
 
 @pytest.mark.parametrize("token", ["zmod:seven", "zmod", "madeup:3", "",
-                                   "poly:int", "quot:int:7", "zmod:4:extra"])
+                                   "poly:int", "quot:int:7", "zmod:4:extra",
+                                   "zmod:²", "quot:zmod:2:t²"])
 def test_ring_spec_grammar_rejects_garbage(token):
     with pytest.raises((ParseError, InvalidSpec)):
         parse_ring_spec(token)
@@ -222,6 +223,9 @@ def test_element_literal_expressions():
         parse_element(Z4, "t")
     with pytest.raises(ParseError):
         parse_element(Z4, "1+" )
+    for bad in ("²", "1/2"):
+        with pytest.raises(ParseError):
+            parse_element(Z4, bad)
 
 
 def test_json_payload_round_trip():
