@@ -18,22 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    BudgetExceeded,
-    DegreeTooLarge,
-    DimMismatch,
-    InternalViolation,
-    InvalidBound,
-    InvalidSpec,
-    MalformedPayload,
-    NonCommutativeRing,
-    NonTerminating,
-    NotEnumerable,
-    ParseError,
-    PreconditionFailed,
-    SpecMismatch,
-    UnverifiedCertificate,
-)
+from .errors import DimMismatch, MalformedPayload, ParseError, PiregularError
 from .freealg import nc_normal_form, overlap_check, parse_nc, shepherdson_demo, shepherdson_system
 from .identities import check_identity_on_samples
 from .jsonio import canonical_dumps, content_hash, hash_lines
@@ -50,10 +35,7 @@ from .witnesses import (
 )
 from . import lab
 
-_USAGE_ERRORS = (ParseError, InvalidSpec, MalformedPayload, DimMismatch,
-                 SpecMismatch, InvalidBound, DegreeTooLarge, NotEnumerable,
-                 BudgetExceeded, NonCommutativeRing, NonTerminating, OSError)
-_NEGATIVE_ERRORS = (PreconditionFailed, UnverifiedCertificate)
+_PREFIXES = {1: "error", 2: "usage error", 3: "internal error"}
 
 
 def _say(message: str) -> None:
@@ -221,13 +203,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON document here instead of stdout")
 
-    p = sub.add_parser("right-to-left", parents=[common],
+    instance = argparse.ArgumentParser(add_help=False, parents=[common])
+    instance.add_argument("--ring", required=True, help="ring spec, e.g. int, zmod:4, poly:zmod:3:t")
+    instance.add_argument("--dim", type=int, required=True)
+    instance.add_argument("--n", type=int, required=True)
+    instance.add_argument("--A", required=True, help="matrix literal [[...],[...]]")
+    instance.add_argument("--X", required=True, help="right witness literal")
+
+    p = sub.add_parser("right-to-left", parents=[instance],
                        help="convert a right witness into a verified left-witness certificate")
-    p.add_argument("--ring", required=True, help="ring spec, e.g. int, zmod:4, poly:zmod:3:t")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--A", required=True, help="matrix literal [[...],[...]]")
-    p.add_argument("--X", required=True, help="right witness literal")
     p.set_defaults(handler=_cmd_right_to_left)
 
     p = sub.add_parser("verify-cert", parents=[common],
@@ -235,13 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--path", required=True)
     p.set_defaults(handler=_cmd_verify_cert)
 
-    p = sub.add_parser("drazin", parents=[common],
+    p = sub.add_parser("drazin", parents=[instance],
                        help="compute the commuting witness w = A^n X^(n+1)")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--X", required=True)
     p.set_defaults(handler=_cmd_drazin)
 
     p = sub.add_parser("cp-verify", parents=[common],
@@ -292,15 +271,10 @@ def dispatch(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except _NEGATIVE_ERRORS as exc:
-        _say(f"error: {exc}")
-        return 1
-    except _USAGE_ERRORS as exc:
-        _say(f"usage error: {exc}")
-        return 2
-    except InternalViolation as exc:
-        _say(f"internal error: {exc}")
-        return 3
+    except (PiregularError, OSError) as exc:
+        code = getattr(exc, "exit_code", 2)
+        _say(f"{_PREFIXES[code]}: {exc}")
+        return code
 
 
 def entrypoint() -> None:

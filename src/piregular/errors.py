@@ -2,7 +2,10 @@
 
 
 class PiregularError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  ``exit_code`` is
+    the CLI's: 2 for bad input, 1 for a negative verdict, 3 for a bug."""
+
+    exit_code = 2
 
 
 class InvalidSpec(PiregularError):
@@ -44,6 +47,8 @@ class NonCommutativeRing(PiregularError):
 class PreconditionFailed(PiregularError):
     """Input data does not satisfy the identity an operation assumes."""
 
+    exit_code = 1
+
 
 class DegreeTooLarge(PiregularError):
     """The standard identity degree exceeds the supported factorial range."""
@@ -56,6 +61,10 @@ class NonTerminating(PiregularError):
 class InternalViolation(PiregularError):
     """An identity that must hold by construction or theory failed; implementation bug."""
 
+    exit_code = 3
+
 
 class UnverifiedCertificate(PiregularError):
     """Refusing to serialize a certificate whose identities do not all hold."""
+
+    exit_code = 1

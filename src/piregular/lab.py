@@ -3,9 +3,11 @@
 Finite rings are compiled once into index tables (element list in canonical
 order plus addition/multiplication tables), so the inner loops work on flat
 tuples of small integers no matter how nested the ring tower is.  Every
-exhaustive walk reads its matrices from one row-major iterator,
-:meth:`_Engine.matrices`, and each matrix's powers from one ladder,
-A, A^2, ... up to the first repeat.
+exhaustive scan runs through one driver, :func:`_scan`: it checks every
+size against the budget before an engine is built, then calls one
+per-matrix function on each matrix in row-major order, on one process or
+in contiguous chunks on a pool.  Each matrix's powers come from one
+ladder, A, A^2, ... up to the first repeat.
 
 There is one witness search: the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
@@ -24,16 +26,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Iterator, Optional
 
-from .errors import (
-    BudgetExceeded,
-    InternalViolation,
-    NotEnumerable,
-    PiregularError,
-    PreconditionFailed,
-)
+from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
 from .matrices import SquareMatrix
 from .rings import IntegersMod, RingSpec, binary_power, require_positive
 from .witnesses import (
@@ -45,10 +41,15 @@ from .witnesses import (
 DEFAULT_BUDGET = 1 << 20
 
 
-def _check_budget(total: int, budget: Optional[int]) -> None:
+def _size(spec: RingSpec, exponent: int, what: str, budget: Optional[int]) -> int:
+    """q^exponent for a ring of q elements, or BudgetExceeded if that is more
+    than ``budget`` (DEFAULT_BUDGET when None); NotEnumerable if infinite."""
+    q = spec.cardinality()
     cap = DEFAULT_BUDGET if budget is None else budget
-    if total > cap:
-        raise BudgetExceeded(f"scan of {total} matrices exceeds budget {cap}")
+    # q >= 2, so q^exponent > cap once exponent reaches cap's bit length
+    if exponent >= cap.bit_length() or q ** exponent > cap:
+        raise BudgetExceeded(f"{spec.token()}: {q}^{exponent} {what} exceed budget {cap}")
+    return q ** exponent
 
 
 class _Engine:
@@ -59,8 +60,6 @@ class _Engine:
     """
 
     def __init__(self, spec: RingSpec, m: int):
-        if not spec.is_finite:
-            raise NotEnumerable(f"{spec} is infinite; exhaustive search unavailable")
         self.spec = spec
         self.m = m
         payloads = list(spec.payloads())
@@ -112,11 +111,6 @@ class _Engine:
         return SquareMatrix(self.spec, tuple(
             tuple(payloads[flat[i * m + j]] for j in range(m)) for i in range(m)))
 
-    def to_json(self, flat):
-        m, spec, payloads = self.m, self.spec, self.payloads
-        return [[spec.payload_to_json(payloads[flat[i * m + j]]) for j in range(m)]
-                for i in range(m)]
-
     # -- powers ---------------------------------------------------------------
 
     def ladder(self, mat):
@@ -131,12 +125,6 @@ class _Engine:
             seen[power] = len(powers)
             power = self.mat_mul(power, mat)
         return powers, seen[power]
-
-    def power_index(self, mat):
-        """(index, cycle_length): index is the first exponent whose power
-        lies on the eventual cycle of A, A^2, A^3, ..."""
-        powers, index = self.ladder(mat)
-        return index, len(powers) + 1 - index
 
     def power_pair(self, mat, n: int):
         """(A^n, A^(n+1))."""
@@ -194,14 +182,47 @@ class _Engine:
 _ENGINES: dict = {}
 
 
-def _engine(spec: RingSpec, m: int) -> _Engine:
+def _engine(spec: RingSpec, m: int, budget: Optional[int] = None) -> _Engine:
+    """The cached engine.  Its tables hold q^2 entries (sums, products) and
+    q^m entries (vectors, column maps); both must fit the budget."""
+    require_positive(dim=m)
+    _size(spec, max(2, m), "table entries", budget)
     key = (spec, m)
     engine = _ENGINES.get(key)
     if engine is None:
-        require_positive(dim=m)
-        engine = _Engine(spec, m)
-        _ENGINES[key] = engine
+        engine = _ENGINES[key] = _Engine(spec, m)
     return engine
+
+
+def _walk(spec: RingSpec, m: int, visit, budget: Optional[int], start: int, stop: int):
+    engine = _engine(spec, m, budget)
+    return map(partial(visit, engine), engine.matrices(start, stop))
+
+
+def _walk_chunk(*args) -> list:
+    return list(_walk(*args))
+
+
+def _scan(spec: RingSpec, m: int, visit, workers: int = 1,
+          budget: Optional[int] = None) -> Iterator:
+    """``visit(engine, A)`` for every A in M_m(spec), in row-major order.
+
+    Every size is checked before an engine is built.  On one worker the
+    results come lazily.  More workers split the walk into contiguous
+    chunks on a process pool, and the results come back in chunk order, so
+    they are the same for any worker count; ``visit`` must then be a
+    module-level function or a partial of one."""
+    require_positive(dim=m, workers=workers)
+    total = _size(spec, m * m, f"{m}x{m} matrices to scan", budget)
+    _engine(spec, m, budget)  # checked and built before any worker starts
+    if workers == 1 or total < 4 * workers:
+        return _walk(spec, m, visit, budget, 0, total)
+    chunks = 4 * workers
+    bounds = [total * i // chunks for i in range(chunks + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(partial(_walk_chunk, spec, m, visit, budget),
+                              bounds[:-1], bounds[1:]))
+    return chain.from_iterable(parts)
 
 
 def _search(mat: SquareMatrix, n: int, left: bool) -> Optional[SquareMatrix]:
@@ -223,10 +244,12 @@ def left_witness_search(mat: SquareMatrix, n: int) -> Optional[SquareMatrix]:
 
 
 def power_sequence_index(mat: SquareMatrix) -> tuple:
-    """(index, cycle_length) of the power sequence of a matrix over a
-    finite ring."""
+    """(index, cycle_length) of the power sequence of a matrix over a finite
+    ring: index is the first exponent whose power lies on the eventual cycle
+    of A, A^2, A^3, ..."""
     engine = _engine(mat.ring, mat.dim)
-    return engine.power_index(engine.from_square(mat))
+    powers, index = engine.ladder(engine.from_square(mat))
+    return index, len(powers) + 1 - index
 
 
 # -- classification -----------------------------------------------------------
@@ -252,6 +275,35 @@ class ClassificationRecord:
         }
 
 
+def _classify(n_bound: Optional[int], engine: _Engine, flat) -> ClassificationRecord:
+    powers, index = engine.ladder(flat)
+    cycle = powers[index - 1:]
+    powers += cycle + cycle  # past the ladder, the powers repeat its cycle
+    bound = index + 1 if n_bound is None else min(n_bound, index + 1)
+    rights = []
+    lefts = []
+    for n in range(1, bound + 1):
+        low, high = powers[n - 1], powers[n]
+        x = engine.solve(low, high)
+        if x is not None:
+            if low != engine.mat_mul(high, x):
+                raise InternalViolation("stored right witness fails its identity")
+            rights.append((n, engine.to_square(x)))
+        y = engine.solve_left(low, high)
+        if y is not None:
+            if low != engine.mat_mul(y, high):
+                raise InternalViolation("stored left witness fails its identity")
+            lefts.append((n, engine.to_square(y)))
+    if index <= bound and all(n != index for n, _ in rights):
+        raise InternalViolation(
+            "power-sequence index must always carry a right witness")
+    agrees = {n for n, _ in rights} == {n for n, _ in lefts}
+    return ClassificationRecord(
+        A=engine.to_square(flat), power_index=index,
+        right_witnesses=tuple(rights), left_witnesses=tuple(lefts),
+        agrees=agrees)
+
+
 def classify_all(spec: RingSpec, m: int, n_bound: Optional[int] = None,
                  budget: Optional[int] = None) -> Iterator[ClassificationRecord]:
     """Walk every matrix in enumeration order and record its right/left
@@ -259,40 +311,7 @@ def classify_all(spec: RingSpec, m: int, n_bound: Optional[int] = None,
     whichever comes first (stabilization index + 1 when no bound given)."""
     if n_bound is not None:
         require_positive(n_bound=n_bound)
-    engine = _engine(spec, m)
-    total = engine.q ** (m * m)
-    _check_budget(total, budget)
-
-    def walk():
-        for flat in engine.matrices():
-            powers, index = engine.ladder(flat)
-            cycle = powers[index - 1:]
-            powers += cycle + cycle  # past the ladder, the powers repeat its cycle
-            bound = index + 1 if n_bound is None else min(n_bound, index + 1)
-            rights = []
-            lefts = []
-            for n in range(1, bound + 1):
-                low, high = powers[n - 1], powers[n]
-                x = engine.solve(low, high)
-                if x is not None:
-                    if low != engine.mat_mul(high, x):
-                        raise InternalViolation("stored right witness fails its identity")
-                    rights.append((n, engine.to_square(x)))
-                y = engine.solve_left(low, high)
-                if y is not None:
-                    if low != engine.mat_mul(y, high):
-                        raise InternalViolation("stored left witness fails its identity")
-                    lefts.append((n, engine.to_square(y)))
-            if index <= bound and all(n != index for n, _ in rights):
-                raise InternalViolation(
-                    "power-sequence index must always carry a right witness")
-            agrees = {n for n, _ in rights} == {n for n, _ in lefts}
-            yield ClassificationRecord(
-                A=engine.to_square(flat), power_index=index,
-                right_witnesses=tuple(rights), left_witnesses=tuple(lefts),
-                agrees=agrees)
-
-    return walk()
+    return _scan(spec, m, partial(_classify, n_bound), budget=budget)
 
 
 # -- two-sided agreement report ----------------------------------------------
@@ -300,8 +319,8 @@ def classify_all(spec: RingSpec, m: int, n_bound: Optional[int] = None,
 
 @dataclass(frozen=True, slots=True)
 class CpReport:
-    """Exhaustive right-versus-left agreement over 2-by-2 blocks of Z_k,
-    with every right witness fed through the conversion pipeline."""
+    """Exhaustive right-versus-left agreement over M_m(Z_k), with every
+    right witness fed through the conversion pipeline."""
 
     modulus: int
     dim: int
@@ -336,71 +355,54 @@ class CpReport:
         return not self.counterexamples and not self.pipeline_failures
 
 
-def _cp_chunk(k: int, m: int, n: int, start: int, stop: int) -> dict:
-    spec = IntegersMod(k)
-    engine = _engine(spec, m)
-    counts = {"both": 0, "right_only": 0, "left_only": 0, "neither": 0}
-    counterexamples = []
-    failures = []
-    checked = 0
-    for flat in engine.matrices(start, stop):
-        low, high = engine.power_pair(flat, n)
-        x = engine.solve(low, high)
-        y = engine.solve_left(low, high)
-        right, left = x is not None, y is not None
-        if right and left:
-            counts["both"] += 1
-        elif right:
-            counts["right_only"] += 1
-        elif left:
-            counts["left_only"] += 1
-        else:
-            counts["neither"] += 1
-        if right != left:
-            counterexamples.append(
-                {"A": engine.to_json(flat), "right": right, "left": left})
-        if right:
-            checked += 1
-            try:
-                right_to_left_certificate(RightWitnessInstance(
-                    engine.to_square(flat), n, engine.to_square(x)))
-            except PiregularError as exc:
-                failures.append({"A": engine.to_json(flat),
-                                 "reason": f"{type(exc).__name__}: {exc}"})
-    return {"counts": counts, "counterexamples": counterexamples,
-            "pipeline_checked": checked, "pipeline_failures": failures}
+_KINDS = {(True, True): "both", (True, False): "right_only",
+          (False, True): "left_only", (False, False): "neither"}
+
+
+def _sides(n: int, engine: _Engine, flat) -> tuple:
+    """(X, right, left, A): the first right witness of A at n or None,
+    whether A has a right and a left witness, and A as JSON when exactly one
+    side has one, else None."""
+    low, high = engine.power_pair(flat, n)
+    x = engine.solve(low, high)
+    right, left = x is not None, engine.solve_left(low, high) is not None
+    return x, right, left, matrix_to_json(engine.to_square(flat)) if right != left else None
+
+
+def _certified_sides(n: int, engine: _Engine, flat) -> tuple:
+    """:func:`_sides` with the right witness replaced by the failure of the
+    certificate built from it, or None."""
+    x, right, left, one_sided = _sides(n, engine, flat)
+    failure = None
+    if right:
+        a = engine.to_square(flat)
+        try:
+            right_to_left_certificate(RightWitnessInstance(a, n, engine.to_square(x)))
+        except PiregularError as exc:
+            failure = {"A": matrix_to_json(a), "reason": f"{type(exc).__name__}: {exc}"}
+    return right, left, one_sided, failure
 
 
 def cp_report(k: int, m: int, n: int, workers: int = 1,
               budget: Optional[int] = None) -> CpReport:
-    """Scan all of M_m(Z_k) at exponent n; the enumeration splits into
-    contiguous chunks across workers and partial results merge in chunk
-    order, so output is identical for any worker count."""
+    """Scan all of M_m(Z_k) at exponent n; the output is identical for any
+    worker count."""
     started = time.perf_counter()
-    require_positive(dim=m, n=n, workers=workers)
-    spec = IntegersMod(k)
-    total = spec.cardinality() ** (m * m)
-    _check_budget(total, budget)
-    if workers <= 1 or total < 4 * workers:
-        parts = [_cp_chunk(k, m, n, 0, total)]
-    else:
-        chunk_count = workers * 4
-        bounds = [total * i // chunk_count for i in range(chunk_count + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial(_cp_chunk, k, m, n), bounds[:-1], bounds[1:]))
-    counts = {"both": 0, "right_only": 0, "left_only": 0, "neither": 0}
+    require_positive(n=n)
+    counts = dict.fromkeys(_KINDS.values(), 0)
     counterexamples = []
     failures = []
-    checked = 0
-    for part in parts:
-        for key in counts:
-            counts[key] += part["counts"][key]
-        counterexamples.extend(part["counterexamples"])
-        failures.extend(part["pipeline_failures"])
-        checked += part["pipeline_checked"]
+    for right, left, one_sided, failure in _scan(
+            IntegersMod(k), m, partial(_certified_sides, n), workers, budget):
+        counts[_KINDS[right, left]] += 1
+        if one_sided is not None:
+            counterexamples.append({"A": one_sided, "right": right, "left": left})
+        if failure is not None:
+            failures.append(failure)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return CpReport(modulus=k, dim=m, exponent=n, total=total, counts=counts,
-                    counterexamples=counterexamples, pipeline_checked=checked,
+    return CpReport(modulus=k, dim=m, exponent=n, total=sum(counts.values()),
+                    counts=counts, counterexamples=counterexamples,
+                    pipeline_checked=counts["both"] + counts["right_only"],
                     pipeline_failures=failures, wall_time_ms=elapsed_ms,
                     workers=workers)
 
@@ -437,22 +439,16 @@ class TransposeClosureReport:
 def transpose_closure_check(spec: RingSpec, m: int, n: int) -> TransposeClosureReport:
     """Exhaustively confirm that A is right strongly pi-regular at n exactly
     when its transpose is.  Over a commutative ring the transpose condition
-    restates left strong pi-regularity, so this must coincide with the
-    two-sided agreement scan."""
-    require_positive(dim=m, n=n)
-    engine = _engine(spec, m)
-    total = engine.q ** (m * m)
+    restates left strong pi-regularity, which is how the left search runs,
+    so this is the two-sided agreement scan relabelled."""
+    require_positive(n=n)
+    total = right_count = 0
     mismatches = []
-    right_count = 0
-    for flat in engine.matrices():
-        low, high = engine.power_pair(flat, n)
-        here = engine.solve(low, high) is not None
-        # (A^T)^k = (A^k)^T
-        there = engine.solve(engine.transpose(low), engine.transpose(high)) is not None
-        if here:
-            right_count += 1
-        if here != there:
-            mismatches.append({"A": engine.to_json(flat),
-                               "right": here, "transpose_right": there})
+    for _, right, transpose_right, one_sided in _scan(spec, m, partial(_sides, n)):
+        total += 1
+        right_count += right
+        if one_sided is not None:
+            mismatches.append({"A": one_sided, "right": right,
+                               "transpose_right": transpose_right})
     return TransposeClosureReport(ring=spec, dim=m, exponent=n, total=total,
                                   right_count=right_count, mismatches=mismatches)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piregular import UniPolynomial, witnesses
+from piregular import UniPolynomial, cli, errors, witnesses
 from piregular.cli import dispatch
 from piregular.identities import MAX_DEGREE
 
@@ -97,6 +97,38 @@ def test_exit_2_on_out_of_range_sizes(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--ring", "zmod:2000", "--dim", "1"],
+    ["cp-verify", "--k", "5000", "--dim", "1"],
+])
+def test_exit_2_on_oversized_scans(argv, capsys):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert "exceed budget" in captured.err
+
+
+NEGATIVE = {"PreconditionFailed", "UnverifiedCertificate"}
+INTERNAL = {"InternalViolation"}
+ERROR_CLASSES = sorted((cls for cls in vars(errors).values()
+                        if isinstance(cls, type) and issubclass(cls, errors.PiregularError)),
+                       key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_its_documented_code(error, monkeypatch, capsys):
+    def handler(args):
+        raise error("raised on purpose")
+    monkeypatch.setattr(cli, "_cmd_nf", handler)
+    expected = 1 if error.__name__ in NEGATIVE else 3 if error.__name__ in INTERNAL else 2
+    assert dispatch(["nf", "--expr", "a"]) == expected
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("raised on purpose\n")
+    assert "Traceback" not in captured.err
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

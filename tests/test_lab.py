@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -23,7 +24,7 @@ from piregular import (
 )
 from piregular import lab
 
-from helpers import naive_left_witness, naive_right_witness, random_matrix
+from helpers import all_matrices, naive_left_witness, naive_right_witness, random_matrix
 
 Z4 = IntegersMod(4)
 Z2 = IntegersMod(2)
@@ -156,6 +157,40 @@ def test_budget_guard_fires_eagerly():
         cp_report(4, 2, 1, budget=100)
 
 
+@pytest.mark.parametrize("scan, too_large", [
+    (lambda: transpose_closure_check(IntegersMod(3), 5, 1), "3^25 5x5 matrices"),
+    (lambda: classify_all(IntegersMod(150), 3), "150^9 3x3 matrices"),
+    (lambda: classify_all(IntegersMod(2000), 1), "2000^2 table entries"),
+    (lambda: cp_report(5000, 1, 1), "5000^2 table entries"),
+    (lambda: right_witness_search(SquareMatrix.identity(IntegersMod(150), 3), 1),
+     "150^3 table entries"),
+])
+def test_oversized_scans_refuse_before_building_an_engine(scan, too_large):
+    # q^(m^2) matrices, q^2 sum/product entries and q^m vectors all count
+    before = dict(lab._ENGINES)
+    with pytest.raises(BudgetExceeded, match=re.escape(too_large)):
+        scan()
+    assert lab._ENGINES == before
+
+
+def test_tables_exactly_at_the_budget_still_run(monkeypatch):
+    monkeypatch.setattr(lab, "_ENGINES", {})  # drop the large tables afterwards
+    report = cp_report(1024, 1, 1)  # 1024^2 == DEFAULT_BUDGET table entries
+    assert report.total == 1024
+    assert report.ok
+
+
+def test_classify_walks_lazily(monkeypatch):
+    calls = []
+    plain_ladder = lab._Engine.ladder
+    monkeypatch.setattr(lab._Engine, "ladder",
+                        lambda self, mat: calls.append(1) or plain_ladder(self, mat))
+    records = classify_all(Z4, 2)
+    assert calls == []
+    next(records)
+    assert len(calls) == 1
+
+
 # -- the agreement report -------------------------------------------------------------
 
 
@@ -206,6 +241,17 @@ def test_transpose_closure_holds_on_z4():
     nil = mat("[[0,1],[0,0]]")
     assert right_witness_search(nil, 1) is None
     assert right_witness_search(nil.transpose(), 1) is None
+
+
+def test_transpose_closure_matches_naive_oracle_over_dual_numbers():
+    report = transpose_closure_check(DUAL_Z2, 2, 1)
+    rights = [naive_right_witness(a, 1) is not None for a in all_matrices(DUAL_Z2, 2)]
+    transposed = [naive_right_witness(a.transpose(), 1) is not None
+                  for a in all_matrices(DUAL_Z2, 2)]
+    assert report.total == len(rights) == 256
+    assert report.right_count == sum(rights) == 145
+    assert rights == transposed
+    assert report.holds
 
 
 @pytest.mark.parametrize("m, n", [(1, -1), (1, 0), (0, 1), (-1, 1)])
