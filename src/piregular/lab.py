@@ -13,7 +13,8 @@ There is one witness search: the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
 those constraints are independent, so per-column lexicographic minima give
 exactly the witness a full scan over whole matrices would find first.
-Solutions are memoized per B; distinct powers are few.  A right witness
+The solutions for one B form a column map, built row by row from shared
+prefix sums and memoized per B; distinct powers are few.  A right witness
 solves A^n = A^(n+1) X.  A left witness, A^n = Y A^(n+1), is the transpose of
 that search on the transposes, as (Y B)^T = B^T Y^T over a commutative ring;
 the rows of Y are scanned in the same lexicographic order, so the tie-breaks
@@ -22,6 +23,7 @@ agree, and the memoized tables are shared.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -69,11 +71,9 @@ class _Engine:
         self.index = index
         self.add = [[index[spec.p_add(a, b)] for b in payloads] for a in payloads]
         self.mul = [[index[spec.p_mul(a, b)] for b in payloads] for a in payloads]
-        self.zero = index[spec.zero_payload()]
-        self.one = index[spec.one_payload()]
+        zero, one = index[spec.zero_payload()], index[spec.one_payload()]
         self.vectors = list(product(range(self.q), repeat=m))
-        self.ident = tuple(self.one if i == j else self.zero
-                           for i in range(m) for j in range(m))
+        self.ident = tuple(one if i == j else zero for i in range(m) for j in range(m))
         self._col_maps = {}
 
     # -- flat-matrix arithmetic -------------------------------------------
@@ -107,9 +107,9 @@ class _Engine:
         return tuple(index[p] for row in mat.rows for p in row)
 
     def to_square(self, flat) -> SquareMatrix:
-        m, payloads = self.m, self.payloads
+        m, entry = self.m, self.payloads.__getitem__
         return SquareMatrix(self.spec, tuple(
-            tuple(payloads[flat[i * m + j]] for j in range(m)) for i in range(m)))
+            tuple(map(entry, flat[i:i + m])) for i in range(0, m * m, m)))
 
     # -- powers ---------------------------------------------------------------
 
@@ -135,22 +135,23 @@ class _Engine:
 
     def _col_map(self, mat):
         """For each achievable column target of v -> mat*v, the first v in
-        lexicographic order; -1 marks unreachable targets."""
+        lexicographic order; -1 marks unreachable targets.  Row i of mat*v
+        over all v grows one coordinate k at a time (prefix sum plus each
+        mat[i][k]*a); a backward pass leaves the first v per code."""
         cached = self._col_maps.get(mat)
         if cached is not None:
             return cached
         m, q, add, mul = self.m, self.q, self.add, self.mul
+        codes = None
+        for i in range(m):
+            vals = mul[mat[i * m]]
+            for k in range(1, m):
+                mul_row = mul[mat[i * m + k]]
+                vals = [add[x][p] for x in vals for p in mul_row]
+            codes = vals if codes is None else [c * q + v for c, v in zip(codes, vals)]
         table = [-1] * (q ** m)
-        for vcode, vec in enumerate(self.vectors):
-            code = 0
-            for i in range(m):
-                base = i * m
-                acc = mul[mat[base]][vec[0]]
-                for k in range(1, m):
-                    acc = add[acc][mul[mat[base + k]][vec[k]]]
-                code = code * q + acc
-            if table[code] < 0:
-                table[code] = vcode
+        for vcode in range(len(codes) - 1, -1, -1):
+            table[codes[vcode]] = vcode
         self._col_maps[mat] = table
         return table
 
@@ -203,19 +204,27 @@ def _walk_chunk(*args) -> list:
     return list(_walk(*args))
 
 
+def _pool_size(workers: int, total: int) -> int:
+    """min(workers, usable CPUs), or 1 if that leaves under 4 matrices each."""
+    used = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    return used if total >= 4 * used else 1
+
+
 def _scan(spec: RingSpec, m: int, visit, workers: int = 1,
           budget: Optional[int] = None) -> Iterator:
     """``visit(engine, A)`` for every A in M_m(spec), in row-major order.
 
     Every size is checked before an engine is built.  On one worker the
-    results come lazily.  More workers split the walk into contiguous
-    chunks on a process pool, and the results come back in chunk order, so
-    they are the same for any worker count; ``visit`` must then be a
-    module-level function or a partial of one."""
+    results come lazily.  More workers (see :func:`_pool_size`) split the
+    walk into contiguous chunks on a process pool, and the results come back
+    in chunk order, so they are the same for any worker count; ``visit``
+    must then be a module-level function or a partial of one."""
     require_positive(dim=m, workers=workers)
     total = _size(spec, m * m, f"{m}x{m} matrices to scan", budget)
     _engine(spec, m, budget)  # checked and built before any worker starts
-    if workers == 1 or total < 4 * workers:
+    workers = _pool_size(workers, total)
+    if workers == 1:
         return _walk(spec, m, visit, budget, 0, total)
     chunks = 4 * workers
     bounds = [total * i // chunks for i in range(chunks + 1)]
@@ -386,7 +395,7 @@ def _certified_sides(n: int, engine: _Engine, flat) -> tuple:
 def cp_report(k: int, m: int, n: int, workers: int = 1,
               budget: Optional[int] = None) -> CpReport:
     """Scan all of M_m(Z_k) at exponent n; the output is identical for any
-    worker count."""
+    worker count, and ``workers`` in the report is the count used."""
     started = time.perf_counter()
     require_positive(n=n)
     counts = dict.fromkeys(_KINDS.values(), 0)
@@ -404,7 +413,7 @@ def cp_report(k: int, m: int, n: int, workers: int = 1,
                     counts=counts, counterexamples=counterexamples,
                     pipeline_checked=counts["both"] + counts["right_only"],
                     pipeline_failures=failures, wall_time_ms=elapsed_ms,
-                    workers=workers)
+                    workers=_pool_size(workers, sum(counts.values())))
 
 
 # -- transpose closure ---------------------------------------------------------

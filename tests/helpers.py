@@ -7,7 +7,7 @@ decomposition.  Slow and obviously correct is the point.
 
 from itertools import product
 
-from piregular import SquareMatrix, enumerate_elements, sample_element
+from piregular import MalformedPayload, SquareMatrix, enumerate_elements, sample_element
 
 
 def cofactor_det(mat: SquareMatrix):
@@ -110,3 +110,52 @@ def random_matrix(spec, dim, rng, bound=None):
     return SquareMatrix.from_rows(
         spec, [[sample_element(spec, rng, bound) for _ in range(dim)]
                for _ in range(dim)])
+
+
+def naive_col_map(spec, base):
+    """For each target code of v -> base*v (``base`` a SquareMatrix), the
+    first v in lexicographic order, by full enumeration with payload
+    arithmetic; -1 marks unreachable targets.  Vectors and targets are coded
+    as base-q digits over ``spec.payloads()``, first coordinate most
+    significant, as the engine codes them."""
+    payloads = list(spec.payloads())
+    q, m = len(payloads), base.dim
+    position = {p: i for i, p in enumerate(payloads)}
+    table = [-1] * q ** m
+    for vcode, vec in enumerate(product(payloads, repeat=m)):
+        code = 0
+        for row in base.rows:
+            acc = spec.zero_payload()
+            for entry, coord in zip(row, vec):
+                acc = spec.p_add(acc, spec.p_mul(entry, coord))
+            code = code * q + position[acc]
+        if table[code] < 0:
+            table[code] = vcode
+    return table
+
+
+def _spelled(path):
+    return "$" + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+
+
+def reference_check_exact(obj, path=()):
+    """The path-spelling exactness walk of ``jsonio`` as it stood before the
+    one-pass check for plain documents: accept what canonical JSON carries
+    exactly, refuse the first other node with its path."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (str, int)):
+        return
+    if isinstance(obj, float):
+        raise MalformedPayload(f"floating point value at {_spelled(path)}; all numbers must be exact")
+    if isinstance(obj, (list, tuple)):
+        for i, item in enumerate(obj):
+            if type(item) not in (str, int, bool, type(None)):
+                reference_check_exact(item, (*path, i))
+        return
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise MalformedPayload(f"non-string key {key!r} at {_spelled(path)}")
+            if type(value) not in (str, int, bool, type(None)):
+                reference_check_exact(value, (*path, key))
+        return
+    raise MalformedPayload(f"unserializable value {obj!r} at {_spelled(path)}")

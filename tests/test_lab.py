@@ -24,7 +24,13 @@ from piregular import (
 )
 from piregular import lab
 
-from helpers import all_matrices, naive_left_witness, naive_right_witness, random_matrix
+from helpers import (
+    all_matrices,
+    naive_col_map,
+    naive_left_witness,
+    naive_right_witness,
+    random_matrix,
+)
 
 Z4 = IntegersMod(4)
 Z2 = IntegersMod(2)
@@ -191,6 +197,14 @@ def test_classify_walks_lazily(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("spec, m", [(Z4, 2), (DUAL_Z2, 2), (Z2, 3)])
+def test_column_maps_match_the_enumeration_oracle(spec, m):
+    # every base, unreachable targets (-1) included
+    engine = lab._Engine(spec, m)
+    for base in all_matrices(spec, m):
+        assert engine._col_map(engine.from_square(base)) == naive_col_map(spec, base)
+
+
 # -- the agreement report -------------------------------------------------------------
 
 
@@ -218,6 +232,46 @@ def test_cp_report_deterministic_across_workers():
     duo = cp_report(3, 2, 1, workers=2)
     assert solo.to_json_payload() == duo.to_json_payload()
     assert canonical_dumps(solo.to_json_payload()) == canonical_dumps(duo.to_json_payload())
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pool_is_capped_at_the_usable_cpus(monkeypatch, capsys, cpus):
+    from piregular.cli import dispatch
+    pools = []  # [max_workers, chunk count] per pool
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size and chunk
+        count and runs the chunks in this process, starting no worker."""
+
+        def __init__(self, max_workers):
+            pools.append([max_workers])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, starts, stops):
+            starts = list(starts)
+            pools[-1].append(len(starts))
+            return map(fn, starts, stops)
+
+    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
+    solo = canonical_dumps(cp_report(3, 2, 1, workers=1).to_json_payload())
+    assert pools == []
+    report = cp_report(3, 2, 1, workers=100000)
+    assert report.workers == cpus
+    assert pools == ([] if cpus == 1 else [[cpus, 4 * cpus]])
+    assert canonical_dumps(report.to_json_payload()) == solo
+    # under 4 matrices per process the scan runs serially and says so
+    assert cp_report(2, 1, 1, workers=100000).workers == 1
+    capsys.readouterr()
+    assert dispatch(["cp-verify", "--k", "3", "--workers", "100000"]) == 0
+    assert f"{cpus} worker(s)" in capsys.readouterr().err
 
 
 def test_cp_report_payload_excludes_timing():

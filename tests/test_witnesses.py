@@ -33,7 +33,7 @@ from piregular import (
     sampled_finite_instance,
     verify_certificate,
 )
-from piregular import matrices, rings, witnesses
+from piregular import lab, matrices, rings, witnesses
 
 from helpers import naive_left_witness, random_matrix
 
@@ -476,3 +476,19 @@ def test_instance_validation():
     for args in ((a, 2, None), (None, 2, a), (a, 2, [[1, 0], [0, 1]])):
         with pytest.raises(SpecMismatch, match="must be square matrices"):
             RightWitnessInstance(*args)
+
+
+@pytest.mark.parametrize("token", ["int", "zmod:9", "poly:int:t", "quot:zmod:3:t^2",
+                                   "quot:zmod:17:t^2"])
+def test_matrix_records_convert_like_the_per_entry_path(token):
+    # quot:zmod:17:t^2 has 289 elements, too many for a memo table
+    spec = parse_ring_spec(token)
+    rng = random.Random(token)
+    engine = lab._engine(spec, 2) if spec.is_finite else None
+    for _ in range(25):
+        a = random_matrix(spec, 2, rng, bound=5)
+        data = witnesses.matrix_to_json(a)
+        assert data == [[spec.payload_to_json(p) for p in row] for row in a.rows]
+        assert witnesses.matrix_from_json(spec, data, 2) == a
+        if engine is not None:
+            assert engine.to_square(engine.from_square(a)) == a
