@@ -29,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, product
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
@@ -74,6 +75,9 @@ class _Engine:
         zero, one = index[spec.zero_payload()], index[spec.one_payload()]
         self.vectors = list(product(range(self.q), repeat=m))
         self.ident = tuple(one if i == j else zero for i in range(m) for j in range(m))
+        # itemgetter of one index returns the entry, so 1x1 keeps its tuple
+        self.transpose = (itemgetter(*(j * m + i for i in range(m) for j in range(m)))
+                          if m > 1 else tuple)
         self._col_maps = {}
 
     # -- flat-matrix arithmetic -------------------------------------------
@@ -92,10 +96,6 @@ class _Engine:
 
     def mat_pow(self, mat, exponent: int):
         return binary_power(mat, exponent, lambda: self.ident, self.mat_mul)
-
-    def transpose(self, mat):
-        m = self.m
-        return tuple(mat[j * m + i] for i in range(m) for j in range(m))
 
     def matrices(self, start: int = 0, stop: Optional[int] = None):
         """Matrices number ``start`` to ``stop - 1`` in row-major
@@ -155,10 +155,11 @@ class _Engine:
         self._col_maps[mat] = table
         return table
 
-    def solve(self, target, base):
-        """First X in row-major enumeration order with target = base X, or
-        None.  Column constraints are independent, so per-column lex minima
-        assemble exactly that first X."""
+    def solve(self, target, base, transposed=False):
+        """First X in row-major enumeration order with target = base X (X^T
+        if ``transposed``), or None.  Column constraints are independent, so
+        per-column lex minima assemble exactly that first X, whose transpose
+        is their concatenation."""
         m, q = self.m, self.q
         table = self._col_map(base)
         chosen = []
@@ -169,15 +170,13 @@ class _Engine:
             vcode = table[code]
             if vcode < 0:
                 return None
-            chosen.append(self.vectors[vcode])
-        return tuple(chosen[j][i] for i in range(m) for j in range(m))
+            chosen.extend(self.vectors[vcode])
+        return tuple(chosen) if transposed else self.transpose(tuple(chosen))
 
     def solve_left(self, target, base):
         """First Y in row-major enumeration order with target = Y base: the
         transpose of :meth:`solve` on the transposes."""
-        t = self.transpose
-        found = self.solve(t(target), t(base))
-        return None if found is None else t(found)
+        return self.solve(self.transpose(target), self.transpose(base), transposed=True)
 
 
 _ENGINES: dict = {}

@@ -2,14 +2,15 @@
 
 A matrix holds rows of canonical payloads and does all of its arithmetic
 on them through the entry ring's payload methods (``p_add``, ``p_dot``,
-...); ``SquareMatrix.__mul__``, the only product path, is one ``p_matmul``
-call on both operands' rows.  ``RingElem`` appears only at the boundary, in
-``entries``, ``entry`` and ``UniPolynomial.coefficients``.  Matrix
-arithmetic never assumes the entry ring is commutative, so the same type
-also carries matrices over the free algebra, whose payloads are the
-polynomials themselves.  Determinant-flavoured operations (characteristic
-polynomial, determinants of polynomial matrices) do require commutativity
-and refuse anything else.
+...).  The ring's ``p_matmul`` is the one product kernel;
+``SquareMatrix.__mul__`` is its checked boundary wrapper, which matches
+ring and dimension and then makes one kernel call.  ``RingElem`` appears
+only at the boundary, in ``entries``, ``entry`` and
+``UniPolynomial.coefficients``.  Matrix arithmetic never assumes the entry
+ring is commutative, so the same type also carries matrices over the free
+algebra, whose payloads are the polynomials themselves.
+Determinant-flavoured operations (characteristic polynomial, determinants
+of polynomial matrices) do require commutativity and refuse anything else.
 
 Characteristic polynomials use the Samuelson-Berkowitz recurrence: the
 coefficient vector of each leading principal block is pushed through a
@@ -291,10 +292,8 @@ def berkowitz_char_poly(mat: SquareMatrix) -> UniPolynomial:
     recurrence runs on payloads; only the coefficients are wrapped.
     """
     _require_commutative(mat.ring)
-    ring = mat.ring
+    ring, rows, m = mat.ring, mat.rows, mat.dim
     dot, neg = ring.p_dot, ring.p_neg
-    rows = mat.rows
-    m = mat.dim
     coeffs = [ring.one_payload()]  # leading-first; char poly of the empty block is 1
     for k in range(1, m + 1):
         block = [row[:k - 1] for row in rows[:k - 1]]
@@ -304,11 +303,8 @@ def berkowitz_char_poly(mat: SquareMatrix) -> UniPolynomial:
         for _ in range(k - 1):
             toeplitz.append(neg(dot(row, vec)))
             vec = [dot(block_row, vec) for block_row in block]
-        new = []
-        for i in range(k + 1):
-            js = range(max(0, i - k), min(i, k - 1) + 1)
-            new.append(dot([toeplitz[i - j] for j in js], [coeffs[j] for j in js]))
-        coeffs = new
+        rev = toeplitz[::-1]  # new[i] pairs toeplitz[i], toeplitz[i-1], ... with coeffs
+        coeffs = [dot(rev[k - i:], coeffs[:i + 1]) for i in range(k)] + [dot(rev[:k], coeffs)]
     return UniPolynomial.from_payloads(ring, reversed(coeffs))
 
 

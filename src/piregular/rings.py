@@ -105,9 +105,15 @@ class RingSpec:
         return reduce(self.p_add, map(self.p_mul, row, col))
 
     def p_matmul(self, rows, other_rows) -> tuple:
-        """Payload rows of the product of two square matrices' payload rows."""
-        cols, dot = tuple(zip(*other_rows)), self.p_dot
-        return tuple([tuple([dot(row, col) for col in cols]) for row in rows])
+        """Payload rows of the product of two square matrices' payload rows;
+        the one product kernel, in plain loops: one frame per product."""
+        cols, dot, out = tuple(zip(*other_rows)), self.p_dot, []
+        for row in rows:
+            new = []
+            for col in cols:
+                new.append(dot(row, col))
+            out.append(tuple(new))
+        return tuple(out)
 
     def p_from_int(self, n: int) -> Payload:
         raise NotImplementedError
@@ -268,8 +274,13 @@ class Integers(RingSpec):
         return sum(map(operator.mul, row, col))
 
     def p_matmul(self, rows, other_rows):
-        cols, mul = tuple(zip(*other_rows)), operator.mul
-        return tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in rows])
+        cols, mul, out = tuple(zip(*other_rows)), operator.mul, []
+        for row in rows:
+            new = []
+            for col in cols:
+                new.append(sum(map(mul, row, col)))
+            out.append(tuple(new))
+        return tuple(out)
 
     def p_from_int(self, n):
         return n
@@ -327,8 +338,13 @@ class IntegersMod(RingSpec):
         return sum(map(operator.mul, row, col)) % self.modulus
 
     def p_matmul(self, rows, other_rows):
-        cols, mul, k = tuple(zip(*other_rows)), operator.mul, self.modulus
-        return tuple([tuple([sum(map(mul, row, col)) % k for col in cols]) for row in rows])
+        cols, mul, k, out = tuple(zip(*other_rows)), operator.mul, self.modulus, []
+        for row in rows:
+            new = []
+            for col in cols:
+                new.append(sum(map(mul, row, col)) % k)
+            out.append(tuple(new))
+        return tuple(out)
 
     def p_from_int(self, n):
         return n % self.modulus

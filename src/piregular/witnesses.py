@@ -14,11 +14,12 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
 3.  Y = w^(N-n+1) A^(N-n) lowers the left exponent back to n:
     A^n = Y A^(n+1).
 
-Each power of A is computed once, from the A^n and A^(n+1) of the instance
-check on, and the seven certificate identities are checked once; a failure
-raises instead of returning a bad witness.  The verifier recomputes them on
-its own powers of A from the certificate alone.  Emitting trusts only this
-producer's certificates; it verifies every other one first.
+Ring and dimension are checked once per instance or certificate, then every
+product is one ``p_matmul`` call on payload rows.  Each power of A is
+computed once, from the instance check's A^n, A^(n+1) and A^(n+1) X on, and
+the seven identities once; a failure raises instead of returning a bad
+witness.  The verifier recomputes them on its own powers of A (none if
+N != n*dim).  Emitting trusts only this producer's certificates.
 """
 
 from __future__ import annotations
@@ -35,18 +36,26 @@ from .errors import (
 from .jsonio import canonical_dumps
 from .matrices import SquareMatrix, UniPolynomial, berkowitz_char_poly
 from .matrices import det_poly_matrix  # noqa: F401  (perfbench/tracing.py wraps it by name)
-from .rings import RingSpec, parse_ring_spec, require_positive
+from .rings import RingSpec, binary_power, parse_ring_spec, require_positive
 
 
-def _powers(a: SquareMatrix, exponents, known=()) -> dict:
-    """A^k for every k in ``exponents`` and in ``known`` (k -> A^k), each
-    distinct power computed once.  A^(k+1) reuses A^k; any other power is
-    binary powering, so an exponent read from an untrusted certificate
-    costs O(log k) products."""
-    out = dict(known)
+def _powers(ring, a, exponents, known=()) -> dict:
+    """Rows of A^k (k -> rows) for each k in ``exponents`` and ``known``, each
+    computed once: A^(k+1) from A^k, others by O(log k) binary powering."""
+    out, mul = dict(known), ring.p_matmul
     for k in sorted(set(exponents).difference(out)):
-        out[k] = out[k - 1] * a if k >= 2 and k - 1 in out else a ** k
+        out[k] = mul(out[k - 1], a) if k >= 2 and k - 1 in out else binary_power(
+            a, k, lambda: SquareMatrix.identity(ring, len(a)).rows, mul)
     return out
+
+
+def _rows_over(a, *mats) -> tuple:
+    """Payload rows of ``mats``, each a SquareMatrix over ``a``'s ring and dimension."""
+    if not all(isinstance(mat, SquareMatrix) for mat in (a, *mats)):
+        raise SpecMismatch("base and witness must be square matrices")
+    if any(mat.ring != a.ring or mat.dim != a.dim for mat in mats):
+        raise SpecMismatch("witness matrix must match the base matrix")
+    return tuple(mat.rows for mat in mats)
 
 
 def _require(checks: tuple) -> tuple:
@@ -57,35 +66,34 @@ def _require(checks: tuple) -> tuple:
     return checks
 
 
-def _commuting_witness(a_big, c, big_n):  # w = A^N C^(N+1); C right witness at N
-    return a_big * c ** (big_n + 1)
+def _commuting_witness(ring, a_big, c, big_n):  # w = A^N C^(N+1); C right witness at N
+    return ring.p_matmul(a_big, _powers(ring, c, (big_n + 1,))[big_n + 1])
 
 
-def _lowered_left_witness(w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w left at N
-    return w ** (big_n - n + 1) * a_gap
+def _lowered_left_witness(ring, w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w left at N
+    return ring.p_matmul(_powers(ring, w, (big_n - n + 1,))[big_n - n + 1], a_gap)
 
 
 @dataclass(frozen=True, slots=True)
 class RightWitnessInstance:
     """A verified instance of A^n = A^(n+1) X; checked at construction,
-    which keeps the A^n and A^(n+1) it compared for the producer."""
+    which keeps the payload rows of A^n, A^(n+1) and A^(n+1) X it compared."""
 
     A: SquareMatrix
     n: int
     X: SquareMatrix
     _checked_powers: dict = field(init=False, compare=False, repr=False)
+    _checked_product: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (isinstance(self.A, SquareMatrix) and isinstance(self.X, SquareMatrix)):
-            raise SpecMismatch("base and witness must be square matrices")
-        require_positive(PreconditionFailed, exponent=self.n)
-        if self.X.ring != self.A.ring or self.X.dim != self.A.dim:
-            raise SpecMismatch("witness matrix must match the base matrix")
-        powers = _powers(self.A, (self.n, self.n + 1))
-        if powers[self.n] != powers[self.n + 1] * self.X:
-            raise PreconditionFailed(
-                f"A^{self.n} != A^{self.n + 1}*X: not a right witness instance")
+        n, (x,) = self.n, _rows_over(self.A, self.X)
+        require_positive(PreconditionFailed, exponent=n)
+        powers = _powers(self.A.ring, self.A.rows, (n, n + 1))
+        ax = self.A.ring.p_matmul(powers[n + 1], x)
+        if powers[n] != ax:
+            raise PreconditionFailed(f"A^{n} != A^{n + 1}*X: not a right witness instance")
         object.__setattr__(self, "_checked_powers", powers)
+        object.__setattr__(self, "_checked_product", ax)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,14 +141,12 @@ class CertificateVerdict:
 def drazin_witness(a: SquareMatrix, x: SquareMatrix, n: int) -> SquareMatrix:
     """From a^n = a^(n+1) x build w = a^n x^(n+1), which commutes with a and
     is again a witness: a^n = a^(n+1) w, hence also a^n = w a^(n+1)."""
-    require_positive(PreconditionFailed, exponent=n)
-    powers = _powers(a, (n, n + 1))
-    if powers[n] != powers[n + 1] * x:
-        raise PreconditionFailed(f"a^{n} != a^{n + 1}*x")
-    w = _commuting_witness(powers[n], x, n)
-    _require((("a*w = w*a", a * w == w * a),
-              ("a^n = a^(n+1)*w", powers[n] == powers[n + 1] * w)))
-    return w
+    powers = RightWitnessInstance(a, n, x)._checked_powers
+    ring, ar, mul = a.ring, a.rows, a.ring.p_matmul
+    w = _commuting_witness(ring, powers[n], x.rows, n)
+    _require((("a*w = w*a", mul(ar, w) == mul(w, ar)),
+              ("a^n = a^(n+1)*w", powers[n] == mul(powers[n + 1], w))))
+    return SquareMatrix(ring, w)
 
 
 def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> ExponentRaiseRecord:
@@ -149,12 +155,11 @@ def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> Exponent
     require_positive(PreconditionFailed, n=n, m=m)
     if m < n:
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
-    powers = _powers(a, (n, n + 1, m, m + 1))
-    if powers[n] != powers[n + 1] * x:
-        raise PreconditionFailed(f"a^{n} != a^{n + 1}*x")
-    k = m - n
-    _require((("a^m = a^(m+1)*x", powers[m] == powers[m + 1] * x),
-              ("a^n = a^(n+k)*x^k", powers[n] == powers[m] * x ** k)))
+    ring, mul, k = a.ring, a.ring.p_matmul, m - n
+    powers = _powers(ring, a.rows, (m, m + 1), RightWitnessInstance(a, n, x)._checked_powers)
+    x_k = _powers(ring, x.rows, (k,))[k]
+    _require((("a^m = a^(m+1)*x", powers[m] == mul(powers[m + 1], x.rows)),
+              ("a^n = a^(n+k)*x^k", powers[n] == mul(powers[m], x_k))))
     return ExponentRaiseRecord(n=n, m=m, shift=k)
 
 
@@ -169,69 +174,68 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     require_positive(PreconditionFailed, n=n, N=N)
     if N < n:
         raise PreconditionFailed(f"need 1 <= n <= N, got n={n!r}, N={N!r}")
-    powers = _powers(a, (n, n + 1, N - n, N, N + 1))
-    if powers[n] != powers[n + 1] * x:
-        raise PreconditionFailed(f"a^{n} != a^{n + 1}*x")
-    if powers[N] != w * powers[N + 1]:
+    powers = RightWitnessInstance(a, n, x)._checked_powers
+    ring, mul, (wr,) = a.ring, a.ring.p_matmul, _rows_over(a, w)
+    powers = _powers(ring, a.rows, (N - n, N, N + 1), powers)
+    if powers[N] != mul(wr, powers[N + 1]):
         raise PreconditionFailed(f"a^{N} != w*a^{N + 1}")
-    y = _lowered_left_witness(w, powers[N - n], N, n)
-    _require((("a^n = Y*a^(n+1)", powers[n] == y * powers[n + 1]),))
-    return y
+    y = _lowered_left_witness(ring, wr, powers[N - n], N, n)
+    _require((("a^n = Y*a^(n+1)", powers[n] == mul(y, powers[n + 1])),))
+    return SquareMatrix(ring, y)
 
 
 def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertificate:
     """Run the full pipeline and return a self-contained, verified
     certificate; raises InternalViolation naming any failing identity."""
-    a, n, x = inst.A, inst.n, inst.X
-    ring, m = a.ring, a.dim
+    a, n, x, ring, m = inst.A, inst.n, inst.X, inst.A.ring, inst.A.dim
     big_n = n * m
-    powers = _powers(a, (*range(m), big_n - n, big_n, big_n + 1), inst._checked_powers)
+    powers = _powers(ring, a.rows, (*range(m), big_n - n, big_n, big_n + 1), inst._checked_powers)
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
     q = berkowitz_char_poly(x).payloads[::-1]  # (step 1); p = x^(nm) q(x)
     p = UniPolynomial.from_payloads(ring, [ring.zero_payload()] * big_n + list(q))
     # C = -(s1 I + s2 A + ... + sm A^(m-1)); each entry is (-s1, ..., -sm)
     # dotted with that entry of A^0, ..., A^(m-1).
-    neg_s = list(map(ring.p_neg, q[1:]))
-    c = SquareMatrix(ring, tuple(tuple(ring.p_dot(neg_s, stack) for stack in zip(*row_stack))
-                                 for row_stack in zip(*(powers[i].rows for i in range(m)))))
-    w = _commuting_witness(powers[big_n], c, big_n)
-    y = _lowered_left_witness(w, powers[big_n - n], big_n, n)
-    identities = _require(_certificate_checks(powers, a, n, x, p, c, big_n, w, y))
-    cert = LeftWitnessCertificate(A=a, n=n, X=x, p=p, C=c, N=big_n,
-                                  w=w, Y=y, verified=True, identities=identities)
+    neg_s, dot = list(map(ring.p_neg, q[1:])), ring.p_dot
+    c = tuple(tuple(dot(neg_s, stack) for stack in zip(*row_stack))
+              for row_stack in zip(*(powers[i] for i in range(m))))
+    w = _commuting_witness(ring, powers[big_n], c, big_n)
+    y = _lowered_left_witness(ring, w, powers[big_n - n], big_n, n)
+    identities = _require(_certificate_checks(
+        ring, powers, a.rows, n, x.rows, p, c, big_n, w, y, inst._checked_product))
+    cert = LeftWitnessCertificate(
+        A=a, n=n, X=x, p=p, C=SquareMatrix(ring, c), N=big_n, w=SquareMatrix(ring, w),
+        Y=SquareMatrix(ring, y), verified=True, identities=identities)
     object.__setattr__(cert, "_checked", True)
     return cert
 
 
-def _certificate_checks(powers: dict, a, n, x, p, c, big_n, w, y) -> tuple:
-    """The seven identities on the certificate fields A, n, X, p, C, N, w, Y,
-    each evaluated once; ``powers`` holds A^n, A^(n+1), A^N and A^(N+1)."""
-    ring, zero = a.ring, a.ring.zero_payload()
-    shape_ok = (
-        big_n == n * a.dim
-        and p.spec == ring and p.degree >= big_n
-        and all(c_i == zero for c_i in p.payloads[:big_n])
-        and p.payloads[big_n] == ring.one_payload()
-    )
-    a_n, a_n1 = powers[n], powers[n + 1]
-    a_big, a_big1 = powers[big_n], powers[big_n + 1]
+def _certificate_checks(ring, known: dict, a, n, x, p, c, big_n, w, y, ax=None) -> tuple:
+    """The seven identities on A, n, X, p, C, N, w, Y (matrices as payload
+    rows), each evaluated once.  A^n, A^(n+1), A^N, A^(N+1) come from ``known``
+    or are computed only if N = n*dim; else every identity needing them fails."""
+    mul, zero, ok = ring.p_matmul, ring.zero_payload(), big_n == n * len(a)
+    if ok:
+        powers = _powers(ring, a, (n, n + 1, big_n, big_n + 1), known)
+        a_n, a_n1, a_big, a_big1 = (powers[k] for k in (n, n + 1, big_n, big_n + 1))
     return (
-        ("right_witness", a_n == a_n1 * x),
-        ("exponent_is_n_times_dim", big_n == n * a.dim),
-        ("char_poly_factor_shape", shape_ok),
-        ("raised_right_witness", a_big == a_big1 * c),
-        ("commuting_witness", a * w == w * a),
-        ("raised_left_witness", a_big == w * a_big1),
-        ("left_witness", a_n == y * a_n1),
+        ("right_witness", ok and a_n == (mul(a_n1, x) if ax is None else ax)),
+        ("exponent_is_n_times_dim", ok),
+        ("char_poly_factor_shape", ok and p.spec == ring and p.degree >= big_n
+         and all(c_i == zero for c_i in p.payloads[:big_n])
+         and p.payloads[big_n] == ring.one_payload()),
+        ("raised_right_witness", ok and a_big == mul(a_big1, c)),
+        ("commuting_witness", mul(a, w) == mul(w, a)),
+        ("raised_left_witness", ok and a_big == mul(w, a_big1)),
+        ("left_witness", ok and a_n == mul(y, a_n1)),
     )
 
 
 def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
-    """Re-check every identity from the stored fields alone, on powers of
-    the stored A computed here and shared with nothing else."""
-    checks = _certificate_checks(
-        _powers(cert.A, (cert.n, cert.n + 1, cert.N, cert.N + 1)),
-        cert.A, cert.n, cert.X, cert.p, cert.C, cert.N, cert.w, cert.Y)
+    """Re-check every identity from the stored fields alone, all over A's
+    ring and dimension, on powers of A computed here and shared with nothing."""
+    x, c, w, y = _rows_over(cert.A, cert.X, cert.C, cert.w, cert.Y)
+    checks = _certificate_checks(cert.A.ring, {}, cert.A.rows, cert.n, x, cert.p, c,
+                                 cert.N, w, y)
     return CertificateVerdict(ok=all(holds for _, holds in checks), identities=checks)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +179,25 @@ def test_verify_cert_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert dispatch(["verify-cert", "--path", str(path) + ".missing"]) == 2
     capsys.readouterr()
+
+
+def test_verify_cert_refuses_a_huge_wrong_exponent_without_powering(tmp_path, capsys):
+    # N != n*dim is read before any power: A^4000000 over the integers
+    # would take seconds and megabytes, and no identity that needs it holds.
+    path = tmp_path / "cert.json"
+    path.write_text(
+        '{"ring":"int","dim":2,"n":1,"N":4000000,"A":[[2,1],[1,1]],"X":[[2,1],[1,1]],'
+        '"p_coeffs":[1],"C":[[1,0],[0,1]],"w":[[1,0],[0,1]],"Y":[[1,0],[0,1]],'
+        '"verified":true,"identities":[]}')
+    start = time.perf_counter()
+    assert dispatch(["verify-cert", "--path", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    holds = {item["name"]: item["holds"]
+             for item in json.loads(capsys.readouterr().out)["identities"]}
+    assert holds == {"right_witness": False, "exponent_is_n_times_dim": False,
+                     "char_poly_factor_shape": False, "raised_right_witness": False,
+                     "commuting_witness": True, "raised_left_witness": False,
+                     "left_witness": False}
 
 
 @pytest.mark.parametrize("field", ["n", "N"])

@@ -205,6 +205,18 @@ def test_column_maps_match_the_enumeration_oracle(spec, m):
         assert engine._col_map(engine.from_square(base)) == naive_col_map(spec, base)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_engine_transpose_matches_square_matrix(m):
+    # m = 1 is the identity: a transpose must stay a flat tuple, not an entry.
+    engine = lab._Engine(Z5, m)
+    rng = random.Random(m)
+    for _ in range(20):
+        a = random_matrix(Z5, m, rng)
+        flat = engine.from_square(a)
+        assert engine.transpose(flat) == engine.from_square(a.transpose())
+        assert engine.to_square(engine.transpose(flat)) == a.transpose()
+
+
 # -- the agreement report -------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from piregular import (
     MatrixPolynomial,
     NonCommutativeRing,
     ParseError,
+    PolyOver,
     RightWitnessInstance,
     RingElem,
     RingSpec,
@@ -168,6 +169,23 @@ def test_char_poly_of_companion_matrix():
         [0, 1, 0],
     ])
     assert berkowitz_char_poly(comp) == UniPolynomial.from_coeffs(Z, coeffs)
+
+
+def test_char_poly_against_cofactor_oracle():
+    # det(xI - A) by Laplace expansion over the polynomial ring pins the
+    # Berkowitz recurrence to an independent computation.
+    rng = random.Random(1984)
+    for spec, bound in ORACLE_RINGS:
+        pspec = PolyOver(spec, "x")
+        for dim in range(1, 6):
+            for _ in range(3):
+                a = random_matrix(spec, dim, rng, bound)
+                x_minus_a = SquareMatrix.from_rows(pspec, [
+                    [pspec.element([spec.p_neg(a.rows[i][j])] + [spec.one_payload()] * (i == j))
+                     for j in range(dim)] for i in range(dim)])
+                expected = cofactor_det(x_minus_a)
+                assert pspec.element(list(berkowitz_char_poly(a).payloads)) == expected, \
+                    (spec, dim)
 
 
 def test_char_poly_is_monic_of_degree_dim():

@@ -222,37 +222,38 @@ def test_pipeline_y_matches_naive_left_existence():
     assert checked > 0
 
 
-def test_pipeline_computes_each_power_once(monkeypatch):
-    a = mat(Z9, "[[2,3],[1,5]]")
-    x = right_witness_search(a, 1)
-    calls = []
-    plain_mul = SquareMatrix.__mul__
-    monkeypatch.setattr(SquareMatrix, "__mul__",
-                        lambda self, other: calls.append(1) or plain_mul(self, other))
-    cert = right_to_left_certificate(RightWitnessInstance(a, 1, x))
-    produced = len(calls)
-    assert verify_certificate(cert).ok
-    assert len(calls) - produced <= 8
-    assert len(calls) <= 25
-
-
 def count_products(monkeypatch):
+    """Count calls of ``IntegersMod.p_matmul``, the one matrix product
+    kernel over Z_k; a SquareMatrix product is one call, and so is each
+    product the witness pipeline and the verifier make on payload rows."""
     calls = []
-    plain_mul = SquareMatrix.__mul__
-    monkeypatch.setattr(SquareMatrix, "__mul__",
-                        lambda self, other: calls.append(1) or plain_mul(self, other))
+    plain_matmul = IntegersMod.p_matmul
+    monkeypatch.setattr(IntegersMod, "p_matmul",
+                        lambda self, a, b: calls.append(1) or plain_matmul(self, a, b))
     return calls
 
 
-def test_certificate_reuses_the_instance_powers(monkeypatch):
-    # The instance check computes A^2 and A^2 X; the certificate reuses A^2.
+def test_pipeline_computes_each_power_once(monkeypatch):
     a = mat(Z9, "[[2,3],[1,5]]")
     x = right_witness_search(a, 1)
     calls = count_products(monkeypatch)
     cert = right_to_left_certificate(RightWitnessInstance(a, 1, x))
     produced = len(calls)
     assert verify_certificate(cert).ok
-    assert produced <= 14
+    assert 0 < len(calls) - produced <= 8
+    assert len(calls) <= 21
+
+
+def test_certificate_reuses_the_instance_powers(monkeypatch):
+    # The instance check computes A^2 and A^2 X; the certificate reuses
+    # both, A^2 for its powers and A^2 X for the right_witness identity.
+    a = mat(Z9, "[[2,3],[1,5]]")
+    x = right_witness_search(a, 1)
+    calls = count_products(monkeypatch)
+    cert = right_to_left_certificate(RightWitnessInstance(a, 1, x))
+    produced = len(calls)
+    assert verify_certificate(cert).ok
+    assert 0 < produced <= 13
     assert len(calls) - produced <= 8
 
 
@@ -390,6 +391,17 @@ def test_certificate_with_wrong_exponent_fails_shape_check():
     verdict = verify_certificate(certificate_from_json(payload))
     assert not verdict.ok
     assert "exponent_is_n_times_dim" in verdict.failing()
+
+
+@pytest.mark.parametrize("field", ["X", "C", "w", "Y"])
+def test_verify_refuses_matrices_off_the_base_ring_or_dimension(field):
+    # The verifier checks ring and dimension once, before its products on
+    # payload rows; a row product of mismatched shapes would not raise.
+    cert = build_cert()
+    for other in (SquareMatrix.identity(Z5, 2), SquareMatrix.identity(Z4, 1),
+                  SquareMatrix.identity(Z4, 3), [[1, 0], [0, 1]]):
+        with pytest.raises(SpecMismatch):
+            verify_certificate(replace(cert, **{field: other}))
 
 
 @pytest.mark.parametrize("field, value",
