@@ -36,15 +36,15 @@ from .rings import (
     enumerate_elements,
     parse_element,
     parse_ring_spec,
+    poly_ring,
     sample_element,
 )
 from .matrices import (
-    MatrixPolynomial,
     SquareMatrix,
-    UniPolynomial,
     berkowitz_char_poly,
-    det_poly_matrix,
     determinant,
+    matrix_from_json,
+    matrix_to_json,
     parse_matrix_literal,
     right_evaluate_poly,
 )
@@ -59,8 +59,6 @@ from .witnesses import (
     drazin_witness,
     emit_certificate,
     exponent_raise,
-    matrix_from_json,
-    matrix_to_json,
     right_to_left_certificate,
     verify_certificate,
 )

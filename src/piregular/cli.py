@@ -22,14 +22,13 @@ from .errors import DimMismatch, MalformedPayload, ParseError, PiregularError
 from .freealg import nc_normal_form, overlap_check, parse_nc, shepherdson_demo, shepherdson_system
 from .identities import check_identity_on_samples
 from .jsonio import canonical_dumps, content_hash, hash_lines
-from .matrices import parse_matrix_literal
+from .matrices import matrix_to_json, parse_matrix_literal
 from .rings import parse_ring_spec, require_positive
 from .witnesses import (
     RightWitnessInstance,
     certificate_from_json,
     drazin_witness,
     emit_certificate,
-    matrix_to_json,
     right_to_left_certificate,
     verify_certificate,
 )
@@ -206,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     instance = argparse.ArgumentParser(add_help=False, parents=[common])
     instance.add_argument("--ring", required=True, help="ring spec, e.g. int, zmod:4, poly:zmod:3:t")
     instance.add_argument("--dim", type=int, required=True)
-    instance.add_argument("--n", type=int, required=True)
+    instance.add_argument("--n", type=int, required=True, help="exponent; n * dim <= 2^20")
     instance.add_argument("--A", required=True, help="matrix literal [[...],[...]]")
     instance.add_argument("--X", required=True, help="right witness literal")
 

@@ -29,7 +29,7 @@ class NotEnumerable(PiregularError):
 
 
 class BudgetExceeded(PiregularError):
-    """An exhaustive scan would enumerate more matrices than the caller allowed."""
+    """A scan, a table or an instance's n * dim would exceed DEFAULT_BUDGET (2^20)."""
 
 
 class InvalidBound(PiregularError):

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import DegreeTooLarge, DimMismatch, SpecMismatch
 from .jsonio import content_hash
-from .matrices import SquareMatrix
+from .matrices import SquareMatrix, matrix_to_json
 from .rings import RingSpec, require_positive, sample_element
 
 MAX_DEGREE = 8
@@ -72,8 +72,6 @@ class IdentityReport:
     witness: Optional[tuple]  # tuple of SquareMatrix, or None
 
     def to_json_payload(self) -> dict:
-        from .witnesses import matrix_to_json
-
         return {
             "kind": "identity-report",
             "ring": self.ring.token(),

@@ -33,25 +33,19 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
-from .matrices import SquareMatrix
-from .rings import IntegersMod, RingSpec, binary_power, require_positive
-from .witnesses import (
-    RightWitnessInstance,
-    matrix_to_json,
-    right_to_left_certificate,
-)
-
-DEFAULT_BUDGET = 1 << 20
+from .matrices import SquareMatrix, matrix_to_json
+from .rings import DEFAULT_BUDGET, IntegersMod, RingSpec, binary_power, require_positive
+from .witnesses import RightWitnessInstance, right_to_left_certificate
 
 
-def _size(spec: RingSpec, exponent: int, what: str, budget: Optional[int]) -> int:
+def _size(spec: RingSpec, exponent: int, what: str) -> int:
     """q^exponent for a ring of q elements, or BudgetExceeded if that is more
-    than ``budget`` (DEFAULT_BUDGET when None); NotEnumerable if infinite."""
+    than DEFAULT_BUDGET; NotEnumerable if infinite."""
     q = spec.cardinality()
-    cap = DEFAULT_BUDGET if budget is None else budget
-    # q >= 2, so q^exponent > cap once exponent reaches cap's bit length
-    if exponent >= cap.bit_length() or q ** exponent > cap:
-        raise BudgetExceeded(f"{spec.token()}: {q}^{exponent} {what} exceed budget {cap}")
+    # q >= 2, so q^exponent > the budget once exponent reaches its bit length
+    if exponent >= DEFAULT_BUDGET.bit_length() or q ** exponent > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"{spec.token()}: {q}^{exponent} {what} exceed budget {DEFAULT_BUDGET}")
     return q ** exponent
 
 
@@ -182,11 +176,11 @@ class _Engine:
 _ENGINES: dict = {}
 
 
-def _engine(spec: RingSpec, m: int, budget: Optional[int] = None) -> _Engine:
+def _engine(spec: RingSpec, m: int) -> _Engine:
     """The cached engine.  Its tables hold q^2 entries (sums, products) and
     q^m entries (vectors, column maps); both must fit the budget."""
     require_positive(dim=m)
-    _size(spec, max(2, m), "table entries", budget)
+    _size(spec, max(2, m), "table entries")
     key = (spec, m)
     engine = _ENGINES.get(key)
     if engine is None:
@@ -194,8 +188,8 @@ def _engine(spec: RingSpec, m: int, budget: Optional[int] = None) -> _Engine:
     return engine
 
 
-def _walk(spec: RingSpec, m: int, visit, budget: Optional[int], start: int, stop: int):
-    engine = _engine(spec, m, budget)
+def _walk(spec: RingSpec, m: int, visit, start: int, stop: int):
+    engine = _engine(spec, m)
     return map(partial(visit, engine), engine.matrices(start, stop))
 
 
@@ -210,8 +204,7 @@ def _pool_size(workers: int, total: int) -> int:
     return used if total >= 4 * used else 1
 
 
-def _scan(spec: RingSpec, m: int, visit, workers: int = 1,
-          budget: Optional[int] = None) -> Iterator:
+def _scan(spec: RingSpec, m: int, visit, workers: int = 1) -> Iterator:
     """``visit(engine, A)`` for every A in M_m(spec), in row-major order.
 
     Every size is checked before an engine is built.  On one worker the
@@ -220,15 +213,15 @@ def _scan(spec: RingSpec, m: int, visit, workers: int = 1,
     in chunk order, so they are the same for any worker count; ``visit``
     must then be a module-level function or a partial of one."""
     require_positive(dim=m, workers=workers)
-    total = _size(spec, m * m, f"{m}x{m} matrices to scan", budget)
-    _engine(spec, m, budget)  # checked and built before any worker starts
+    total = _size(spec, m * m, f"{m}x{m} matrices to scan")
+    _engine(spec, m)  # checked and built before any worker starts
     workers = _pool_size(workers, total)
     if workers == 1:
-        return _walk(spec, m, visit, budget, 0, total)
+        return _walk(spec, m, visit, 0, total)
     chunks = 4 * workers
     bounds = [total * i // chunks for i in range(chunks + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(partial(_walk_chunk, spec, m, visit, budget),
+        parts = list(pool.map(partial(_walk_chunk, spec, m, visit),
                               bounds[:-1], bounds[1:]))
     return chain.from_iterable(parts)
 
@@ -312,14 +305,14 @@ def _classify(n_bound: Optional[int], engine: _Engine, flat) -> ClassificationRe
         agrees=agrees)
 
 
-def classify_all(spec: RingSpec, m: int, n_bound: Optional[int] = None,
-                 budget: Optional[int] = None) -> Iterator[ClassificationRecord]:
+def classify_all(spec: RingSpec, m: int,
+                 n_bound: Optional[int] = None) -> Iterator[ClassificationRecord]:
     """Walk every matrix in enumeration order and record its right/left
     witness exponents up to ``n_bound`` or power-sequence stabilization,
     whichever comes first (stabilization index + 1 when no bound given)."""
     if n_bound is not None:
         require_positive(n_bound=n_bound)
-    return _scan(spec, m, partial(_classify, n_bound), budget=budget)
+    return _scan(spec, m, partial(_classify, n_bound))
 
 
 # -- two-sided agreement report ----------------------------------------------
@@ -391,8 +384,7 @@ def _certified_sides(n: int, engine: _Engine, flat) -> tuple:
     return right, left, one_sided, failure
 
 
-def cp_report(k: int, m: int, n: int, workers: int = 1,
-              budget: Optional[int] = None) -> CpReport:
+def cp_report(k: int, m: int, n: int, workers: int = 1) -> CpReport:
     """Scan all of M_m(Z_k) at exponent n; the output is identical for any
     worker count, and ``workers`` in the report is the count used."""
     started = time.perf_counter()
@@ -401,7 +393,7 @@ def cp_report(k: int, m: int, n: int, workers: int = 1,
     counterexamples = []
     failures = []
     for right, left, one_sided, failure in _scan(
-            IntegersMod(k), m, partial(_certified_sides, n), workers, budget):
+            IntegersMod(k), m, partial(_certified_sides, n), workers):
         counts[_KINDS[right, left]] += 1
         if one_sided is not None:
             counterexamples.append({"A": one_sided, "right": right, "left": left})

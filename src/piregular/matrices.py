@@ -5,12 +5,17 @@ on them through the entry ring's payload methods (``p_add``, ``p_dot``,
 ...).  The ring's ``p_matmul`` is the one product kernel;
 ``SquareMatrix.__mul__`` is its checked boundary wrapper, which matches
 ring and dimension and then makes one kernel call.  ``RingElem`` appears
-only at the boundary, in ``entries``, ``entry`` and
-``UniPolynomial.coefficients``.  Matrix arithmetic never assumes the entry
-ring is commutative, so the same type also carries matrices over the free
-algebra, whose payloads are the polynomials themselves.
-Determinant-flavoured operations (characteristic polynomial, determinants
-of polynomial matrices) do require commutativity and refuse anything else.
+only at the boundary, in ``entries`` and ``entry``.  Matrix arithmetic
+never assumes the entry ring is commutative, so the same type also carries
+matrices over the free algebra, whose payloads are the polynomials
+themselves.
+
+There is one polynomial ring: a polynomial over R is an element of
+``poly_ring(R)``, and a matrix polynomial is a matrix over that ring, as
+M_m(R)[x] = M_m(R[x]).  Its determinant is :func:`determinant`, and
+:func:`right_evaluate_poly` substitutes a matrix into either kind.
+Determinant-flavoured operations require commutativity and refuse anything
+else.
 
 Characteristic polynomials use the Samuelson-Berkowitz recurrence: the
 coefficient vector of each leading principal block is pushed through a
@@ -22,19 +27,15 @@ what makes it usable over rings with zero divisors like Z_k or Z_3[t]/(t^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
-from .errors import DimMismatch, NonCommutativeRing, ParseError, SpecMismatch
+from .errors import DimMismatch, MalformedPayload, NonCommutativeRing, ParseError, SpecMismatch
 from .rings import (
-    PolyOver,
     RingElem,
     RingSpec,
-    _seq_add,
-    _seq_mul,
-    _seq_neg,
-    _strip,
     binary_power,
     parse_element,
+    poly_ring,
+    require_positive,
 )
 
 
@@ -141,140 +142,22 @@ class SquareMatrix:
             "[" + ",".join(str(a) for a in row) + "]" for row in self.entries) + "]"
 
 
-@dataclass(frozen=True, slots=True)
-class UniPolynomial:
-    """A univariate polynomial over a described ring, stored as canonical
-    coefficient payloads low-to-high with no trailing zeros; ``coefficients``
-    and ``coefficient`` wrap them on the way out."""
-
-    spec: RingSpec
-    payloads: tuple
-
-    @staticmethod
-    def from_coeffs(spec: RingSpec, coeffs) -> "UniPolynomial":
-        return UniPolynomial.from_payloads(spec, map(spec.p_coerce, coeffs))
-
-    @staticmethod
-    def from_payloads(spec: RingSpec, payloads) -> "UniPolynomial":
-        """The polynomial with these canonical payloads, low to high."""
-        return UniPolynomial(spec, _strip(spec, list(payloads)))
-
-    @staticmethod
-    def x_power(spec: RingSpec, k: int) -> "UniPolynomial":
-        return UniPolynomial(spec, (spec.zero_payload(),) * k + (spec.one_payload(),))
-
-    @property
-    def degree(self) -> int:
-        return len(self.payloads) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.payloads
-
-    @property
-    def coefficients(self) -> tuple:
-        return tuple(map(self.spec.wrap, self.payloads))
-
-    def coefficient(self, k: int) -> RingElem:
-        if 0 <= k < len(self.payloads):
-            return self.spec.wrap(self.payloads[k])
-        return self.spec.zero()
-
-    def _match(self, other) -> "UniPolynomial":
-        if not isinstance(other, UniPolynomial) or other.spec != self.spec:
-            raise SpecMismatch("polynomials live over different rings")
-        return other
-
-    def _seq(self, op, *others) -> "UniPolynomial":
-        """Apply a payload-sequence operation (``rings._seq_*``) to this
-        polynomial and ``others``."""
-        operands = (self, *map(self._match, others))
-        return UniPolynomial.from_payloads(
-            self.spec, op(self.spec, *(p.payloads for p in operands)))
-
-    def __add__(self, other):
-        return self._seq(_seq_add, other)
-
-    def __sub__(self, other):
-        return self + -self._match(other)
-
-    def __neg__(self):
-        return self._seq(_seq_neg)
-
-    def __mul__(self, other):
-        return self._seq(_seq_mul, other)
-
-    def shift(self, k: int) -> "UniPolynomial":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return UniPolynomial(self.spec, (self.spec.zero_payload(),) * k + self.payloads)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        var = _fresh_variable(self.spec, "xyzuvw")
-        pieces = []
-        for degree, c in enumerate(self.coefficients):
-            if c.is_zero:
-                continue
-            if degree == 0:
-                pieces.append(str(c))
-            else:
-                power = var if degree == 1 else f"{var}^{degree}"
-                pieces.append(power if c.is_one else f"({c})*{power}")
-        return "+".join(pieces).replace("+-", "-")
+def matrix_to_json(mat: SquareMatrix):
+    if mat.ring.atomic_literals:  # payload_to_json is the identity
+        return [list(row) for row in mat.rows]
+    return [list(map(mat.ring.payload_to_json, row)) for row in mat.rows]
 
 
-@dataclass(frozen=True, slots=True)
-class MatrixPolynomial:
-    """A polynomial whose coefficients are square matrices over one ring,
-    stored low-to-high with no trailing zero matrix."""
-
-    ring: object
-    dim: int
-    coefficients: tuple
-
-    @staticmethod
-    def from_matrices(ring, dim: int, mats: Sequence[SquareMatrix]) -> "MatrixPolynomial":
-        out = []
-        for mat in mats:
-            if not isinstance(mat, SquareMatrix):
-                raise SpecMismatch("matrix polynomial coefficients must be SquareMatrix")
-            if mat.ring != ring:
-                raise SpecMismatch("coefficient matrices live over different rings")
-            if mat.dim != dim:
-                raise DimMismatch(f"coefficient dimension {mat.dim}, expected {dim}")
-            out.append(mat)
-        while out and out[-1].is_zero:
-            out.pop()
-        return MatrixPolynomial(ring, dim, tuple(out))
-
-    @staticmethod
-    def from_scalar(poly: UniPolynomial, dim: int) -> "MatrixPolynomial":
-        """Lift a scalar polynomial: each coefficient c becomes c * identity."""
-        ring = poly.spec
-        ident = SquareMatrix.identity(ring, dim)
-        return MatrixPolynomial.from_matrices(
-            ring, dim, [ident.scale(c) for c in poly.coefficients])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, k: int) -> SquareMatrix:
-        if 0 <= k < len(self.coefficients):
-            return self.coefficients[k]
-        return SquareMatrix.zeros(self.ring, self.dim)
-
-
-def _fresh_variable(spec, pool: str) -> str:
-    """The first name in ``pool`` that no polynomial layer of ``spec`` uses."""
-    used = set()
-    while spec is not None:
-        used.add(getattr(spec, "variable", None))
-        spec = getattr(spec, "base", None)
-    return next(v for v in pool if v not in used)
+def matrix_from_json(spec: RingSpec, data, dim: int) -> SquareMatrix:
+    require_positive(MalformedPayload, dim=dim)
+    if not isinstance(data, list) or len(data) != dim:
+        raise MalformedPayload(f"expected {dim} matrix rows")
+    rows = []
+    for row in data:
+        if not isinstance(row, list) or len(row) != dim:
+            raise MalformedPayload(f"expected {dim} entries per matrix row")
+        rows.append(tuple(map(spec.payload_from_json, row)))
+    return SquareMatrix(spec, tuple(rows))
 
 
 def _require_commutative(ring):
@@ -282,14 +165,15 @@ def _require_commutative(ring):
         raise NonCommutativeRing("determinants need a commutative coefficient ring")
 
 
-def berkowitz_char_poly(mat: SquareMatrix) -> UniPolynomial:
-    """Characteristic polynomial det(xI - A), division-free.
+def berkowitz_char_poly(mat: SquareMatrix) -> RingElem:
+    """Characteristic polynomial det(xI - A), an element of
+    ``poly_ring(A.ring)``, computed without divisions.
 
     Runs the Samuelson-Berkowitz recurrence over leading principal blocks:
     if the block grows by a bottom-right scalar a with new row R and column
     C against the old block M, the new coefficient vector is the Toeplitz
     convolution of (1, -a, -RC, -RMC, -RM^2 C, ...) with the old one.  The
-    recurrence runs on payloads; only the coefficients are wrapped.
+    recurrence runs on payloads; only the result is wrapped.
     """
     _require_commutative(mat.ring)
     ring, rows, m = mat.ring, mat.rows, mat.dim
@@ -305,50 +189,35 @@ def berkowitz_char_poly(mat: SquareMatrix) -> UniPolynomial:
             vec = [dot(block_row, vec) for block_row in block]
         rev = toeplitz[::-1]  # new[i] pairs toeplitz[i], toeplitz[i-1], ... with coeffs
         coeffs = [dot(rev[k - i:], coeffs[:i + 1]) for i in range(k)] + [dot(rev[:k], coeffs)]
-    return UniPolynomial.from_payloads(ring, reversed(coeffs))
+    return poly_ring(ring).wrap(tuple(coeffs[::-1]))  # monic, so already canonical
 
 
 def determinant(mat: SquareMatrix) -> RingElem:
     """Determinant via the characteristic polynomial: (-1)^m times its
-    constant coefficient."""
-    char = berkowitz_char_poly(mat)
-    const = char.coefficient(0)
-    return const if mat.dim % 2 == 0 else -const
-
-
-def det_poly_matrix(f: MatrixPolynomial) -> UniPolynomial:
-    """Determinant of a matrix polynomial, read as one matrix over the
-    polynomial ring and pushed through the same division-free routine."""
-    _require_commutative(f.ring)
-    base = f.ring
-    pspec = PolyOver(base, _fresh_variable(base, "xyzuvwstp"))
-    dim = f.dim
-    lifted = SquareMatrix(pspec, tuple(
-        tuple(pspec.canon([coeff.rows[i][j] for coeff in f.coefficients])
-              for j in range(dim))
-        for i in range(dim)))
-    det = determinant(lifted)
-    return UniPolynomial.from_payloads(base, det.payload)
+    constant coefficient.  Over ``poly_ring(R)`` it is the determinant of a
+    matrix polynomial."""
+    ring, const = mat.ring, berkowitz_char_poly(mat).payload[0]
+    return ring.wrap(const if mat.dim % 2 == 0 else ring.p_neg(const))
 
 
 def right_evaluate_poly(f, mat: SquareMatrix) -> SquareMatrix:
-    """Right substitution: sum of A^k * C_k with powers of A on the left of
-    the coefficients.  Scalar polynomials are lifted via c |-> c*I first."""
-    if isinstance(f, UniPolynomial):
-        if f.spec != mat.ring:
-            raise SpecMismatch("polynomial and matrix live over different rings")
-        f = MatrixPolynomial.from_scalar(f, mat.dim)
-    if not isinstance(f, MatrixPolynomial):
+    """Right substitution: the sum of A^k C_k, powers of A on the left of the
+    coefficients.  ``f`` is a matrix over ``poly_ring(A.ring)``, whose x^k
+    coefficient is C_k, or an element of that ring, whose coefficients c act
+    as cI."""
+    pring, dim = poly_ring(mat.ring), mat.dim
+    if isinstance(f, RingElem):
+        f = SquareMatrix.identity(pring, dim).scale(f)
+    if not isinstance(f, SquareMatrix):
         raise SpecMismatch(f"cannot evaluate {f!r}")
-    if f.ring != mat.ring:
+    if f.ring != pring:
         raise SpecMismatch("polynomial and matrix live over different rings")
-    if f.dim != mat.dim:
-        raise DimMismatch(f"coefficient dimension {f.dim}, matrix dimension {mat.dim}")
-    if not f.coefficients:
-        return SquareMatrix.zeros(mat.ring, mat.dim)
-    result = f.coefficients[-1]
-    for k in range(len(f.coefficients) - 2, -1, -1):
-        result = mat * result + f.coefficients[k]
+    if f.dim != dim:
+        raise DimMismatch(f"coefficient dimension {f.dim}, matrix dimension {dim}")
+    zero, result = mat.ring.zero_payload(), SquareMatrix.zeros(mat.ring, dim)
+    for k in range(max(len(c) for row in f.rows for c in row) - 1, -1, -1):
+        result = mat * result + SquareMatrix(mat.ring, tuple(
+            tuple(c[k] if k < len(c) else zero for c in row) for row in f.rows))
     return result
 
 

@@ -32,8 +32,8 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from string import digits
-from typing import Any, Iterable, Optional
+from string import ascii_letters, digits
+from typing import Any, Optional
 
 from .errors import (
     InvalidBound,
@@ -61,6 +61,9 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
         if exponent:
             base = mul(base, base)
     return one() if result is None else result
+
+
+DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, and n * dim per instance
 
 
 def require_positive(error=InvalidBound, /, **values) -> None:
@@ -509,6 +512,22 @@ class PolyOver(RingSpec):
 
     def token(self):
         return f"poly:{self.base.token()}:{self.variable}"
+
+
+@lru_cache(maxsize=None)
+def poly_ring(spec: RingSpec) -> PolyOver:
+    """R[x] over R = ``spec``, named by the first letter of ``xyzuvwstp`` (then
+    of the alphabet) that no polynomial layer of ``spec`` uses.
+    Characteristic polynomials live here, and a matrix over it is a matrix
+    polynomial: M_m(R[x]) = M_m(R)[x]."""
+    used, layer = set(), spec
+    while layer is not None:
+        used.add(getattr(layer, "variable", None))
+        layer = getattr(layer, "base", None)
+    variable = next((v for v in "xyzuvwstp" + ascii_letters if v not in used), None)
+    if variable is None:
+        raise InvalidSpec(f"{spec} leaves no free polynomial variable")
+    return PolyOver(spec, variable)
 
 
 _MEMO_CAP = 1 << 16  # entries per table; a ring is memoized only if all its pairs fit

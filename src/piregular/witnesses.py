@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    BudgetExceeded,
     InternalViolation,
     MalformedPayload,
     PreconditionFailed,
@@ -34,9 +35,17 @@ from .errors import (
     UnverifiedCertificate,
 )
 from .jsonio import canonical_dumps
-from .matrices import SquareMatrix, UniPolynomial, berkowitz_char_poly
-from .matrices import det_poly_matrix  # noqa: F401  (perfbench/tracing.py wraps it by name)
-from .rings import RingSpec, binary_power, parse_ring_spec, require_positive
+from .matrices import SquareMatrix, berkowitz_char_poly, matrix_from_json, matrix_to_json
+from .matrices import determinant as det_poly_matrix  # noqa: F401  (perfbench wraps it by name)
+from .rings import (
+    DEFAULT_BUDGET,
+    RingElem,
+    _strip,
+    binary_power,
+    parse_ring_spec,
+    poly_ring,
+    require_positive,
+)
 
 
 def _powers(ring, a, exponents, known=()) -> dict:
@@ -77,7 +86,9 @@ def _lowered_left_witness(ring, w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w
 @dataclass(frozen=True, slots=True)
 class RightWitnessInstance:
     """A verified instance of A^n = A^(n+1) X; checked at construction,
-    which keeps the payload rows of A^n, A^(n+1) and A^(n+1) X it compared."""
+    which keeps the payload rows of A^n, A^(n+1) and A^(n+1) X it compared.
+    Its certificate's p holds over n * dim coefficients, so n * dim must not
+    exceed DEFAULT_BUDGET; that is checked before any power."""
 
     A: SquareMatrix
     n: int
@@ -88,6 +99,9 @@ class RightWitnessInstance:
     def __post_init__(self):
         n, (x,) = self.n, _rows_over(self.A, self.X)
         require_positive(PreconditionFailed, exponent=n)
+        if n * self.A.dim > DEFAULT_BUDGET:
+            raise BudgetExceeded(
+                f"exponent {n} times dimension {self.A.dim} exceeds budget {DEFAULT_BUDGET}")
         powers = _powers(self.A.ring, self.A.rows, (n, n + 1))
         ax = self.A.ring.p_matmul(powers[n + 1], x)
         if powers[n] != ax:
@@ -119,7 +133,7 @@ class LeftWitnessCertificate:
     A: SquareMatrix
     n: int
     X: SquareMatrix
-    p: UniPolynomial
+    p: RingElem  # of poly_ring(A.ring)
     C: SquareMatrix
     N: int
     w: SquareMatrix
@@ -191,8 +205,9 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
     big_n = n * m
     powers = _powers(ring, a.rows, (*range(m), big_n - n, big_n, big_n + 1), inst._checked_powers)
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
-    q = berkowitz_char_poly(x).payloads[::-1]  # (step 1); p = x^(nm) q(x)
-    p = UniPolynomial.from_payloads(ring, [ring.zero_payload()] * big_n + list(q))
+    chi = berkowitz_char_poly(x)
+    q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
+    p = chi.spec.wrap(_strip(ring, [ring.zero_payload()] * big_n + list(q)))
     # C = -(s1 I + s2 A + ... + sm A^(m-1)); each entry is (-s1, ..., -sm)
     # dotted with that entry of A^0, ..., A^(m-1).
     neg_s, dot = list(map(ring.p_neg, q[1:])), ring.p_dot
@@ -220,9 +235,9 @@ def _certificate_checks(ring, known: dict, a, n, x, p, c, big_n, w, y, ax=None) 
     return (
         ("right_witness", ok and a_n == (mul(a_n1, x) if ax is None else ax)),
         ("exponent_is_n_times_dim", ok),
-        ("char_poly_factor_shape", ok and p.spec == ring and p.degree >= big_n
-         and all(c_i == zero for c_i in p.payloads[:big_n])
-         and p.payloads[big_n] == ring.one_payload()),
+        ("char_poly_factor_shape", ok and p.spec == poly_ring(ring) and len(p.payload) > big_n
+         and all(c_i == zero for c_i in p.payload[:big_n])
+         and p.payload[big_n] == ring.one_payload()),
         ("raised_right_witness", ok and a_big == mul(a_big1, c)),
         ("commuting_witness", mul(a, w) == mul(w, a)),
         ("raised_left_witness", ok and a_big == mul(w, a_big1)),
@@ -242,24 +257,6 @@ def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
 # -- JSON round trip ---------------------------------------------------------
 
 
-def matrix_to_json(mat: SquareMatrix):
-    if mat.ring.atomic_literals:  # payload_to_json is the identity
-        return [list(row) for row in mat.rows]
-    return [list(map(mat.ring.payload_to_json, row)) for row in mat.rows]
-
-
-def matrix_from_json(spec: RingSpec, data, dim: int) -> SquareMatrix:
-    require_positive(MalformedPayload, dim=dim)
-    if not isinstance(data, list) or len(data) != dim:
-        raise MalformedPayload(f"expected {dim} matrix rows")
-    rows = []
-    for row in data:
-        if not isinstance(row, list) or len(row) != dim:
-            raise MalformedPayload(f"expected {dim} entries per matrix row")
-        rows.append(tuple(map(spec.payload_from_json, row)))
-    return SquareMatrix(spec, tuple(rows))
-
-
 def certificate_to_json(cert: LeftWitnessCertificate) -> dict:
     spec = cert.A.ring
     return {
@@ -269,7 +266,7 @@ def certificate_to_json(cert: LeftWitnessCertificate) -> dict:
         "N": cert.N,
         "A": matrix_to_json(cert.A),
         "X": matrix_to_json(cert.X),
-        "p_coeffs": [spec.payload_to_json(c) for c in cert.p.payloads],
+        "p_coeffs": [spec.payload_to_json(c) for c in cert.p.payload],
         "C": matrix_to_json(cert.C),
         "w": matrix_to_json(cert.w),
         "Y": matrix_to_json(cert.Y),
@@ -292,7 +289,7 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
                 and all(isinstance(item, dict) for item in items)):
             raise MalformedPayload(
                 "certificate p_coeffs must be a list and identities a list of objects")
-        p = UniPolynomial.from_payloads(spec, map(spec.payload_from_json, p_coeffs))
+        p = poly_ring(spec).wrap(_strip(spec, list(map(spec.payload_from_json, p_coeffs))))
         identities = tuple((item["name"], item["holds"]) for item in items)
         verified = data["verified"]
     except KeyError as exc:

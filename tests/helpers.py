@@ -7,7 +7,13 @@ decomposition.  Slow and obviously correct is the point.
 
 from itertools import product
 
-from piregular import MalformedPayload, SquareMatrix, enumerate_elements, sample_element
+from piregular import (
+    MalformedPayload,
+    SquareMatrix,
+    enumerate_elements,
+    poly_ring,
+    sample_element,
+)
 
 
 def cofactor_det(mat: SquareMatrix):
@@ -25,6 +31,14 @@ def _cofactor(ring, rows):
         term = rows[0][j] * _cofactor(ring, minor)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def matrix_polynomial(coeffs):
+    """The matrix over poly_ring(R) whose x^k coefficient is ``coeffs[k]``,
+    one entry at a time: M_m(R)[x] read as M_m(R[x])."""
+    spec, dim = coeffs[0].ring, coeffs[0].dim
+    return SquareMatrix.from_rows(poly_ring(spec), [
+        [[c.rows[i][j] for c in coeffs] for j in range(dim)] for i in range(dim)])
 
 
 def all_matrices(spec, dim):

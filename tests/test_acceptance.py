@@ -12,7 +12,6 @@ import pytest
 from piregular import (
     Integers,
     IntegersMod,
-    MatrixPolynomial,
     RightWitnessInstance,
     SquareMatrix,
     berkowitz_char_poly,
@@ -21,7 +20,6 @@ from piregular import (
     classify_all,
     content_hash,
     cp_report,
-    det_poly_matrix,
     determinant,
     drazin_witness,
     edge_instances,
@@ -45,7 +43,7 @@ from piregular import (
     verify_certificate,
 )
 
-from helpers import all_matrices, cofactor_det, random_matrix
+from helpers import all_matrices, cofactor_det, matrix_polynomial, random_matrix
 from test_freealg import random_poly
 
 Z = Integers()
@@ -166,8 +164,8 @@ def test_criterion_4_cayley_hamilton_and_determinant_trick():
         spec, dim, n = inst.A.ring, inst.A.dim, inst.n
         ident = SquareMatrix.identity(spec, dim)
         zero = SquareMatrix.zeros(spec, dim)
-        f = MatrixPolynomial.from_matrices(spec, dim, [zero] * n + [ident, -inst.X])
-        p = det_poly_matrix(f)
+        f = matrix_polynomial([zero] * n + [ident, -inst.X])
+        p = determinant(f)
         assert right_evaluate_poly(p, inst.A).is_zero
     print(f"criterion 4: chi_A(A) = 0 on {checked} samples; determinant "
           f"polynomial vanished on {len(instances)} instances")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piregular import UniPolynomial, cli, errors, witnesses
+from piregular import cli, errors, poly_ring, witnesses
 from piregular.cli import dispatch
 from piregular.identities import MAX_DEGREE
 
@@ -134,7 +134,7 @@ def test_every_error_class_exits_with_its_documented_code(error, monkeypatch, ca
 
 def test_internal_error_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(witnesses, "berkowitz_char_poly",
-                        lambda x: UniPolynomial.x_power(x.ring, x.dim))
+                        lambda x: poly_ring(x.ring).gen() ** x.dim)
     assert dispatch(RTL_OK) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -198,6 +198,20 @@ def test_verify_cert_refuses_a_huge_wrong_exponent_without_powering(tmp_path, ca
                      "char_poly_factor_shape": False, "raised_right_witness": False,
                      "commuting_witness": True, "raised_left_witness": False,
                      "left_witness": False}
+
+
+def test_right_to_left_refuses_an_exponent_over_the_budget(capsys):
+    # n * dim = 8000000 > 2^20: the certificate's p would hold that many
+    # coefficients, so the instance refuses before computing any power.
+    argv = ["right-to-left", "--ring", "zmod:4", "--dim", "2", "--n", "4000000",
+            "--A", "[[2,0],[0,1]]", "--X", "[[1,0],[0,1]]"]
+    start = time.perf_counter()
+    assert dispatch(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error:")
+    assert "exceeds budget" in captured.err
 
 
 @pytest.mark.parametrize("field", ["n", "N"])

@@ -9,32 +9,29 @@ from piregular import (
     FREE,
     Integers,
     IntegersMod,
-    MatrixPolynomial,
     NonCommutativeRing,
     ParseError,
-    PolyOver,
     RightWitnessInstance,
     RingElem,
     RingSpec,
     SpecMismatch,
     SquareMatrix,
-    UniPolynomial,
     berkowitz_char_poly,
-    det_poly_matrix,
     determinant,
     parse_matrix_literal,
     parse_nc,
     parse_ring_spec,
+    poly_ring,
     right_evaluate_poly,
     right_to_left_certificate,
     right_witness_search,
-    sample_element,
     standard_identity,
     verify_certificate,
 )
 
 from helpers import (
     cofactor_det,
+    matrix_polynomial,
     naive_difference,
     naive_power,
     naive_product,
@@ -149,15 +146,12 @@ def test_shape_and_spec_mismatches():
 
 def test_char_poly_known_values():
     ident = SquareMatrix.identity(Z, 2)
-    assert berkowitz_char_poly(ident).coefficients == \
-        (Z.from_int(1), Z.from_int(-2), Z.from_int(1))
+    assert berkowitz_char_poly(ident) == poly_ring(Z).element([1, -2, 1])
     nil = mat(Z, "[[0,1],[0,0]]")
-    assert berkowitz_char_poly(nil).coefficients == \
-        (Z.zero(), Z.zero(), Z.one())
+    assert berkowitz_char_poly(nil) == poly_ring(Z).element([0, 0, 1])
     a = mat(Z, "[[1,2],[3,4]]")
     # x^2 - tr x + det = x^2 - 5x - 2
-    assert berkowitz_char_poly(a).coefficients == \
-        (Z.from_int(-2), Z.from_int(-5), Z.from_int(1))
+    assert berkowitz_char_poly(a) == poly_ring(Z).element([-2, -5, 1])
 
 
 def test_char_poly_of_companion_matrix():
@@ -168,7 +162,7 @@ def test_char_poly_of_companion_matrix():
         [1, 0, -2],
         [0, 1, 0],
     ])
-    assert berkowitz_char_poly(comp) == UniPolynomial.from_coeffs(Z, coeffs)
+    assert berkowitz_char_poly(comp) == poly_ring(Z).element(coeffs)
 
 
 def test_char_poly_against_cofactor_oracle():
@@ -176,7 +170,7 @@ def test_char_poly_against_cofactor_oracle():
     # Berkowitz recurrence to an independent computation.
     rng = random.Random(1984)
     for spec, bound in ORACLE_RINGS:
-        pspec = PolyOver(spec, "x")
+        pspec = poly_ring(spec)
         for dim in range(1, 6):
             for _ in range(3):
                 a = random_matrix(spec, dim, rng, bound)
@@ -184,8 +178,7 @@ def test_char_poly_against_cofactor_oracle():
                     [pspec.element([spec.p_neg(a.rows[i][j])] + [spec.one_payload()] * (i == j))
                      for j in range(dim)] for i in range(dim)])
                 expected = cofactor_det(x_minus_a)
-                assert pspec.element(list(berkowitz_char_poly(a).payloads)) == expected, \
-                    (spec, dim)
+                assert berkowitz_char_poly(a) == expected, (spec, dim)
 
 
 def test_char_poly_is_monic_of_degree_dim():
@@ -193,9 +186,9 @@ def test_char_poly_is_monic_of_degree_dim():
     for spec, bound in ORACLE_RINGS:
         for dim in (1, 2, 3, 4):
             a = random_matrix(spec, dim, rng, bound)
-            char = berkowitz_char_poly(a)
-            assert char.degree == dim
-            assert char.coefficient(dim) == spec.one()
+            char = berkowitz_char_poly(a).payload
+            assert len(char) - 1 == dim
+            assert spec.wrap(char[dim]) == spec.one()
 
 
 def test_determinant_against_cofactor_oracle():
@@ -242,31 +235,30 @@ def test_det_poly_matrix_reproduces_char_poly():
         for dim in (1, 2, 3):
             a = random_matrix(spec, dim, rng, bound)
             ident = SquareMatrix.identity(spec, dim)
-            f = MatrixPolynomial.from_matrices(spec, dim, [-a, ident])
-            assert det_poly_matrix(f) == berkowitz_char_poly(a)
+            f = matrix_polynomial([-a, ident])
+            assert determinant(f) == berkowitz_char_poly(a)
 
 
 def test_det_poly_matrix_scalar_cases():
     ident = SquareMatrix.identity(Z, 2)
     # det of the constant identity is 1
-    assert det_poly_matrix(MatrixPolynomial.from_matrices(Z, 2, [ident])) == \
-        UniPolynomial.from_coeffs(Z, [1])
+    assert determinant(matrix_polynomial([ident])) == poly_ring(Z).element([1])
     # det((x - x^2) I) over 2x2 = (x - x^2)^2 = x^2 - 2x^3 + x^4
     zero = SquareMatrix.zeros(Z, 2)
-    f = MatrixPolynomial.from_matrices(Z, 2, [zero, ident, -ident])
-    assert det_poly_matrix(f) == UniPolynomial.from_coeffs(Z, [0, 0, 1, -2, 1])
+    f = matrix_polynomial([zero, ident, -ident])
+    assert determinant(f) == poly_ring(Z).element([0, 0, 1, -2, 1])
 
 
 def test_det_poly_matrix_against_lifted_cofactor():
-    # lift the matrix polynomial into a matrix over poly:base and run the
-    # naive oracle there
+    # lift the matrix polynomial into a matrix over the polynomial ring entry
+    # by entry and run the naive oracle there
     rng = random.Random(88)
     for spec, bound in [(Z4, None), (Z, 5)]:
-        pspec = parse_ring_spec(f"poly:{spec.token()}:s")
+        pspec = poly_ring(spec)
         for _ in range(15):
             dim = rng.randint(1, 3)
             coeffs = [random_matrix(spec, dim, rng, bound) for _ in range(3)]
-            f = MatrixPolynomial.from_matrices(spec, dim, coeffs)
+            f = matrix_polynomial(coeffs)
             lifted_rows = []
             for i in range(dim):
                 row = []
@@ -276,8 +268,7 @@ def test_det_poly_matrix_against_lifted_cofactor():
                 lifted_rows.append(row)
             lifted = SquareMatrix.from_rows(pspec, lifted_rows)
             expected = cofactor_det(lifted)
-            got = det_poly_matrix(f)
-            assert pspec.element([c.payload for c in got.coefficients]) == expected
+            assert determinant(f) == expected
 
 
 def test_right_evaluate_of_char_poly_shape():
@@ -285,28 +276,41 @@ def test_right_evaluate_of_char_poly_shape():
     ident = SquareMatrix.identity(Z4, 2)
     zero = SquareMatrix.zeros(Z4, 2)
     # f = x^2 I - x^3 I at A: A^2 - A^3 = 0 since A^2 = A^3 = diag(0,1)
-    f = MatrixPolynomial.from_matrices(Z4, 2, [zero, zero, ident, -ident])
+    f = matrix_polynomial([zero, zero, ident, -ident])
     assert right_evaluate_poly(f, a).is_zero
     # constant polynomial evaluates to its constant
     c = mat(Z4, "[[1,2],[3,0]]")
-    assert right_evaluate_poly(
-        MatrixPolynomial.from_matrices(Z4, 2, [c]), a) == c
+    assert right_evaluate_poly(matrix_polynomial([c]), a) == c
     # x I - A at A is zero
-    g = MatrixPolynomial.from_matrices(Z4, 2, [-a, ident])
+    g = matrix_polynomial([-a, ident])
     assert right_evaluate_poly(g, a).is_zero
 
 
+def test_right_evaluate_refuses_other_rings_and_dimensions():
+    a = mat(Z4, "[[2,0],[0,1]]")
+    ident = SquareMatrix.identity(Z4, 2)
+    with pytest.raises(SpecMismatch):
+        right_evaluate_poly(poly_ring(Z).gen(), a)
+    with pytest.raises(SpecMismatch):
+        right_evaluate_poly(ident, a)
+    with pytest.raises(SpecMismatch):
+        right_evaluate_poly(matrix_polynomial([mat(Z, "[[1,0],[0,1]]")]), a)
+    with pytest.raises(SpecMismatch, match="cannot evaluate"):
+        right_evaluate_poly([ident], a)
+    with pytest.raises(DimMismatch):
+        right_evaluate_poly(matrix_polynomial([SquareMatrix.identity(Z4, 3)]), a)
+    assert right_evaluate_poly(poly_ring(Z4).zero(), a).is_zero
+
+
 def test_right_evaluate_puts_powers_on_the_left():
-    # over the free algebra, f = x * C with C = bI evaluated at A = aI must
-    # give ab (power first), not ba
-    a_gen, b_gen = FREE.gen("a"), FREE.gen("b")
-    amat = SquareMatrix.from_rows(FREE, [[a_gen]])
-    cmat = SquareMatrix.from_rows(FREE, [[b_gen]])
-    zero = SquareMatrix.zeros(FREE, 1)
-    f = MatrixPolynomial.from_matrices(FREE, 1, [zero, cmat])
+    # with A and C that do not commute, f = x * C evaluated at A must give
+    # AC (power first), not CA
+    amat = mat(Z, "[[0,1],[0,0]]")
+    cmat = mat(Z, "[[0,0],[1,0]]")
+    f = matrix_polynomial([SquareMatrix.zeros(Z, 2), cmat])
     value = right_evaluate_poly(f, amat)
-    assert value.entry(0, 0) == a_gen * b_gen
-    assert value.entry(0, 0) != b_gen * a_gen
+    assert value == amat * cmat
+    assert value != cmat * amat
 
 
 def test_determinant_refuses_noncommutative_entries():
@@ -316,64 +320,6 @@ def test_determinant_refuses_noncommutative_entries():
         berkowitz_char_poly(m)
     with pytest.raises(NonCommutativeRing):
         determinant(m)
-
-
-def test_unipolynomial_algebra():
-    for spec, text in ((Z, "-1+x^2"), (DUAL_Z3, "2+x^2")):
-        x = UniPolynomial.x_power(spec, 1)
-        one = UniPolynomial.from_coeffs(spec, [1])
-        p = (x + one) * (x - one)
-        assert p == UniPolynomial.from_coeffs(spec, [-1, 0, 1])
-        assert str(p) == text
-        assert p.shift(2) == UniPolynomial.from_coeffs(spec, [0, 0, -1, 0, 1])
-        assert (p - p).is_zero
-        assert p.coefficient(7) == spec.zero()
-        assert UniPolynomial.from_coeffs(spec, [1, 0, 0]).degree == 0
-        # against coefficient-wise RingElem arithmetic; over the dual numbers
-        # leading coefficients can multiply to zero and must be stripped
-        rng = random.Random(29)
-        for _ in range(30):
-            f, g = (UniPolynomial.from_coeffs(spec, [sample_element(spec, rng, 4)
-                                                     for _ in range(rng.randint(0, 3))])
-                    for _ in range(2))
-            n = max(f.degree, g.degree) + 1
-            assert f + g == UniPolynomial.from_coeffs(
-                spec, [f.coefficient(i) + g.coefficient(i) for i in range(n)])
-            assert f - g == UniPolynomial.from_coeffs(
-                spec, [f.coefficient(i) - g.coefficient(i) for i in range(n)])
-            assert -f == UniPolynomial.from_coeffs(spec, [-c for c in f.coefficients])
-            product = [spec.zero()] * (f.degree + g.degree + 2)
-            for i, a in enumerate(f.coefficients):
-                for j, b in enumerate(g.coefficients):
-                    product[i + j] = product[i + j] + a * b
-            assert f * g == UniPolynomial.from_coeffs(spec, product)
-
-
-@pytest.mark.parametrize("token, coeffs, text", [
-    ("int", [3, -1, 0, 1, 0], "3+(-1)*x+x^3"),
-    ("zmod:4", [5, 0, 3, 1], "1+(3)*x^2+x^3"),
-    ("quot:zmod:3:t^2", ["1+t", 0, "2*t", 1], "1+t+(2*t)*x^2+x^3"),
-    ("poly:int:t", ["t", -1, 1], "t+(-1)*x+x^2"),
-    ("int", [0, 0], "0"),
-])
-def test_unipolynomial_boundary_surface(token, coeffs, text):
-    # Coefficients are stored as payloads but cross the boundary as
-    # RingElems of the spec; ints and RingElems build the same polynomial.
-    spec = parse_ring_spec(token)
-    mixed = [spec.parse(c) if isinstance(c, str) else c for c in coeffs]
-    elems = [spec.coerce(c) for c in mixed]
-    p = UniPolynomial.from_coeffs(spec, mixed)
-    assert p == UniPolynomial.from_coeffs(spec, elems)
-    assert p == UniPolynomial.from_payloads(spec, [c.payload for c in elems])
-    assert str(p) == text
-    assert all(isinstance(c, RingElem) and c.spec == spec for c in p.coefficients)
-    assert p.coefficients == tuple(elems[:p.degree + 1])
-    for k in range(-1, len(coeffs) + 2):
-        got = p.coefficient(k)
-        assert isinstance(got, RingElem) and got.spec == spec
-        assert got == (elems[k] if 0 <= k < len(elems) else spec.zero())
-    assert p != UniPolynomial.from_coeffs(spec, elems + [1])
-    assert p.shift(1) == UniPolynomial.from_coeffs(spec, [0] + elems)
 
 
 # -- literals ---------------------------------------------------------------------

@@ -18,6 +18,7 @@ from piregular import (
     enumerate_elements,
     parse_element,
     parse_ring_spec,
+    poly_ring,
     sample_element,
 )
 from piregular import rings
@@ -39,6 +40,8 @@ AXIOM_SPECS = [
     (POLY_Z3, 3),
     (DUAL_Z3, None),
     (GAUSS, 5),
+    # leading coefficients whose product is a zero divisor must be stripped
+    (PolyOver(DUAL_Z3, "x"), 3),
 ]
 
 
@@ -88,6 +91,28 @@ def test_poly_strips_trailing_zeros():
     assert str(e) == "t"
     assert spec.element([]).is_zero
     assert spec.element([0, 0]).is_zero
+
+
+@pytest.mark.parametrize("token, variable", [
+    ("int", "x"), ("quot:zmod:3:t^2", "x"), ("poly:int:x", "y"),
+    ("poly:poly:zmod:2:x:y", "z"), ("quot:poly:int:y:x^2+1", "z"),
+])
+def test_poly_ring_takes_the_first_free_variable(token, variable):
+    spec = parse_ring_spec(token)
+    assert poly_ring(spec) == PolyOver(spec, variable)
+    assert poly_ring(parse_ring_spec(token)) is poly_ring(spec)
+
+
+def test_poly_ring_past_the_preferred_names_takes_any_free_letter():
+    spec = Z
+    for v in "xyzuvwstp":
+        spec = PolyOver(spec, v)
+    assert poly_ring(spec.base) == PolyOver(spec.base, "p")
+    assert poly_ring(spec) == PolyOver(spec, "a")
+    for v in "abcdefghijklmnoqrABCDEFGHIJKLMNOPQRSTUVWXYZ":
+        spec = PolyOver(spec, v)
+    with pytest.raises(InvalidSpec, match="no free polynomial variable"):
+        poly_ring(spec)
 
 
 def test_quotient_reduces_by_monic_modulus():

@@ -5,16 +5,15 @@ from dataclasses import replace
 import pytest
 
 from piregular import (
+    BudgetExceeded,
     Integers,
     IntegersMod,
     InternalViolation,
     MalformedPayload,
-    MatrixPolynomial,
     PreconditionFailed,
     RightWitnessInstance,
     SpecMismatch,
     SquareMatrix,
-    UniPolynomial,
     UnverifiedCertificate,
     azumaya_lower_left,
     certificate_from_json,
@@ -22,20 +21,22 @@ from piregular import (
     drazin_witness,
     edge_instances,
     emit_certificate,
+    determinant,
     exponent_raise,
-    det_poly_matrix,
     integer_instance,
     left_witness_search,
     parse_matrix_literal,
     parse_ring_spec,
+    poly_ring,
     right_to_left_certificate,
     right_witness_search,
     sampled_finite_instance,
     verify_certificate,
 )
-from piregular import lab, matrices, rings, witnesses
+from piregular import lab, rings, witnesses
+from piregular.rings import DEFAULT_BUDGET
 
-from helpers import naive_left_witness, random_matrix
+from helpers import matrix_polynomial, naive_left_witness, random_matrix
 
 Z = Integers()
 Z4 = IntegersMod(4)
@@ -59,6 +60,21 @@ def test_drazin_mod5_scalar():
     # 2 = 4*3 mod 5, so x = 3 witnesses a = 2 at n = 1; w = 2*3^2 = 18 = 3
     a, x = mat(Z5, "[[2]]"), mat(Z5, "[[3]]")
     assert drazin_witness(a, x, 1) == mat(Z5, "[[3]]")
+
+
+def test_instance_exponent_times_dim_must_fit_the_budget(monkeypatch):
+    # A = diag(2, 1) over Z_4 has A^n = A^(n+1) for n >= 2, so X = I works at
+    # every exponent; n * dim = DEFAULT_BUDGET still passes, one more does not,
+    # and that refusal computes no power.
+    a, x = mat(Z4, "[[2,0],[0,1]]"), SquareMatrix.identity(Z4, 2)
+    assert RightWitnessInstance(a, DEFAULT_BUDGET // 2, x).n == DEFAULT_BUDGET // 2
+    monkeypatch.setattr(witnesses, "_powers", None)
+    for n in (DEFAULT_BUDGET // 2 + 1, 10 ** 9):
+        with pytest.raises(BudgetExceeded, match="exceeds budget"):
+            RightWitnessInstance(a, n, x)
+    with pytest.raises(BudgetExceeded):
+        RightWitnessInstance(SquareMatrix.identity(Z4, 3), DEFAULT_BUDGET // 3 + 1,
+                             SquareMatrix.identity(Z4, 3))
 
 
 def test_drazin_zero():
@@ -154,7 +170,7 @@ def test_pipeline_modular_example():
     assert cert.C == mat(Z4, "[[0,0],[0,1]]")  # 2I - A
     assert cert.w == mat(Z4, "[[0,0],[0,1]]")
     assert cert.Y == mat(Z4, "[[0,0],[0,1]]")
-    assert [c.payload for c in cert.p.coefficients] == [0, 0, 0, 0, 1, 2, 1]
+    assert list(cert.p.payload) == [0, 0, 0, 0, 1, 2, 1]
     assert cert.verified and verify_certificate(cert).ok
 
 
@@ -281,7 +297,6 @@ def test_warm_quotient_certificates_make_no_products_or_parses(monkeypatch):
         return lambda *args: calls.append(name) or fn(*args)
 
     monkeypatch.setattr(rings, "_seq_mul", counted("_seq_mul", rings._seq_mul))
-    monkeypatch.setattr(matrices, "_seq_mul", counted("_seq_mul", matrices._seq_mul))
     monkeypatch.setattr(rings._LiteralParser, "parse",
                         counted("parse", rings._LiteralParser.parse))
     cert = right_to_left_certificate(RightWitnessInstance(inst.A, inst.n, inst.X))
@@ -294,7 +309,7 @@ def test_failing_identity_raises_internal_violation(monkeypatch):
     # A char poly x^m gives the wrong q(x) = 1, which makes C = 0, so the
     # raised and lowered witnesses fail.
     monkeypatch.setattr(witnesses, "berkowitz_char_poly",
-                        lambda x: UniPolynomial.x_power(x.ring, x.dim))
+                        lambda x: poly_ring(x.ring).gen() ** x.dim)
     a = mat(Z4, "[[2,0],[0,1]]")
     inst = RightWitnessInstance(a, 2, SquareMatrix.identity(Z4, 2))
     with pytest.raises(InternalViolation) as info:
@@ -313,10 +328,9 @@ def test_factored_determinant_identity():
             x = random_matrix(spec, dim, rng, bound)
             ident = SquareMatrix.identity(spec, dim)
             zero = SquareMatrix.zeros(spec, dim)
-            direct = det_poly_matrix(MatrixPolynomial.from_matrices(
-                spec, dim, [zero] * n + [ident, -x]))
-            factored = det_poly_matrix(MatrixPolynomial.from_matrices(
-                spec, dim, [ident, -x])).shift(n * dim)
+            direct = determinant(matrix_polynomial([zero] * n + [ident, -x]))
+            factored = determinant(matrix_polynomial([ident, -x])) \
+                * poly_ring(spec).gen() ** (n * dim)
             assert direct == factored
 
 
@@ -336,8 +350,7 @@ def test_certificate_p_is_the_direct_determinant(token, bound):
             for a, x in ((zero, random_matrix(spec, dim, rng, bound)),
                          (idem, ident + (ident - idem) * random_matrix(spec, dim, rng, bound))):
                 cert = right_to_left_certificate(RightWitnessInstance(a, n, x))
-                direct = det_poly_matrix(MatrixPolynomial.from_matrices(
-                    spec, dim, [zero] * n + [ident, -x]))
+                direct = determinant(matrix_polynomial([zero] * n + [ident, -x]))
                 assert cert.p == direct, (token, dim, n)
 
 
