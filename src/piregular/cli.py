@@ -214,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_right_to_left)
 
     p = sub.add_parser("verify-cert", parents=[common],
-                       help="re-verify a certificate document from a file or '-' for stdin")
+                       help="re-verify a certificate document (n * dim <= 2^20) "
+                            "from a file or '-' for stdin")
     p.add_argument("--path", required=True)
     p.set_defaults(handler=_cmd_verify_cert)
 

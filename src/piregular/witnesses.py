@@ -280,9 +280,13 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
         raise MalformedPayload("certificate document must be a JSON object")
     try:
         spec = parse_ring_spec(data["ring"])
-        dim = data["dim"]
-        n = data["n"]
-        big_n = data["N"]
+        dim, n, big_n = data["dim"], data["n"], data["N"]
+        if any(isinstance(e, bool) or not isinstance(e, int) or e < 1 for e in (n, big_n)):
+            raise MalformedPayload("certificate exponents n and N must be positive integers")
+        require_positive(MalformedPayload, dim=dim)
+        if n * dim > DEFAULT_BUDGET:  # checked as for an instance, before any matrix is built
+            raise BudgetExceeded(
+                f"exponent {n} times dimension {dim} exceeds budget {DEFAULT_BUDGET}")
         mats = {key: matrix_from_json(spec, data[key], dim) for key in ("A", "X", "C", "w", "Y")}
         p_coeffs, items = data["p_coeffs"], data["identities"]
         if not (isinstance(p_coeffs, list) and isinstance(items, list)
@@ -294,8 +298,6 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
         verified = data["verified"]
     except KeyError as exc:
         raise MalformedPayload(f"certificate document missing field {exc}") from exc
-    if any(isinstance(e, bool) or not isinstance(e, int) or e < 1 for e in (n, big_n)):
-        raise MalformedPayload("certificate exponents n and N must be positive integers")
     if not all(isinstance(flag, bool) for flag in (verified, *(h for _, h in identities))):
         raise MalformedPayload("certificate verified and every holds must be true or false")
     return LeftWitnessCertificate(

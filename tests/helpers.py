@@ -8,6 +8,7 @@ decomposition.  Slow and obviously correct is the point.
 from itertools import product
 
 from piregular import (
+    IntegersMod,
     MalformedPayload,
     SquareMatrix,
     enumerate_elements,
@@ -118,6 +119,17 @@ def naive_sum(lhs, rhs):
 
 def naive_difference(lhs, rhs):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
+
+
+def count_products(monkeypatch):
+    """Count calls of ``IntegersMod.p_matmul``, the one matrix product
+    kernel over Z_k; a SquareMatrix product is one call, and so is each
+    product the witness pipeline and the verifier make on payload rows."""
+    calls = []
+    plain_matmul = IntegersMod.p_matmul
+    monkeypatch.setattr(IntegersMod, "p_matmul",
+                        lambda self, a, b: calls.append(1) or plain_matmul(self, a, b))
+    return calls
 
 
 def random_matrix(spec, dim, rng, bound=None):

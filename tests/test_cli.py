@@ -200,6 +200,23 @@ def test_verify_cert_refuses_a_huge_wrong_exponent_without_powering(tmp_path, ca
                      "left_witness": False}
 
 
+def test_verify_cert_refuses_a_consistent_exponent_over_the_budget(tmp_path, capsys):
+    # N = n*dim passes the cheap exponent check, so verifying would power A
+    # to 20000000; the loader refuses n * dim over the budget as an
+    # instance does, before it builds any matrix.
+    path = tmp_path / "cert.json"
+    path.write_text(
+        '{"ring":"int","dim":2,"n":10000000,"N":20000000,"A":[[2,1],[1,1]],'
+        '"X":[[2,1],[1,1]],"p_coeffs":[1],"C":[[1,0],[0,1]],"w":[[1,0],[0,1]],'
+        '"Y":[[1,0],[0,1]],"verified":true,"identities":[]}')
+    start = time.perf_counter()
+    assert dispatch(["verify-cert", "--path", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds budget" in captured.err
+
+
 def test_right_to_left_refuses_an_exponent_over_the_budget(capsys):
     # n * dim = 8000000 > 2^20: the certificate's p would hold that many
     # coefficients, so the instance refuses before computing any power.

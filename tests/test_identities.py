@@ -1,9 +1,11 @@
 import random
 import time
+from math import factorial
 
 import pytest
 
 from piregular import (
+    FREE,
     DegreeTooLarge,
     Integers,
     IntegersMod,
@@ -12,12 +14,13 @@ from piregular import (
     SquareMatrix,
     check_identity_on_samples,
     matrix_units,
+    parse_ring_spec,
     search_nonvanishing,
     standard_identity,
 )
 from piregular import identities
 
-from helpers import permutation_standard_identity, random_matrix
+from helpers import count_products, permutation_standard_identity, random_matrix
 
 Z = Integers()
 Z4 = IntegersMod(4)
@@ -57,10 +60,33 @@ def test_s4_on_matrix_units_vanishes():
 
 def test_matches_permutation_oracle():
     rng = random.Random(3)
-    for degree in (2, 3, 4):
-        for _ in range(10):
-            mats = [random_matrix(Z6, 2, rng) for _ in range(degree)]
-            assert standard_identity(mats) == permutation_standard_identity(mats)
+    for token in ("int", "zmod:6", "quot:zmod:3:t^2", "poly:int:t"):
+        spec = parse_ring_spec(token)
+        for degree in range(1, 7):
+            for dim in (1, 2, 3):
+                mats = [random_matrix(spec, dim, rng, 3) for _ in range(degree)]
+                assert standard_identity(mats) == permutation_standard_identity(mats), \
+                    (token, degree, dim)
+
+
+def test_matches_permutation_oracle_over_the_free_algebra():
+    # Distinct noncommuting generators keep every product word apart, so
+    # this pins the order s(H) s(S - H) and the sign of every permutation.
+    gens = [SquareMatrix.from_rows(FREE, [[FREE.gen(letter)]]) for letter in "abcdwx"]
+    for degree in range(1, 7):
+        value = standard_identity(gens[:degree])
+        assert value == permutation_standard_identity(gens[:degree])
+        assert len(value.rows[0][0].terms()) == factorial(degree)
+
+
+def test_product_counts_follow_the_subset_recurrence(monkeypatch):
+    rng = random.Random(9)
+    tuples = {degree: [random_matrix(Z4, 3, rng) for _ in range(degree)] for degree in (4, 6, 8)}
+    calls = count_products(monkeypatch)
+    for degree, most in ((4, 18), (6, 110), (8, 574)):
+        calls.clear()
+        assert standard_identity(tuples[degree]).is_zero == (degree >= 6)
+        assert 0 < len(calls) <= most
 
 
 def test_antisymmetry():
@@ -97,6 +123,14 @@ def test_amitsur_levitzki_sampled():
     for _ in range(5):
         mats = [random_matrix(Z4, 3, rng) for _ in range(6)]
         assert standard_identity(mats).is_zero
+
+
+def test_amitsur_levitzki_on_4x4_is_sharp():
+    # s_8 vanishes on M_4(Z_4); s_7 does not.
+    assert check_identity_on_samples(Z4, 4, 8, samples=20, seed=11).all_vanish
+    sharp = check_identity_on_samples(Z4, 4, 7, samples=20, seed=11)
+    assert not sharp.all_vanish
+    assert not standard_identity(sharp.witness).is_zero
 
 
 def test_degree_and_spec_guards(monkeypatch):

@@ -36,7 +36,7 @@ from piregular import (
 from piregular import lab, rings, witnesses
 from piregular.rings import DEFAULT_BUDGET
 
-from helpers import matrix_polynomial, naive_left_witness, random_matrix
+from helpers import count_products, matrix_polynomial, naive_left_witness, random_matrix
 
 Z = Integers()
 Z4 = IntegersMod(4)
@@ -236,17 +236,6 @@ def test_pipeline_y_matches_naive_left_existence():
         assert naive_left_witness(a, 1) is not None
         checked += 1
     assert checked > 0
-
-
-def count_products(monkeypatch):
-    """Count calls of ``IntegersMod.p_matmul``, the one matrix product
-    kernel over Z_k; a SquareMatrix product is one call, and so is each
-    product the witness pipeline and the verifier make on payload rows."""
-    calls = []
-    plain_matmul = IntegersMod.p_matmul
-    monkeypatch.setattr(IntegersMod, "p_matmul",
-                        lambda self, a, b: calls.append(1) or plain_matmul(self, a, b))
-    return calls
 
 
 def test_pipeline_computes_each_power_once(monkeypatch):
