@@ -78,7 +78,7 @@ def _cmd_verify_cert(args) -> int:
     raw = sys.stdin.read() if args.path == "-" else Path(args.path).read_text()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over sys.get_int_max_str_digits()
         raise MalformedPayload(f"certificate is not valid JSON: {exc}") from exc
     cert = certificate_from_json(data)
     verdict = verify_certificate(cert)

@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+import sys
+
 
 class PiregularError(Exception):
     """Base class for every error raised by this package.  ``exit_code`` is
@@ -29,7 +31,13 @@ class NotEnumerable(PiregularError):
 
 
 class BudgetExceeded(PiregularError):
-    """A scan, a table or an instance's n * dim would exceed DEFAULT_BUDGET (2^20)."""
+    """A scan, a table or an instance's n * dim would exceed DEFAULT_BUDGET
+    (2^20), or a result holds an integer with more digits than CPython turns
+    into text (``sys.get_int_max_str_digits()``, 4300 by default)."""
+
+    @classmethod
+    def digits(cls) -> "BudgetExceeded":
+        return cls(f"an integer has more than {sys.get_int_max_str_digits()} digits to print")
 
 
 class InvalidBound(PiregularError):

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .errors import InternalViolation, InvalidSpec, NonTerminating, ParseError
+from .errors import BudgetExceeded, InternalViolation, InvalidSpec, NonTerminating, ParseError
 from .matrices import SquareMatrix
-from .rings import RingSpec, _ExpressionParser, _tokenize, binary_power
+from .rings import RingSpec, _ExpressionParser, _nonblank, _tokenize, binary_power
 
 ALPHABET = "abcdwxyz"
 # rank for ascending comparison: z smallest, a largest
@@ -137,14 +137,18 @@ class NCPolynomial:
         for word in sorted(self._terms, key=deglex_key, reverse=True):
             coeff = self._terms[word]
             body = _word_str(word)
+            try:
+                shown = str(coeff)
+            except ValueError:  # over sys.get_int_max_str_digits() digits
+                raise BudgetExceeded.digits() from None
             if word == "":
-                text = str(coeff)
+                text = shown
             elif coeff == 1:
                 text = body
             elif coeff == -1:
                 text = f"-{body}"
             else:
-                text = f"{coeff}*{body}"
+                text = f"{shown}*{body}"
             if pieces and not text.startswith("-"):
                 pieces.append(f" + {text}")
             elif pieces:
@@ -455,38 +459,32 @@ def shepherdson_demo() -> ShepherdsonReport:
 
 
 class _NCParser(_ExpressionParser):
-    """Sums of juxtaposed factors: ``2ab - (1/2)w^2(x + y)`` and the like.
-    Each letter is a generator of its own, so a run of letters is split."""
-
-    def __init__(self, text: str):
-        tokens = [(kind, part) for kind, run in _tokenize(text)
-                  for part in (run if kind == "name" else (run,))]
-        super().__init__(FREE, tokens=tokens)
+    """Sums of juxtaposed factors: ``2ab - (1/2)w^2(x + y)`` and the like."""
 
     def primary(self) -> NCPolynomial:
-        kind, text = self.take()
+        kind, value = self.take()
         if kind == "int":
-            numerator = int(text)
             if self.peek()[0] == "/":
                 self.take()
-                denominator = int(self.take("int")[1])
+                denominator = self.take("int")[1]
                 if denominator == 0:
                     raise ParseError("zero denominator in rational literal")
-                return NCPolynomial({"": Fraction(numerator, denominator)})
-            return NCPolynomial({"": numerator})
+                return NCPolynomial({"": Fraction(value, denominator)})
+            return NCPolynomial({"": value})
         if kind == "name":
-            if text not in _RANK:
-                raise ParseError(f"unknown generator {text!r}; alphabet is {ALPHABET!r}")
-            return NCPolynomial.from_word(text)
+            if value not in _RANK:
+                raise ParseError(f"unknown generator {value!r}; alphabet is {ALPHABET!r}")
+            return NCPolynomial.from_word(value)
         if kind == "(":
             value = self.expression()
             self.take(")")
             return value
-        raise ParseError(f"unexpected token {text!r}")
+        raise ParseError(f"unexpected token {value!r}")
 
 
 def parse_nc(text: str) -> NCPolynomial:
-    """Parse a noncommutative polynomial expression."""
-    if not isinstance(text, str) or not text.strip():
-        raise ParseError("empty expression")
-    return _NCParser(text).parse()
+    """Parse a noncommutative polynomial expression.  Each letter is a
+    generator of its own, so a run of letters is split."""
+    tokens = [(kind, part) for kind, run in _tokenize(_nonblank(text, "expression"))
+              for part in (run if kind == "name" else (run,))]
+    return _NCParser(FREE, tokens).parse()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .errors import MalformedPayload
+from .errors import BudgetExceeded, MalformedPayload
 
 _ALLOWED_SCALARS = frozenset((str, int, bool, type(None)))
 
@@ -57,7 +57,10 @@ def canonical_dumps(obj) -> str:
     """Serialize to the canonical form; rejects floats anywhere."""
     if not _plain(obj):
         _check_exact(obj)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+    except ValueError:  # an int over sys.get_int_max_str_digits() digits
+        raise BudgetExceeded.digits() from None
 
 
 def content_hash(obj) -> str:

@@ -17,6 +17,9 @@ M_m(R)[x] = M_m(R[x]).  Its determinant is :func:`determinant`, and
 Determinant-flavoured operations require commutativity and refuse anything
 else.
 
+A matrix literal ``[[e,e],[e,e]]`` is read by the ring module's tokenizer
+and recursive descent, with one element literal per entry.
+
 Characteristic polynomials use the Samuelson-Berkowitz recurrence: the
 coefficient vector of each leading principal block is pushed through a
 Toeplitz convolution built from one new row and column.  That keeps the
@@ -28,12 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimMismatch, MalformedPayload, NonCommutativeRing, ParseError, SpecMismatch
+from .errors import DimMismatch, MalformedPayload, NonCommutativeRing, SpecMismatch
 from .rings import (
     RingElem,
     RingSpec,
+    _LiteralParser,
+    _nonblank,
+    _tokenize,
     binary_power,
-    parse_element,
     poly_ring,
     require_positive,
 )
@@ -222,42 +227,17 @@ def right_evaluate_poly(f, mat: SquareMatrix) -> SquareMatrix:
 
 
 def parse_matrix_literal(spec: RingSpec, text: str) -> SquareMatrix:
-    """Parse ``[[e,e],[e,e]]`` with ring-element literals as entries."""
-    body = text.strip()
-    if not body.startswith("[") or not body.endswith("]"):
-        raise ParseError(f"matrix literal must be bracketed, got {text!r}")
-    rows_text = _split_top_level(body[1:-1])
-    rows = []
-    for row_text in rows_text:
-        row_text = row_text.strip()
-        if not row_text.startswith("[") or not row_text.endswith("]"):
-            raise ParseError(f"matrix row must be bracketed, got {row_text!r}")
-        cells = _split_top_level(row_text[1:-1])
-        if cells == [""]:
-            raise ParseError("empty matrix row")
-        rows.append([parse_element(spec, cell) for cell in cells])
-    if not rows:
-        raise ParseError("empty matrix literal")
-    return SquareMatrix.from_rows(spec, rows)
+    """Parse ``[`` row (``,`` row)* ``]``, each row ``[`` e (``,`` e)* ``]``
+    with ring-element literals ``e``; a ragged matrix is a DimMismatch."""
+    parser = _LiteralParser(spec, _tokenize(_nonblank(text, "matrix literal")))
 
+    def listed(item) -> list:
+        parser.take("[")
+        items = [item()]
+        while parser.peek()[0] == ",":
+            parser.take()
+            items.append(item())
+        parser.take("]")
+        return items
 
-def _split_top_level(text: str) -> list:
-    parts = []
-    depth = 0
-    current = []
-    for c in text:
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-        if c == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(c)
-    if depth != 0:
-        raise ParseError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(current))
-    return parts
+    return SquareMatrix.from_rows(spec, parser.finish(listed(lambda: listed(parser.expression))))

@@ -13,10 +13,12 @@ values carrying a canonical payload, so structural equality is ring equality:
 Berkowitz) runs on bare payloads through the spec's ``p_*`` methods, and
 wraps a payload into a ``RingElem`` only when it is handed back to a caller.
 
-Specs can be written down and re-read through a small colon-separated
-grammar, e.g. ``"zmod:4"``, ``"poly:int:t"`` or ``"quot:zmod:3:t^2"``, and
-elements through literals such as ``1+2*t``; the free algebra reuses the
-literal parser's tokenizer and recursive descent.
+Every text input is read by one tokenizer and one recursive descent: ring
+specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
+modulus is an element literal), element literals such as ``1+2*t``, the
+matrix literals of :mod:`piregular.matrices` and the free-algebra
+expressions of :mod:`piregular.freealg`.  Whitespace only separates tokens,
+and a run of ASCII digits is the only integer.
 
 A finite quotient ring of at most 256 elements computes each sum, product,
 literal and parse once and then reads it from a table of at most
@@ -29,13 +31,15 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import product, takewhile
 from string import ascii_letters, digits
 from typing import Any, Optional
 
 from .errors import (
+    BudgetExceeded,
     InvalidBound,
     InvalidSpec,
     MalformedPayload,
@@ -235,10 +239,6 @@ class RingElem:
     def is_zero(self) -> bool:
         return self.payload == self.spec.zero_payload()
 
-    @property
-    def is_one(self) -> bool:
-        return self.payload == self.spec.one_payload()
-
     def __str__(self) -> str:
         return self.spec.show_payload(self.payload)
 
@@ -289,7 +289,10 @@ class Integers(RingSpec):
         return n
 
     def show_payload(self, payload):
-        return str(payload)
+        try:
+            return str(payload)
+        except ValueError:  # over sys.get_int_max_str_digits() digits
+            raise BudgetExceeded.digits() from None
 
     @property
     def is_finite(self):
@@ -651,86 +654,38 @@ def sample_element(spec: RingSpec, rng, bound: Optional[int] = None) -> RingElem
     return RingElem(spec, spec.sample_payload(rng, bound))
 
 
-# -- ring-spec grammar -------------------------------------------------------
+# -- text inputs: one tokenizer, one recursive descent ------------------------
 
 
-def parse_ring_spec(text: str) -> RingSpec:
-    """Parse ``"int" | "zmod:<k>" | "poly:<base>:<var>" | "quot:<base>:<monic>"``;
-    a recently parsed token returns the same (immutable) spec."""
+def _nonblank(text, what: str) -> str:
+    """``text`` itself; anything but a string with a non-space character is
+    a ParseError naming ``what``."""
     if not isinstance(text, str) or not text.strip():
-        raise ParseError("empty ring spec")
-    return _parse_ring_token(text.strip())
-
-
-@lru_cache(maxsize=256)
-def _parse_ring_token(token: str) -> RingSpec:
-    parts = token.split(":")
-    spec, used = _parse_spec_parts(parts, 0)
-    if used != len(parts):
-        raise ParseError(f"trailing ring-spec tokens {':'.join(parts[used:])!r}")
-    return spec
-
-
-def _parse_spec_parts(parts, i):
-    if i >= len(parts):
-        raise ParseError("truncated ring spec")
-    head = parts[i]
-    if head == "int":
-        return Integers(), i + 1
-    if head == "zmod":
-        if i + 1 >= len(parts):
-            raise ParseError("zmod needs a modulus")
-        raw = parts[i + 1]
-        if not (raw.isascii() and raw.isdigit()):
-            raise ParseError(f"invalid modulus token {raw!r}")
-        modulus = int(raw)
-        if modulus < 2:
-            raise ParseError(f"modulus must be >= 2, got {raw!r}")
-        return IntegersMod(modulus), i + 2
-    if head == "poly":
-        base, j = _parse_spec_parts(parts, i + 1)
-        if j >= len(parts):
-            raise ParseError("poly needs a variable")
-        var = parts[j]
-        if not (len(var) == 1 and var.isalpha()):
-            raise ParseError(f"invalid variable token {var!r}")
-        return PolyOver(base, var), j + 1
-    if head == "quot":
-        base, j = _parse_spec_parts(parts, i + 1)
-        if j >= len(parts):
-            raise ParseError("quot needs a monic modulus literal")
-        literal = parts[j]
-        letters = {c for c in literal if c.isalpha()}
-        if len(letters) != 1:
-            raise ParseError(f"modulus literal {literal!r} must use exactly one variable")
-        var = letters.pop()
-        payload = parse_element(PolyOver(base, var), literal).payload
-        try:
-            return QuotientPoly(base, var, payload), j + 1
-        except InvalidSpec as exc:
-            raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown ring kind {head!r}")
-
-
-# -- expressions and element literals ----------------------------------------
+        raise ParseError(f"empty {what}")
+    return text
 
 
 def _tokenize(text: str) -> list:
-    """``(kind, text)`` tokens ending in ``("end", "")``: a run of ASCII
-    digits is an ``int``, a run of letters a ``name``, and each of
-    ``+-*/^()`` is a kind of its own."""
+    """``(kind, value)`` tokens ending in ``("end", "")``: a run of ASCII
+    digits is an ``int`` whose value is its integer, a run of letters a
+    ``name``, each of ``+-*/^()[],:`` is a kind of its own, and whitespace
+    only separates.  This is the one place where digits become an integer."""
     tokens, i = [], 0
     while i < len(text):
         c, j = text[i], i + 1
         if c in digits:
             while j < len(text) and text[j] in digits:
                 j += 1
-            tokens.append(("int", text[i:j]))
+            try:
+                tokens.append(("int", int(text[i:j])))
+            except ValueError:  # CPython converts at most sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal of {j - i} digits exceeds the limit of "
+                                 f"{sys.get_int_max_str_digits()}") from None
         elif c.isalpha():
             while j < len(text) and text[j].isalpha():
                 j += 1
             tokens.append(("name", text[i:j]))
-        elif c in "+-*/^()":
+        elif c in "+-*/^()[],:":
             tokens.append((c, c))
         elif not c.isspace():
             raise ParseError(f"unexpected character {c!r}")
@@ -739,13 +694,26 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def parse_ring_spec(text: str) -> RingSpec:
+    """Parse a ring spec such as ``zmod:4``, ``poly:int:t`` or
+    ``quot:zmod:3:t^2``; a recently parsed text returns the same
+    (immutable) spec."""
+    return _parse_ring_token(_nonblank(text, "ring spec"))
+
+
+@lru_cache(maxsize=256)
+def _parse_ring_token(text: str) -> RingSpec:
+    parser = _LiteralParser(None, _tokenize(text))
+    return parser.finish(parser.ring_spec())
+
+
 class _ExpressionParser:
     """Recursive descent over signed sums of products of powers, where
     juxtaposition multiplies; a subclass reads one ``primary`` of ``spec``."""
 
-    def __init__(self, spec, text: str = None, tokens=None, pos=0):
+    def __init__(self, spec, tokens: list, pos: int = 0):
         self.spec = spec
-        self.tokens = _tokenize(text) if tokens is None else tokens
+        self.tokens = tokens
         self.pos = pos
 
     def peek(self):
@@ -758,11 +726,14 @@ class _ExpressionParser:
         self.pos += 1
         return tok
 
-    def parse(self):
-        value = self.expression()
+    def finish(self, value):
+        """``value``, once every token has been read."""
         if self.peek()[0] != "end":
             raise ParseError(f"unexpected token {self.peek()[1]!r}")
         return value
+
+    def parse(self):
+        return self.finish(self.expression())
 
     def expression(self):
         negate = False
@@ -793,7 +764,7 @@ class _ExpressionParser:
         value = self.primary()
         if self.peek()[0] == "^":
             self.take()
-            value = value ** int(self.take("int")[1])
+            value = value ** self.take("int")[1]
         return value
 
     def primary(self):
@@ -802,31 +773,63 @@ class _ExpressionParser:
 
 class _LiteralParser(_ExpressionParser):
     """Ring-element literals such as ``-3``, ``1+2*t``, ``t^2`` or
-    ``(1+t)*u^2`` for nested towers."""
+    ``(1+t)*u^2`` for nested towers, and the ring specs that embed them."""
 
     def primary(self) -> RingElem:
-        kind, text = self.take()
+        kind, value = self.take()
         if kind == "int":
-            return self.spec.from_int(int(text))
+            return self.spec.from_int(value)
         if kind == "name":
-            if text == getattr(self.spec, "variable", None):
+            if value == getattr(self.spec, "variable", None):
                 return self.spec.gen()
-            raise ParseError(f"unknown symbol {text!r} for ring {self.spec}")
+            raise ParseError(f"unknown symbol {value!r} for ring {self.spec}")
         if kind == "(":
             base = getattr(self.spec, "base", None)
             if base is None:
                 raise ParseError(f"parenthesized coefficients not allowed in {self.spec}")
-            inner = _LiteralParser(base, tokens=self.tokens, pos=self.pos)
+            inner = _LiteralParser(base, self.tokens, self.pos)
             value = inner.expression()
             self.pos = inner.pos
             self.take(")")
             # lift the base element into this ring as a constant
             return self.spec.element([value.payload])
-        raise ParseError(f"unexpected token {text!r}")
+        raise ParseError(f"unexpected token {value!r}")
+
+    def ring_spec(self) -> RingSpec:
+        """``int | zmod:<k> | poly:<spec>:<var> | quot:<spec>:<monic>``, where
+        the modulus is read as a literal of ``poly:<spec>:<var>``, ``<var>``
+        being the one letter it uses."""
+        head = self.take("name")[1]
+        if head == "int":
+            return Integers()
+        if head not in ("zmod", "poly", "quot"):
+            raise ParseError(f"unknown ring kind {head!r}")
+        self.take(":")
+        if head == "zmod":
+            modulus = self.take("int")[1]
+            if modulus < 2:
+                raise ParseError(f"modulus must be >= 2, got {modulus}")
+            return IntegersMod(modulus)
+        base = self.ring_spec()
+        self.take(":")
+        if head == "poly":
+            var = self.take("name")[1]
+            if len(var) != 1:
+                raise ParseError(f"invalid variable token {var!r}")
+            return PolyOver(base, var)
+        literal = takewhile(lambda tok: tok[0] not in (":", "end"), self.tokens[self.pos:])
+        letters = {c for tok in literal if tok[0] == "name" for c in tok[1]}
+        if len(letters) != 1:
+            raise ParseError("a quot modulus literal must use exactly one variable")
+        var = letters.pop()
+        self.spec = PolyOver(base, var)
+        modulus = self.expression().payload
+        try:
+            return QuotientPoly(base, var, modulus)
+        except InvalidSpec as exc:
+            raise ParseError(str(exc)) from exc
 
 
 def parse_element(spec: RingSpec, text: str) -> RingElem:
     """Parse a ring-element literal for the given spec."""
-    if not isinstance(text, str) or not text.strip():
-        raise ParseError("empty element literal")
-    return _LiteralParser(spec, text).parse()
+    return _LiteralParser(spec, _tokenize(_nonblank(text, "element literal"))).parse()

@@ -24,7 +24,7 @@ N != n*dim).  Emitting trusts only this producer's certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     BudgetExceeded,
@@ -307,10 +307,13 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
 
 def emit_certificate(cert: LeftWitnessCertificate) -> str:
     """Canonical JSON for a certificate; refuses one that does not verify.
-    Only a certificate from :func:`right_to_left_certificate` skips the check."""
+    Only a certificate from :func:`right_to_left_certificate` skips the check;
+    any other is written with the verdict, not with its stored flags, so the
+    bytes depend only on the mathematics."""
     if not cert._checked:
         verdict = verify_certificate(cert)
         if not verdict.ok:
             raise UnverifiedCertificate(
                 f"refusing to emit certificate; failing identities: {verdict.failing()}")
+        cert = replace(cert, verified=True, identities=verdict.identities)
     return canonical_dumps(certificate_to_json(cert))

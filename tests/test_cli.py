@@ -15,6 +15,8 @@ from piregular.identities import MAX_DEGREE
 
 RTL_OK = ["right-to-left", "--ring", "zmod:4", "--dim", "2", "--n", "2",
           "--A", "[[2,0],[0,1]]", "--X", "[[1,0],[0,1]]"]
+LONG = "1" + "0" * 5000  # 5001 digits: over CPython's default limit of 4300 for int <-> str
+SEVENS = "7" * 3000
 
 
 def run_cli(args):
@@ -44,7 +46,12 @@ def test_json_on_stdout_is_byte_stable(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_exit_2_on_parse_errors(capsys):
+def test_exit_2_on_parse_errors(tmp_path, capsys):
+    # json.dumps refuses the long integer, so the certificate is spelled out
+    long_cert = tmp_path / "long.json"
+    long_cert.write_text(
+        '{"ring":"int","dim":1,"n":1,"N":1,"A":[[' + LONG + ']],"X":[[1]],"p_coeffs":[-1,1],'
+        '"C":[[1]],"w":[[1]],"Y":[[1]],"verified":true,"identities":[]}')
     cases = [
         ["right-to-left", "--ring", "zmod:seven", "--dim", "2", "--n", "1",
          "--A", "[[1,0],[0,1]]", "--X", "[[1,0],[0,1]]"],
@@ -61,10 +68,32 @@ def test_exit_2_on_parse_errors(capsys):
          "--A", "[[²]]", "--X", "[[1]]"],
         ["identity-check", "--ring", "zmod:²", "--dim", "2", "--degree", "4"],
         ["classify", "--ring", "quot:zmod:2:t²", "--dim", "1"],
+        # integers too long for int(): a ParseError, or a MalformedPayload in JSON
+        ["nf", "--expr", LONG],
+        ["nf", "--expr", "a^" + LONG],
+        ["right-to-left", "--ring", "int", "--dim", "1", "--n", "1",
+         "--A", f"[[{LONG}]]", "--X", "[[0]]"],
+        ["classify", "--ring", "zmod:" + LONG, "--dim", "1"],
+        ["identity-check", "--ring", "zmod:" + LONG, "--dim", "2", "--degree", "4"],
+        ["verify-cert", "--path", str(long_cert)],
     ]
     for argv in cases:
         assert dispatch(argv) == 2, argv
-        capsys.readouterr()
+        assert capsys.readouterr().out == "", argv
+
+
+@pytest.mark.parametrize("argv", [
+    # A is idempotent, so the instance holds; q = det(I - xX) has a
+    # coefficient of about 6000 digits
+    ["right-to-left", "--ring", "int", "--dim", "3", "--n", "1",
+     "--A", "[[1,0,0],[0,0,0],[0,0,0]]", "--X", f"[[1,0,0],[0,{SEVENS},0],[0,0,{SEVENS}]]"],
+    ["nf", "--expr", f"({'9' * 3000} a)^2"],
+], ids=["right-to-left", "nf"])
+def test_exit_2_when_a_result_has_too_many_digits_to_print(argv, capsys):
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{sys.get_int_max_str_digits()} digits" in err
+    assert "Traceback" not in err
 
 
 def test_cp_verify_ignores_a_workers_environment_variable(monkeypatch, capsys):
@@ -356,10 +385,12 @@ def test_exit_code_matrix_subprocess():
         (["identity-check", "--ring", "int", "--dim", "2", "--degree", "3",
           "--samples", "20", "--seed", "0"], 1),
         (["classify", "--ring", "int", "--dim", "2"], 2),
+        (["nf", "--expr", "a^" + LONG], 2),
     ]
     for argv, expected in table:
         proc = run_cli(argv)
         assert proc.returncode == expected, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
         if expected != 2:
             json.loads(proc.stdout)
 

@@ -342,8 +342,9 @@ def test_matrix_literal_errors():
         parse_matrix_literal(Z, "[[1,2],[3,4]")
     with pytest.raises(ParseError):
         parse_matrix_literal(Z, "1,2")
-    with pytest.raises(ParseError):
-        parse_matrix_literal(Z, "[[]]")
+    for text in ("[[]]", "[]", "[[1],]", "[[1,],[2,]]", "[[1]] [[2]]", "[[1]]x"):
+        with pytest.raises(ParseError):
+            parse_matrix_literal(Z, text)
 
 
 # -- payload kernel against entrywise oracles -----------------------------------

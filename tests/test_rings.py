@@ -17,12 +17,21 @@ from piregular import (
     QuotientPoly,
     enumerate_elements,
     parse_element,
+    parse_matrix_literal,
+    parse_nc,
     parse_ring_spec,
     poly_ring,
     sample_element,
 )
 from piregular import rings
-from piregular.rings import _LiteralParser, _monic_rem, _poly_payload_str, _seq_add, _seq_mul
+from piregular.rings import (
+    _LiteralParser,
+    _monic_rem,
+    _poly_payload_str,
+    _seq_add,
+    _seq_mul,
+    _tokenize,
+)
 
 Z = Integers()
 Z4 = IntegersMod(4)
@@ -208,15 +217,30 @@ def test_malformed_payloads_rejected():
 
 @pytest.mark.parametrize("token", ["int", "zmod:4", "zmod:12", "poly:int:t",
                                    "poly:zmod:3:u", "quot:zmod:3:t^2",
-                                   "quot:int:x^2+1", "poly:quot:zmod:2:t^2:u"])
+                                   "quot:int:x^2+1", "poly:quot:zmod:2:t^2:u",
+                                   "quot:quot:zmod:2:t^2+t+1:u^2"])
 def test_ring_spec_grammar_round_trip(token):
     spec = parse_ring_spec(token)
     assert parse_ring_spec(spec.token()) == spec
 
 
+@pytest.mark.parametrize("text", [None, "", " \t", ["int"], 4])
+def test_every_text_parser_refuses_blank_and_non_string_input(text):
+    for parse in (parse_ring_spec, parse_nc, lambda t: parse_element(Z4, t),
+                  lambda t: parse_matrix_literal(Z4, t)):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def test_ring_spec_whitespace_only_separates_tokens():
+    assert parse_ring_spec("zmod: 4").token() == "zmod:4"
+    assert parse_ring_spec(" quot : zmod:3 : t ^ 2 ") == parse_ring_spec("quot:zmod:3:t^2")
+
+
 @pytest.mark.parametrize("token", ["zmod:seven", "zmod", "madeup:3", "",
                                    "poly:int", "quot:int:7", "zmod:4:extra",
-                                   "zmod:²", "quot:zmod:2:t²"])
+                                   "zmod:²", "quot:zmod:2:t²", "int:", "poly:int:t:",
+                                   "poly:int:tt", "quot:zmod:3:"])
 def test_ring_spec_grammar_rejects_garbage(token):
     with pytest.raises((ParseError, InvalidSpec)):
         parse_ring_spec(token)
@@ -318,7 +342,8 @@ def test_memoized_quotient_ops_match_the_raw_helpers(spec, monkeypatch):
     for a in payloads:
         text = spec.show_payload(a)
         assert text == _poly_payload_str(base, a, var)
-        assert spec.payload_from_json(text) == a == _LiteralParser(spec, text).parse().payload
+        parsed = _LiteralParser(spec, _tokenize(text)).parse().payload
+        assert spec.payload_from_json(text) == a == parsed
         for b in payloads:
             results[a, b] = spec.p_add(a, b), spec.p_mul(a, b)
             assert results[a, b] == (_seq_add(base, a, b),

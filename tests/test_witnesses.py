@@ -274,6 +274,15 @@ def test_emit_trusts_only_its_producer(monkeypatch):
         emit_certificate(replace(cert, Y=SquareMatrix.zeros(Z4, 2)))
 
 
+def test_emit_writes_the_verdict_not_the_stored_flags():
+    text = emit_certificate(build_cert())
+    doc = json.loads(text)
+    doc["verified"], doc["identities"] = False, [{"name": "made_up", "holds": False}]
+    loaded = certificate_from_json(doc)
+    assert verify_certificate(loaded).ok
+    assert emit_certificate(loaded) == text
+
+
 def test_warm_quotient_certificates_make_no_products_or_parses(monkeypatch):
     # Once a dual-number certificate has been built and verified, its ring's
     # tables hold every sum, product and literal that building it again,
