@@ -206,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--ring", required=True, help="ring spec, e.g. int, zmod:4, poly:zmod:3:t")
     instance.add_argument("--dim", type=int, required=True)
     instance.add_argument("--n", type=int, required=True, help="exponent; n * dim <= 2^20")
-    instance.add_argument("--A", required=True, help="matrix literal [[...],[...]]")
+    instance.add_argument("--A", required=True,
+                          help="matrix literal [[...],[...]]; each power's size <= 2^20")
     instance.add_argument("--X", required=True, help="right witness literal")
 
     p = sub.add_parser("right-to-left", parents=[instance],
@@ -256,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", parents=[common],
                        help="normal form of a free-algebra expression modulo the stock rules")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", required=True, help="expression; each power's size <= 2^20")
     p.add_argument("--strategy", choices=("leftmost", "rightmost"), default="leftmost")
     p.set_defaults(handler=_cmd_nf)
 

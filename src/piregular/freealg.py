@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 
 from .errors import BudgetExceeded, InternalViolation, InvalidSpec, NonTerminating, ParseError
 from .matrices import SquareMatrix
-from .rings import RingSpec, _ExpressionParser, _nonblank, _tokenize, binary_power
+from .rings import DEFAULT_BUDGET, RingSpec, _ExpressionParser, _nonblank, _tokenize, binary_power
 
 ALPHABET = "abcdwxyz"
 # rank for ascending comparison: z smallest, a largest
@@ -211,7 +211,7 @@ class FreeAlgebra:
     p_neg = staticmethod(operator.neg)
     p_mul = staticmethod(operator.mul)
     p_dot = RingSpec.p_dot
-    p_matmul = RingSpec.p_matmul
+    p_matmul, matmul_form = RingSpec.p_matmul, "calls"
 
     def gen(self, letter: str) -> NCPolynomial:
         return NCPolynomial.from_word(_check_word(letter))
@@ -480,6 +480,14 @@ class _NCParser(_ExpressionParser):
             self.take(")")
             return value
         raise ParseError(f"unexpected token {value!r}")
+
+    def power_size(self, value: NCPolynomial, exponent: int) -> int:
+        """The term count raised to the exponent (capped where it must pass
+        the budget), or the exponent times the longest word and coefficient
+        bits, whichever is larger."""
+        weight = max((len(word) + coeff.numerator.bit_length() + coeff.denominator.bit_length()
+                      for word, coeff in value._terms.items()), default=0)
+        return max(len(value) ** min(exponent, DEFAULT_BUDGET.bit_length()), exponent * weight)
 
 
 def parse_nc(text: str) -> NCPolynomial:

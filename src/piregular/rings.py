@@ -13,12 +13,23 @@ values carrying a canonical payload, so structural equality is ring equality:
 Berkowitz) runs on bare payloads through the spec's ``p_*`` methods, and
 wraps a payload into a ``RingElem`` only when it is handed back to a caller.
 
+``RingSpec.p_matmul`` is the one matrix-product entry point.  Up to
+dimension 8 it calls a kernel generated for that dimension, with every
+``l[i][k]*r[k][j]`` term written out as straight-line code in one of three
+entry forms: plain ``+`` and ``*`` over the integers, the same with one
+``% modulus`` per entry mod k, and ``p_add``/``p_mul`` calls for every other
+ring.  A kernel is compiled on the first product of its form and dimension
+and kept in a module-level cache, never on a spec.  Larger matrices run a
+loop of ``p_dot`` calls, since a kernel's source grows as dim^3.
+
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
 modulus is an element literal), element literals such as ``1+2*t``, the
 matrix literals of :mod:`piregular.matrices` and the free-algebra
 expressions of :mod:`piregular.freealg`.  Whitespace only separates tokens,
-and a run of ASCII digits is the only integer.
+and a run of ASCII digits is the only integer.  A power whose size would
+pass ``DEFAULT_BUDGET`` is refused with ``BudgetExceeded`` before it is
+computed.
 
 A finite quotient ring of at most 256 elements computes each sum, product,
 literal and parse once and then reads it from a table of at most
@@ -67,7 +78,7 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
     return one() if result is None else result
 
 
-DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, and n * dim per instance
+DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, n * dim, the size of a parsed power
 
 
 def require_positive(error=InvalidBound, /, **values) -> None:
@@ -111,9 +122,16 @@ class RingSpec:
         """Sum of the products of paired entries of two nonempty sequences."""
         return reduce(self.p_add, map(self.p_mul, row, col))
 
+    matmul_form = "calls"  # how the generated product kernel combines entries
+
     def p_matmul(self, rows, other_rows) -> tuple:
         """Payload rows of the product of two square matrices' payload rows;
-        the one product kernel, in plain loops: one frame per product."""
+        the one product entry point.  Up to dimension ``_KERNEL_CAP`` it calls
+        the straight-line kernel of this ring's ``matmul_form``, compiled on
+        the first product of that form and dimension; above it, a loop of
+        ``p_dot`` calls, since the kernel's source grows as dim^3."""
+        if len(rows) <= _KERNEL_CAP:
+            return _KERNELS[self.matmul_form, len(rows)](self, rows, other_rows)
         cols, dot, out = tuple(zip(*other_rows)), self.p_dot, []
         for row in rows:
             new = []
@@ -243,12 +261,50 @@ class RingElem:
         return self.spec.show_payload(self.payload)
 
 
+# -- generated matrix-product kernels ----------------------------------------
+
+_KERNEL_CAP = 8  # largest dimension with a generated kernel: 4 ms to compile at 8
+
+
+def _product_kernel(key):
+    """``kernel(spec, l, r)``, the payload rows of the m-by-m product of ``l``
+    and ``r`` in entry form ``form``, for ``key = (form, m)``.  Every
+    ``l[i][k]*r[k][j]`` term is written out: ``integer`` sums the terms with
+    ``+`` and ``*``, ``residue`` then takes one ``% spec.modulus`` per entry,
+    and ``calls`` folds ``spec.p_add`` over ``spec.p_mul`` from the left,
+    keeping the left factor on the left, so entries need not commute.  The
+    source is built from integer indices and names alone."""
+    form, m = key
+    prelude = {"integer": "pass", "residue": "k = spec.modulus",
+               "calls": "add, mul = spec.p_add, spec.p_mul"}[form]
+
+    def square(cell) -> str:
+        return "(" + " ".join(
+            "(" + " ".join(cell(i, j) + "," for j in range(m)) + ")," for i in range(m)) + ")"
+
+    def entry(i, j) -> str:
+        if form == "calls":
+            return reduce("add({}, {})".format, (f"mul(a{i}_{k}, b{k}_{j})" for k in range(m)))
+        total = " + ".join(f"a{i}_{k}*b{k}_{j}" for k in range(m))
+        return f"({total}) % k" if form == "residue" else total
+
+    source = "\n    ".join(("def kernel(spec, l, r):", prelude,
+                            square("a{}_{}".format) + " = l",
+                            square("b{}_{}".format) + " = r",
+                            "return " + square(entry)))
+    namespace = {}
+    exec(compile(source, f"<{m}x{m} {form} product>", "exec"), namespace)
+    return namespace["kernel"]
+
+
 # -- concrete specs --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Integers(RingSpec):
     """The ring of integers with exact arbitrary-precision arithmetic."""
+
+    matmul_form = "integer"
 
     def canon(self, raw):
         if not isinstance(raw, int) or isinstance(raw, bool):
@@ -275,15 +331,6 @@ class Integers(RingSpec):
 
     def p_dot(self, row, col):
         return sum(map(operator.mul, row, col))
-
-    def p_matmul(self, rows, other_rows):
-        cols, mul, out = tuple(zip(*other_rows)), operator.mul, []
-        for row in rows:
-            new = []
-            for col in cols:
-                new.append(sum(map(mul, row, col)))
-            out.append(tuple(new))
-        return tuple(out)
 
     def p_from_int(self, n):
         return n
@@ -312,6 +359,8 @@ class IntegersMod(RingSpec):
     """The ring of integers modulo ``modulus``, residues stored in [0, modulus)."""
 
     modulus: int
+
+    matmul_form = "residue"
 
     def __post_init__(self):
         if not isinstance(self.modulus, int) or self.modulus < 2:
@@ -342,15 +391,6 @@ class IntegersMod(RingSpec):
 
     def p_dot(self, row, col):
         return sum(map(operator.mul, row, col)) % self.modulus
-
-    def p_matmul(self, rows, other_rows):
-        cols, mul, k, out = tuple(zip(*other_rows)), operator.mul, self.modulus, []
-        for row in rows:
-            new = []
-            for col in cols:
-                new.append(sum(map(mul, row, col)) % k)
-            out.append(tuple(new))
-        return tuple(out)
 
     def p_from_int(self, n):
         return n % self.modulus
@@ -401,8 +441,11 @@ def _seq_neg(base: RingSpec, a) -> tuple:
 def _seq_mul(base: RingSpec, a, b) -> tuple:
     if not a or not b:
         return ()
-    out = [base.zero_payload()] * (len(a) + len(b) - 1)
+    zero = base.zero_payload()
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
+        if ca == zero:  # so a power of the variable costs linear time
+            continue
         for j, cb in enumerate(b):
             out[i + j] = base.p_add(out[i + j], base.p_mul(ca, cb))
     return _strip(base, out)
@@ -550,6 +593,9 @@ class _Table(dict):
         if len(self) < _MEMO_CAP:
             self[key] = value
         return value
+
+
+_KERNELS = _Table(_product_kernel)  # (form, dim) -> kernel; filled by the first products
 
 
 def _memo_ops(spec: "QuotientPoly") -> dict:
@@ -707,6 +753,14 @@ def _parse_ring_token(text: str) -> RingSpec:
     return parser.finish(parser.ring_spec())
 
 
+def _weight(payload) -> int:
+    """An integer's bit length, or a polynomial's degree plus its heaviest
+    coefficient's weight: a power multiplies each by at most its exponent."""
+    if isinstance(payload, int):
+        return payload.bit_length()
+    return len(payload) and len(payload) - 1 + max(map(_weight, payload))
+
+
 class _ExpressionParser:
     """Recursive descent over signed sums of products of powers, where
     juxtaposition multiplies; a subclass reads one ``primary`` of ``spec``."""
@@ -761,13 +815,22 @@ class _ExpressionParser:
                 return value
 
     def factor(self):
+        """A primary, raised to a power only if the power's size stays within
+        DEFAULT_BUDGET; a larger one is refused before any work."""
         value = self.primary()
         if self.peek()[0] == "^":
             self.take()
-            value = value ** self.take("int")[1]
+            exponent = self.take("int")[1]
+            if self.power_size(value, exponent) > DEFAULT_BUDGET:
+                raise BudgetExceeded(
+                    f"a power with exponent {exponent} exceeds the size budget {DEFAULT_BUDGET}")
+            value = value ** exponent
         return value
 
     def primary(self):
+        raise NotImplementedError
+
+    def power_size(self, value, exponent: int) -> int:
         raise NotImplementedError
 
 
@@ -794,6 +857,11 @@ class _LiteralParser(_ExpressionParser):
             # lift the base element into this ring as a constant
             return self.spec.element([value.payload])
         raise ParseError(f"unexpected token {value!r}")
+
+    def power_size(self, value: RingElem, exponent: int) -> int:
+        """0 in a finite ring, whose powers cost O(log exponent) products of
+        bounded size; else the exponent times the payload's weight."""
+        return 0 if self.spec.is_finite else exponent * _weight(value.payload)
 
     def ring_spec(self) -> RingSpec:
         """``int | zmod:<k> | poly:<spec>:<var> | quot:<spec>:<monic>``, where

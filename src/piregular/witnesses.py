@@ -25,6 +25,7 @@ N != n*dim).  Emitting trusts only this producer's certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .errors import (
     BudgetExceeded,
@@ -48,13 +49,22 @@ from .rings import (
 )
 
 
+@lru_cache(maxsize=256)
+def _identity_rows(ring, dim: int) -> tuple:
+    return SquareMatrix.identity(ring, dim).rows
+
+
 def _powers(ring, a, exponents, known=()) -> dict:
     """Rows of A^k (k -> rows) for each k in ``exponents`` and ``known``, each
-    computed once: A^(k+1) from A^k, others by O(log k) binary powering."""
+    computed once: A^(k+1) from A^k, others by O(log k) binary powering.
+    ``known`` itself comes back, unchanged, when it holds every exponent."""
+    missing = sorted(set(exponents).difference(known))
+    if not missing:
+        return known
     out, mul = dict(known), ring.p_matmul
-    for k in sorted(set(exponents).difference(out)):
+    for k in missing:
         out[k] = mul(out[k - 1], a) if k >= 2 and k - 1 in out else binary_power(
-            a, k, lambda: SquareMatrix.identity(ring, len(a)).rows, mul)
+            a, k, lambda: _identity_rows(ring, len(a)), mul)
     return out
 
 

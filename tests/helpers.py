@@ -122,9 +122,9 @@ def naive_difference(lhs, rhs):
 
 
 def count_products(monkeypatch):
-    """Count calls of ``IntegersMod.p_matmul``, the one matrix product
-    kernel over Z_k; a SquareMatrix product is one call, and so is each
-    product the witness pipeline and the verifier make on payload rows."""
+    """Count calls of ``p_matmul`` over Z_k, the one matrix product entry
+    point; a SquareMatrix product is one call, and so is each product the
+    witness pipeline and the verifier make on payload rows."""
     calls = []
     plain_matmul = IntegersMod.p_matmul
     monkeypatch.setattr(IntegersMod, "p_matmul",

@@ -76,9 +76,17 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
         ["classify", "--ring", "zmod:" + LONG, "--dim", "1"],
         ["identity-check", "--ring", "zmod:" + LONG, "--dim", "2", "--degree", "4"],
         ["verify-cert", "--path", str(long_cert)],
+        # powers whose size passes the budget: 4^15 words, degree 10^8, 10^8 * 2 bits
+        ["nf", "--expr", "(a+b+c+d)^15"],
+        ["right-to-left", "--ring", "poly:int:t", "--dim", "1", "--n", "1",
+         "--A", "[[t^99999999]]", "--X", "[[0]]"],
+        ["right-to-left", "--ring", "int", "--dim", "1", "--n", "1",
+         "--A", "[[3^99999999]]", "--X", "[[0]]"],
     ]
     for argv in cases:
+        start = time.perf_counter()
         assert dispatch(argv) == 2, argv
+        assert time.perf_counter() - start < 1, argv
         assert capsys.readouterr().out == "", argv
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from piregular import (
     FREE,
+    BudgetExceeded,
     InvalidSpec,
     NCPolynomial,
     NonTerminating,
@@ -182,6 +183,18 @@ def test_parser_basics():
     assert parse_nc("ab^2") == NCPolynomial.from_word("abb")
     assert parse_nc("2ab") == NCPolynomial.from_word("ab", 2)
     assert parse_nc("(a+b)^2w") == parse_nc("aaw + abw + baw + bbw")
+
+
+@pytest.mark.parametrize("text", ["(a+b+c+d)^15", "(a+b)^21", "a^349526", "(2a)^262145"])
+def test_parser_refuses_powers_past_the_size_budget(text):
+    with pytest.raises(BudgetExceeded, match="size budget"):
+        parse_nc(text)
+
+
+def test_parser_allows_powers_within_the_size_budget():
+    # one letter plus 1-bit numerator and denominator: 3 * 349525 < 2^20
+    assert len(parse_nc("a^349525").terms().popitem()[0]) == 349525
+    assert len(parse_nc("(a+b+c+d)^5")) == 4 ** 5
 
 
 def test_parser_round_trips_canonical_printing():

@@ -350,28 +350,31 @@ def test_matrix_literal_errors():
 # -- payload kernel against entrywise oracles -----------------------------------
 
 NC_ENTRIES = ["0", "1", "a", "b", "2c - d", "1/2 w", "x y", "a + z", "y a - 3"]
+KERNEL_KINDS = ["int", "zmod", "poly:int:t", "quot:zmod:3:t^2", "quot:zmod:17:t^2", "free"]
+# 1-8 run the generated kernels, 9 the loop above rings._KERNEL_CAP
+KERNEL_DIMS = [1, 2, 3, 4, 8, 9]
+
+
+def kernel_matrices(kind, dim, seed):
+    """A ring and three dim-by-dim matrices over it, drawn from ``seed``.
+    Commutative rings are sampled; free-algebra entries come from parse_nc.
+    Of the two quotient rings, Z_3[t]/(t^2) computes through its memo
+    tables and Z_17[t]/(t^2), too large for a table, through plain methods."""
+    rng = random.Random(seed)
+    if kind == "free":
+        def matrix():
+            return SquareMatrix.from_rows(FREE, [
+                [parse_nc(rng.choice(NC_ENTRIES)) for _ in range(dim)] for _ in range(dim)])
+        return FREE, dim, matrix(), matrix(), matrix()
+    spec = parse_ring_spec(f"zmod:{rng.randint(2, 30)}" if kind == "zmod" else kind)
+    bound = None if spec.is_finite else 4
+    return (spec, dim, *(random_matrix(spec, dim, rng, bound) for _ in range(3)))
 
 
 @st.composite
 def kernel_case(draw):
-    """A ring, a dimension and three matrices over it.  Commutative rings
-    are sampled from a drawn seed; free-algebra entries come from parse_nc.
-    Of the two quotient rings, Z_3[t]/(t^2) computes through its memo
-    tables and Z_17[t]/(t^2), too large for a table, through plain methods."""
-    kind = draw(st.sampled_from(["int", "zmod", "poly:int:t", "quot:zmod:3:t^2",
-                                 "quot:zmod:17:t^2", "free"]))
-    dim = draw(st.integers(1, 4))
-    if kind == "free":
-        def matrix():
-            return SquareMatrix.from_rows(FREE, [
-                [parse_nc(draw(st.sampled_from(NC_ENTRIES))) for _ in range(dim)]
-                for _ in range(dim)])
-        return FREE, dim, matrix(), matrix(), matrix()
-    token = f"zmod:{draw(st.integers(2, 30))}" if kind == "zmod" else kind
-    spec = parse_ring_spec(token)
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
-    bound = None if spec.is_finite else 4
-    return (spec, dim, *(random_matrix(spec, dim, rng, bound) for _ in range(3)))
+    return kernel_matrices(draw(st.sampled_from(KERNEL_KINDS)),
+                           draw(st.sampled_from(KERNEL_DIMS)), draw(st.integers(0, 2 ** 32)))
 
 
 def rows_of(mat):
@@ -381,6 +384,16 @@ def rows_of(mat):
 @settings(max_examples=80, deadline=None)
 @given(kernel_case(), st.integers(0, 4))
 def test_kernel_matches_entrywise_oracle(case, exponent):
+    check_against_oracles(case, exponent)
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_every_entry_form_and_the_loop_match_the_oracles(kind, dim):
+    check_against_oracles(kernel_matrices(kind, dim, seed=dim), exponent=3)
+
+
+def check_against_oracles(case, exponent):
     ring, dim, a, b, c = case
     ea, eb = a.entries, b.entries
     scalar = c.entry(0, dim - 1)

@@ -1,11 +1,14 @@
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piregular import (
+    BudgetExceeded,
     Integers,
     IntegersMod,
     InvalidBound,
@@ -430,3 +433,57 @@ def test_specs_pickle_without_their_tables(fresh_tables):
     again = pickle.loads(cold)
     assert again == spec and again.token() == spec.token()
     assert all(getattr(again, op) is getattr(spec, op) for op in MEMO_OPS)
+
+
+def test_integer_specs_pickle_alike_before_and_after_products():
+    # the product kernels live in a module-level cache, never on a spec
+    for spec in (Integers(), IntegersMod(9)):
+        cold = pickle.dumps(spec)
+        for dim in range(1, rings._KERNEL_CAP + 2):
+            rows = tuple(tuple(range(i, i + dim)) for i in range(dim))
+            spec.p_matmul(rows, rows)
+        assert pickle.dumps(spec) == cold and not vars(spec).keys() - {"modulus"}
+
+
+def test_residue_kernels_read_the_modulus_from_the_spec():
+    rows = ((5, 6), (7, 8))
+    assert IntegersMod(7).p_matmul(rows, rows) == ((4, 1), (0, 1))
+    assert IntegersMod(9).p_matmul(rows, rows) == ((4, 6), (1, 7))
+    assert Integers().p_matmul(rows, rows) == ((67, 78), (91, 106))
+    # one kernel per form and dimension serves every modulus
+    assert all(form in ("integer", "residue", "calls") and type(dim) is int
+               for form, dim in rings._KERNELS)
+
+
+def test_importing_the_package_compiles_no_kernel():
+    code = "import piregular, piregular.rings as r; print(len(r._KERNELS))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "0\n", proc.stderr
+
+
+@pytest.mark.parametrize("token, literal, refused", [
+    ("int", "2^524288", False),  # 2 bits times 2^19: exactly the budget
+    ("int", "2^524289", True),
+    ("int", "0^99999999", False),
+    ("poly:int:t", "t^1000", False),
+    ("poly:int:t", "t^524289", True),  # degree 1 plus 1 coefficient bit
+    ("poly:int:t", "3^524289", True),  # a constant's bits count too
+    ("poly:poly:int:t:u", "(1+t)^524289", True),
+    ("quot:int:t^2", "t^99999999", True),
+    # a finite ring's powers stay small, whatever the exponent
+    ("zmod:5", "3^99999999", False),
+    ("quot:zmod:3:t^2", "t^99999999", False),
+])
+def test_powers_past_the_size_budget_are_refused(token, literal, refused):
+    spec = parse_ring_spec(token)
+    if refused:
+        with pytest.raises(BudgetExceeded, match="size budget"):
+            parse_element(spec, literal)
+    else:
+        parse_element(spec, literal)
+
+
+def test_a_quotient_modulus_is_read_within_the_budget():
+    with pytest.raises(BudgetExceeded):
+        parse_ring_spec("quot:int:t^99999999")
+    assert parse_ring_spec("quot:zmod:2:t^8").cardinality() == 256
