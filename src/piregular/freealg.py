@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Optional
 
 from .errors import BudgetExceeded, InternalViolation, InvalidSpec, NonTerminating, ParseError
@@ -304,6 +305,7 @@ def nc_normal_form(poly: NCPolynomial, system: Optional[RewriteSystem] = None,
     Each step picks the deglex-largest reducible monomial, the earliest
     listed applicable rule, and the leftmost occurrence (``strategy`` may
     flip that to rightmost; for confluent systems the result is the same).
+    A heap pops words deglex-largest first; rewrites only yield smaller words.
     """
     if system is None:
         system = shepherdson_system()
@@ -312,26 +314,27 @@ def nc_normal_form(poly: NCPolynomial, system: Optional[RewriteSystem] = None,
     terms = poly.terms()
     budget = max_steps if max_steps is not None else 64 * max(1, len(terms))
     steps = 0
-    while True:
-        target = None
-        for word in sorted(terms, key=deglex_key, reverse=True):
-            for rule in system:
-                pos = word.find(rule.lead) if strategy == "leftmost" else word.rfind(rule.lead)
-                if pos >= 0:
-                    target = (word, rule, pos)
-                    break
-            if target:
-                break
-        if target is None:
-            return _summed((), terms)
+    # a > b > ... > z reverses ASCII, so the least (-len, word) is deglex-largest
+    heap = [(-len(word), word) for word in terms]
+    heapify(heap)
+    while heap:
+        word = heappop(heap)[1]
+        rule = next((r for r in system if r.lead in word), None)
+        if rule is None or word not in terms:
+            continue
+        pos = word.find(rule.lead) if strategy == "leftmost" else word.rfind(rule.lead)
         steps += 1
         if steps > budget:
             raise NonTerminating(f"exceeded {budget} rewrite steps")
-        word, rule, pos = target
         coeff = terms.pop(word)
         left, right = word[:pos], word[pos + len(rule.lead):]
-        _summed(((left + rep_word + right, coeff * rep_coeff)
-                 for rep_word, rep_coeff in rule.replacement._terms.items()), terms)
+        rewritten = [(left + rep_word + right, coeff * rep_coeff)
+                     for rep_word, rep_coeff in rule.replacement._terms.items()]
+        for new, _ in rewritten:
+            if new not in terms:
+                heappush(heap, (-len(new), new))
+        _summed(rewritten, terms)
+    return _summed((), terms)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Finite rings are compiled once into index tables (element list in canonical
 order plus addition/multiplication tables), so the inner loops work on flat
-tuples of small integers no matter how nested the ring tower is.  Every
+tuples of small integers no matter how nested the ring tower is; their
+products are the ``table`` kernels of :mod:`piregular.rings`.  Every
 exhaustive scan runs through one driver, :func:`_scan`: it checks every
 size against the budget before an engine is built, then calls one
 per-matrix function on each matrix in row-major order, on one process or
@@ -34,7 +35,7 @@ from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
 from .matrices import SquareMatrix, matrix_to_json
-from .rings import DEFAULT_BUDGET, IntegersMod, RingSpec, binary_power, require_positive
+from .rings import DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, binary_power, require_positive
 from .witnesses import RightWitnessInstance, right_to_left_certificate
 
 
@@ -50,10 +51,11 @@ def _size(spec: RingSpec, exponent: int, what: str) -> int:
 
 
 class _Engine:
-    """Index-table arithmetic for m-by-m matrices over one finite ring.
-
-    The ring must be commutative: the left search runs as the transposed
-    right search.  Every finite ``RingSpec`` in the package is commutative.
+    """Index-table arithmetic for m-by-m matrices over one finite ring, held
+    as flat row-major tuples of indices into ``payloads`` and multiplied by
+    the ``table`` kernel over the ``add``/``mul`` tables.  The ring must be
+    commutative: the left search runs as the transposed right search.
+    Every finite ``RingSpec`` in the package is commutative.
     """
 
     def __init__(self, spec: RingSpec, m: int):
@@ -77,16 +79,7 @@ class _Engine:
     # -- flat-matrix arithmetic -------------------------------------------
 
     def mat_mul(self, lhs, rhs):
-        m, add, mul = self.m, self.add, self.mul
-        out = []
-        for i in range(m):
-            base = i * m
-            for j in range(m):
-                acc = mul[lhs[base]][rhs[j]]
-                for k in range(1, m):
-                    acc = add[acc][mul[lhs[base + k]][rhs[k * m + j]]]
-                out.append(acc)
-        return tuple(out)
+        return _KERNELS["table", self.m](self, lhs, rhs)
 
     def mat_pow(self, mat, exponent: int):
         return binary_power(mat, exponent, lambda: self.ident, self.mat_mul)

@@ -13,14 +13,14 @@ values carrying a canonical payload, so structural equality is ring equality:
 Berkowitz) runs on bare payloads through the spec's ``p_*`` methods, and
 wraps a payload into a ``RingElem`` only when it is handed back to a caller.
 
-``RingSpec.p_matmul`` is the one matrix-product entry point.  Up to
+``RingSpec.p_matmul`` is the one product entry point on payload rows.  Up to
 dimension 8 it calls a kernel generated for that dimension, with every
 ``l[i][k]*r[k][j]`` term written out as straight-line code in one of three
 entry forms: plain ``+`` and ``*`` over the integers, the same with one
 ``% modulus`` per entry mod k, and ``p_add``/``p_mul`` calls for every other
-ring.  A kernel is compiled on the first product of its form and dimension
-and kept in a module-level cache, never on a spec.  Larger matrices run a
-loop of ``p_dot`` calls, since a kernel's source grows as dim^3.
+ring; above that, ``p_dot`` loops, as a kernel grows as dim^3.  A fourth form,
+``table``, serves :mod:`piregular.lab` at every dimension (its budget keeps
+dim <= 20).  Kernels are cached in the module on first use, never on a spec.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -44,7 +44,7 @@ import operator
 import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product, takewhile
 from string import ascii_letters, digits
 from typing import Any, Optional
@@ -263,28 +263,32 @@ class RingElem:
 
 # -- generated matrix-product kernels ----------------------------------------
 
-_KERNEL_CAP = 8  # largest dimension with a generated kernel: 4 ms to compile at 8
+_KERNEL_CAP = 8  # largest dimension with a payload kernel: 3-9 ms to compile at 8
 
 
 def _product_kernel(key):
-    """``kernel(spec, l, r)``, the payload rows of the m-by-m product of ``l``
-    and ``r`` in entry form ``form``, for ``key = (form, m)``.  Every
+    """``kernel(spec, l, r)``, the product of the m-by-m matrices ``l`` and
+    ``r`` in entry form ``form``, for ``key = (form, m)``.  Every
     ``l[i][k]*r[k][j]`` term is written out: ``integer`` sums the terms with
     ``+`` and ``*``, ``residue`` then takes one ``% spec.modulus`` per entry,
     and ``calls`` folds ``spec.p_add`` over ``spec.p_mul`` from the left,
-    keeping the left factor on the left, so entries need not commute.  The
-    source is built from integer indices and names alone."""
+    keeping the left factor on the left, so entries need not commute.  ``table``
+    folds ``spec.add[x][y]`` over ``spec.mul[x][y]`` alike, on flat index tuples
+    instead of payload rows.  Sources hold only integer indices and names."""
     form, m = key
     prelude = {"integer": "pass", "residue": "k = spec.modulus",
-               "calls": "add, mul = spec.p_add, spec.p_mul"}[form]
+               "calls": "add, mul = spec.p_add, spec.p_mul",
+               "table": "add, mul = spec.add, spec.mul"}[form]
+    op = "{}[{}][{}]" if form == "table" else "{}({}, {})"
 
     def square(cell) -> str:
-        return "(" + " ".join(
-            "(" + " ".join(cell(i, j) + "," for j in range(m)) + ")," for i in range(m)) + ")"
+        rows = [" ".join(cell(i, j) + "," for j in range(m)) for i in range(m)]
+        return "(" + " ".join(rows if form == "table" else (f"({row})," for row in rows)) + ")"
 
     def entry(i, j) -> str:
-        if form == "calls":
-            return reduce("add({}, {})".format, (f"mul(a{i}_{k}, b{k}_{j})" for k in range(m)))
+        if form in ("calls", "table"):
+            return reduce(partial(op.format, "add"),
+                          (op.format("mul", f"a{i}_{k}", f"b{k}_{j}") for k in range(m)))
         total = " + ".join(f"a{i}_{k}*b{k}_{j}" for k in range(m))
         return f"({total}) % k" if form == "residue" else total
 

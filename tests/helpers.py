@@ -10,11 +10,13 @@ from itertools import product
 from piregular import (
     IntegersMod,
     MalformedPayload,
+    NCPolynomial,
     SquareMatrix,
     enumerate_elements,
     poly_ring,
     sample_element,
 )
+from piregular.freealg import deglex_key
 
 
 def cofactor_det(mat: SquareMatrix):
@@ -158,6 +160,38 @@ def naive_col_map(spec, base):
         if table[code] < 0:
             table[code] = vcode
     return table
+
+
+def naive_normal_form(poly, system, strategy="leftmost"):
+    """(normal form, rewrite steps) of ``poly`` under ``system``, re-sorting
+    every term in deglex order on every step to find the largest reducible
+    word; the earliest listed rule applies at its leftmost or rightmost
+    occurrence."""
+    terms = poly.terms()
+    steps = 0
+    while True:
+        target = None
+        for word in sorted(terms, key=deglex_key, reverse=True):
+            for rule in system:
+                pos = word.find(rule.lead) if strategy == "leftmost" else word.rfind(rule.lead)
+                if pos >= 0:
+                    target = (word, rule, pos)
+                    break
+            if target:
+                break
+        if target is None:
+            return NCPolynomial(terms), steps
+        steps += 1
+        word, rule, pos = target
+        coeff = terms.pop(word)
+        left, right = word[:pos], word[pos + len(rule.lead):]
+        for rep_word, rep_coeff in rule.replacement.terms().items():
+            new = left + rep_word + right
+            total = terms.get(new, 0) + coeff * rep_coeff
+            if total:
+                terms[new] = total
+            else:
+                terms.pop(new, None)
 
 
 def _spelled(path):

@@ -386,6 +386,14 @@ def test_nf_command(capsys):
     capsys.readouterr()
 
 
+def test_nf_of_a_large_power_is_fast(capsys):
+    # 7776 input terms, each rewritten word popped once from a max-heap
+    start = time.perf_counter()
+    assert dispatch(["nf", "--expr", "(a+b+c+d+w+x)^5"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["kind"] == "normal-form"
+
+
 def test_exit_code_matrix_subprocess():
     # one scripted sweep through all three exit codes via the real entrypoint
     table = [

@@ -22,6 +22,8 @@ from piregular import (
 )
 from piregular.freealg import ALPHABET, deglex_key
 
+from helpers import naive_normal_form
+
 words = st.text(alphabet=ALPHABET, max_size=5)
 
 
@@ -123,6 +125,21 @@ def test_nf_budget_guard():
     with pytest.raises(NonTerminating):
         nc_normal_form(big, max_steps=1)
     assert nc_normal_form(big) == nc_normal_form(nc_normal_form(big))
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_nf_matches_the_sort_every_step_oracle(strategy):
+    rng, system = random.Random(4417), shepherdson_system()
+    polys = [parse_nc("(a+b+c+d+w+x)^3"), parse_nc("a*w*a*w*a*w + c*x*c*x")]
+    polys += [random_poly(rng, max_terms=8, max_len=7) for _ in range(40)]
+    if strategy == "leftmost":
+        polys.append(parse_nc("(a+b+c+d+w+x)^4"))
+    for poly in polys:
+        expected, steps = naive_normal_form(poly, system, strategy)
+        assert nc_normal_form(poly, strategy=strategy, max_steps=steps) == expected
+        if steps:
+            with pytest.raises(NonTerminating):
+                nc_normal_form(poly, strategy=strategy, max_steps=steps - 1)
 
 
 def test_nf_rejects_unknown_strategy():

@@ -451,8 +451,16 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     assert IntegersMod(9).p_matmul(rows, rows) == ((4, 6), (1, 7))
     assert Integers().p_matmul(rows, rows) == ((67, 78), (91, 106))
     # one kernel per form and dimension serves every modulus
-    assert all(form in ("integer", "residue", "calls") and type(dim) is int
+    assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
                for form, dim in rings._KERNELS)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+@pytest.mark.parametrize("form", ["integer", "residue", "calls", "table"])
+def test_generated_kernels_reach_no_globals(form, dim):
+    # the compiled source names only its own locals and these spec attributes
+    code = rings._KERNELS[form, dim].__code__
+    assert set(code.co_names) <= {"modulus", "p_add", "p_mul", "add", "mul"}
 
 
 def test_importing_the_package_compiles_no_kernel():
