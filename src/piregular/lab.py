@@ -5,31 +5,33 @@ order plus addition/multiplication tables), so the inner loops work on flat
 tuples of small integers no matter how nested the ring tower is; their
 products are the ``table`` kernels of :mod:`piregular.rings`.  Every
 exhaustive scan runs through one driver, :func:`_scan`: it checks every
-size against the budget before an engine is built, then calls one
-per-matrix function on each matrix in row-major order, on one process or
-in contiguous chunks on a pool.  Each matrix's powers come from one
-ladder, A, A^2, ... up to the first repeat.
+size against the budget before an engine is built, then streams one
+per-matrix function over each matrix in row-major order, on one process or
+in contiguous chunks on a pool; :func:`cp_report` and the transpose check
+share one such function and one fold.  Powers come from one ladder per
+matrix, A, A^2, ... up to the first repeat.
 
 There is one witness search: the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
 those constraints are independent, so per-column lexicographic minima give
 exactly the witness a full scan over whole matrices would find first.
 The solutions for one B form a column map, built row by row from shared
-prefix sums and memoized per B; distinct powers are few.  A right witness
-solves A^n = A^(n+1) X.  A left witness, A^n = Y A^(n+1), is the transpose of
-that search on the transposes, as (Y B)^T = B^T Y^T over a commutative ring;
-the rows of Y are scanned in the same lexicographic order, so the tie-breaks
-agree, and the memoized tables are shared.
+prefix sums, memoized per B as an ``array``; distinct powers are few.  A
+right witness solves A^n = A^(n+1) X.  A left witness, A^n = Y A^(n+1), is
+the transpose of that search on the transposes, as (Y B)^T = B^T Y^T over a
+commutative ring; the rows of Y are scanned in the same lexicographic order,
+so the tie-breaks agree, and the memoized tables are shared.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, product
+from itertools import islice, product
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -84,11 +86,6 @@ class _Engine:
     def mat_pow(self, mat, exponent: int):
         return binary_power(mat, exponent, lambda: self.ident, self.mat_mul)
 
-    def matrices(self, start: int = 0, stop: Optional[int] = None):
-        """Matrices number ``start`` to ``stop - 1`` in row-major
-        enumeration order."""
-        return islice(product(range(self.q), repeat=self.m * self.m), start, stop)
-
     def from_square(self, mat: SquareMatrix):
         index = self.index
         return tuple(index[p] for row in mat.rows for p in row)
@@ -136,7 +133,7 @@ class _Engine:
                 mul_row = mul[mat[i * m + k]]
                 vals = [add[x][p] for x in vals for p in mul_row]
             codes = vals if codes is None else [c * q + v for c, v in zip(codes, vals)]
-        table = [-1] * (q ** m)
+        table = array("h" if q ** m <= 32768 else "i", [-1]) * (q ** m)
         for vcode in range(len(codes) - 1, -1, -1):
             table[codes[vcode]] = vcode
         self._col_maps[mat] = table
@@ -182,8 +179,9 @@ def _engine(spec: RingSpec, m: int) -> _Engine:
 
 
 def _walk(spec: RingSpec, m: int, visit, start: int, stop: int):
+    """``visit`` on matrices number ``start`` to ``stop - 1`` in row-major order."""
     engine = _engine(spec, m)
-    return map(partial(visit, engine), engine.matrices(start, stop))
+    return map(partial(visit, engine), islice(product(range(engine.q), repeat=m * m), start, stop))
 
 
 def _walk_chunk(*args) -> list:
@@ -200,23 +198,31 @@ def _pool_size(workers: int, total: int) -> int:
 def _scan(spec: RingSpec, m: int, visit, workers: int = 1) -> Iterator:
     """``visit(engine, A)`` for every A in M_m(spec), in row-major order.
 
-    Every size is checked before an engine is built.  On one worker the
+    Every size is checked and the engine built before this returns; the
     results come lazily.  More workers (see :func:`_pool_size`) split the
-    walk into contiguous chunks on a process pool, and the results come back
-    in chunk order, so they are the same for any worker count; ``visit``
-    must then be a module-level function or a partial of one."""
+    walk into contiguous chunks on a process pool, read back in chunk order,
+    so the results are the same for any worker count; ``visit`` must then
+    be a module-level function or a partial of one."""
     require_positive(dim=m, workers=workers)
     total = _size(spec, m * m, f"{m}x{m} matrices to scan")
     _engine(spec, m)  # checked and built before any worker starts
     workers = _pool_size(workers, total)
     if workers == 1:
         return _walk(spec, m, visit, 0, total)
-    chunks = 4 * workers
-    bounds = [total * i // chunks for i in range(chunks + 1)]
+    return _pooled(partial(_walk_chunk, spec, m, visit), total, workers)
+
+
+def _pooled(walk_chunk, total: int, workers: int) -> Iterator:
+    """4 contiguous chunks per worker, each passed on as soon as the pool
+    returns it; stopping early cancels the chunks not yet started."""
+    bounds = [total * i // (4 * workers) for i in range(4 * workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(partial(_walk_chunk, spec, m, visit),
-                              bounds[:-1], bounds[1:]))
-    return chain.from_iterable(parts)
+        try:
+            for part in pool.map(walk_chunk, bounds[:-1], bounds[1:]):
+                yield from part
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _search(mat: SquareMatrix, n: int, left: bool) -> Optional[SquareMatrix]:
@@ -353,51 +359,49 @@ _KINDS = {(True, True): "both", (True, False): "right_only",
           (False, True): "left_only", (False, False): "neither"}
 
 
-def _sides(n: int, engine: _Engine, flat) -> tuple:
-    """(X, right, left, A): the first right witness of A at n or None,
-    whether A has a right and a left witness, and A as JSON when exactly one
-    side has one, else None."""
+def _sides(n: int, certify: bool, engine: _Engine, flat) -> tuple:
+    """(right, left, A, failure): whether A has a right and a left witness
+    at n; A as JSON if it has just one, else None; the failure of the
+    certificate built from its right witness if ``certify``, else None."""
     low, high = engine.power_pair(flat, n)
     x = engine.solve(low, high)
     right, left = x is not None, engine.solve_left(low, high) is not None
-    return x, right, left, matrix_to_json(engine.to_square(flat)) if right != left else None
-
-
-def _certified_sides(n: int, engine: _Engine, flat) -> tuple:
-    """:func:`_sides` with the right witness replaced by the failure of the
-    certificate built from it, or None."""
-    x, right, left, one_sided = _sides(n, engine, flat)
     failure = None
-    if right:
+    if certify and right:
         a = engine.to_square(flat)
         try:
             right_to_left_certificate(RightWitnessInstance(a, n, engine.to_square(x)))
         except PiregularError as exc:
             failure = {"A": matrix_to_json(a), "reason": f"{type(exc).__name__}: {exc}"}
-    return right, left, one_sided, failure
+    return right, left, matrix_to_json(engine.to_square(flat)) if right != left else None, failure
+
+
+def _agreement(spec: RingSpec, m: int, n: int, certify: bool, workers: int = 1) -> tuple:
+    """The fold of :func:`_sides` over M_m(spec): the ``_KINDS`` counts, the
+    one-sided matrices and the certificate failures, in scan order."""
+    require_positive(n=n)
+    counts = dict.fromkeys(_KINDS.values(), 0)
+    one_sided, failures = [], []
+    for right, left, a, failure in _scan(spec, m, partial(_sides, n, certify), workers):
+        counts[_KINDS[right, left]] += 1
+        if a is not None:
+            one_sided.append({"A": a, "right": right, "left": left})
+        if failure is not None:
+            failures.append(failure)
+    return counts, one_sided, failures
 
 
 def cp_report(k: int, m: int, n: int, workers: int = 1) -> CpReport:
     """Scan all of M_m(Z_k) at exponent n; the output is identical for any
     worker count, and ``workers`` in the report is the count used."""
     started = time.perf_counter()
-    require_positive(n=n)
-    counts = dict.fromkeys(_KINDS.values(), 0)
-    counterexamples = []
-    failures = []
-    for right, left, one_sided, failure in _scan(
-            IntegersMod(k), m, partial(_certified_sides, n), workers):
-        counts[_KINDS[right, left]] += 1
-        if one_sided is not None:
-            counterexamples.append({"A": one_sided, "right": right, "left": left})
-        if failure is not None:
-            failures.append(failure)
-    elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return CpReport(modulus=k, dim=m, exponent=n, total=sum(counts.values()),
-                    counts=counts, counterexamples=counterexamples,
+    counts, counterexamples, failures = _agreement(IntegersMod(k), m, n, True, workers)
+    total = sum(counts.values())
+    return CpReport(modulus=k, dim=m, exponent=n, total=total, counts=counts,
+                    counterexamples=counterexamples, pipeline_failures=failures,
                     pipeline_checked=counts["both"] + counts["right_only"],
-                    pipeline_failures=failures, wall_time_ms=elapsed_ms,
-                    workers=_pool_size(workers, sum(counts.values())))
+                    wall_time_ms=int((time.perf_counter() - started) * 1000),
+                    workers=_pool_size(workers, total))
 
 
 # -- transpose closure ---------------------------------------------------------
@@ -434,14 +438,9 @@ def transpose_closure_check(spec: RingSpec, m: int, n: int) -> TransposeClosureR
     when its transpose is.  Over a commutative ring the transpose condition
     restates left strong pi-regularity, which is how the left search runs,
     so this is the two-sided agreement scan relabelled."""
-    require_positive(n=n)
-    total = right_count = 0
-    mismatches = []
-    for _, right, transpose_right, one_sided in _scan(spec, m, partial(_sides, n)):
-        total += 1
-        right_count += right
-        if one_sided is not None:
-            mismatches.append({"A": one_sided, "right": right,
-                               "transpose_right": transpose_right})
-    return TransposeClosureReport(ring=spec, dim=m, exponent=n, total=total,
-                                  right_count=right_count, mismatches=mismatches)
+    counts, one_sided, _ = _agreement(spec, m, n, False)
+    return TransposeClosureReport(
+        ring=spec, dim=m, exponent=n, total=sum(counts.values()),
+        right_count=counts["both"] + counts["right_only"],
+        mismatches=[{"A": c["A"], "right": c["right"], "transpose_right": c["left"]}
+                    for c in one_sided])

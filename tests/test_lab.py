@@ -1,12 +1,15 @@
 import json
+import multiprocessing
 import random
 import re
+from functools import partial
 
 import pytest
 
 from piregular import (
     BudgetExceeded,
     Integers,
+    InternalViolation,
     IntegersMod,
     InvalidBound,
     NotEnumerable,
@@ -196,7 +199,23 @@ def test_column_maps_match_the_enumeration_oracle(spec, m):
     # every base, unreachable targets (-1) included
     engine = lab._Engine(spec, m)
     for base in all_matrices(spec, m):
-        assert engine._col_map(engine.from_square(base)) == naive_col_map(spec, base)
+        assert list(engine._col_map(engine.from_square(base))) == naive_col_map(spec, base)
+
+
+@pytest.mark.parametrize("token, slots, typecode", [
+    ("zmod:181", 32761, "h"),  # q^m <= 32768: every vector code fits a short
+    ("zmod:182", 33124, "i"),
+])
+def test_column_maps_switch_typecode_at_the_short_limit(token, slots, typecode):
+    spec = parse_ring_spec(token)
+    engine = lab._Engine(spec, 2)
+    rng = random.Random(slots)
+    # a singular base leaves targets unreachable and reaches others many times
+    bases = [mat("[[1,2],[2,4]]", spec), *(random_matrix(spec, 2, rng) for _ in range(2))]
+    for base in bases:
+        table = engine._col_map(engine.from_square(base))
+        assert (len(table), table.typecode) == (slots, typecode)
+        assert list(table) == naive_col_map(spec, base)
 
 
 @pytest.mark.parametrize("token, m", [
@@ -295,6 +314,16 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch, capsys, cpus):
     assert f"{cpus} worker(s)" in capsys.readouterr().err
 
 
+def test_no_worker_outlives_a_pooled_scan(monkeypatch):
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    results = lab._scan(Z5, 2, partial(lab._sides, 1, False), workers=2)
+    next(results)
+    # the chunks stream from a live pool; closing the scan shuts it down
+    assert multiprocessing.active_children() != []
+    results.close()
+    assert multiprocessing.active_children() == []
+
+
 def test_cp_report_payload_excludes_timing():
     report = cp_report(2, 2, 1, workers=1)
     payload = report.to_json_payload()
@@ -375,3 +404,43 @@ def test_transpose_closure_agrees_with_cp_verdict():
     payload = tc.to_json_payload()
     assert payload["kind"] == "transpose-closure"
     assert payload["holds"] is True
+
+
+# -- fold paths that no scan over a commutative ring reaches -----------------------------
+
+IDENTITY_JSON = [[1, 0], [0, 1]]
+
+
+def test_a_one_sided_matrix_reaches_both_reports_and_the_exit_code(monkeypatch, capsys):
+    from piregular.cli import dispatch
+    plain_solve_left = lab._Engine.solve_left
+    monkeypatch.setattr(lab._Engine, "solve_left", lambda self, target, base: (
+        None if target == self.ident else plain_solve_left(self, target, base)))
+    report = cp_report(4, 2, 1, workers=1)
+    assert (report.counts["right_only"], report.counts["left_only"]) == (1, 0)
+    assert report.counterexamples == [{"A": IDENTITY_JSON, "right": True, "left": False}]
+    assert not report.ok
+    closure = transpose_closure_check(Z4, 2, 1)
+    assert closure.mismatches == [
+        {"A": IDENTITY_JSON, "right": True, "transpose_right": False}]
+    assert not closure.holds
+    assert dispatch(["cp-verify", "--k", "4"]) == 1
+    capsys.readouterr()
+
+
+def test_a_certificate_failure_reaches_the_report(monkeypatch):
+    plain_certificate = lab.right_to_left_certificate
+    identity = SquareMatrix.identity(Z4, 2)
+
+    def certificate(instance):
+        if instance.A == identity:
+            raise InternalViolation("boom")
+        return plain_certificate(instance)
+
+    monkeypatch.setattr(lab, "right_to_left_certificate", certificate)
+    report = cp_report(4, 2, 1, workers=1)
+    assert report.pipeline_failures == [
+        {"A": IDENTITY_JSON, "reason": "InternalViolation: boom"}]
+    assert report.counterexamples == []
+    assert report.pipeline_checked == report.total - report.counts["neither"]
+    assert not report.ok
