@@ -14,6 +14,8 @@ emit byte-identical documents.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -21,7 +23,7 @@ from pathlib import Path
 from .errors import DimMismatch, MalformedPayload, ParseError, PiregularError
 from .freealg import nc_normal_form, overlap_check, parse_nc, shepherdson_demo, shepherdson_system
 from .identities import check_identity_on_samples
-from .jsonio import canonical_dumps, content_hash, hash_lines
+from .jsonio import canonical_dumps, content_hash
 from .matrices import matrix_to_json, parse_matrix_literal
 from .rings import parse_ring_spec, require_positive
 from .witnesses import (
@@ -127,16 +129,18 @@ def _cmd_cp_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     spec = parse_ring_spec(args.ring)
-    lines = []
-    agree = 0
-    total = 0
-    for record in lab.classify_all(spec, args.dim, n_bound=args.n_bound):
-        lines.append(canonical_dumps(record.to_json_payload()))
-        total += 1
-        if record.agrees:
-            agree += 1
-    if args.records:
-        Path(args.records).write_text("".join(line + "\n" for line in lines))
+    # size errors raise here, before the --records file is opened
+    records = lab.classify_all(spec, args.dim, n_bound=args.n_bound)
+    digest = hashlib.sha256()  # the bytes jsonio.hash_lines hashes
+    agree = total = 0
+    with open(args.records, "w") if args.records else contextlib.nullcontext() as out:
+        for record in records:
+            line = canonical_dumps(record.to_json_payload()) + "\n"
+            digest.update(line.encode("ascii"))
+            if out is not None:
+                out.write(line)
+            total += 1
+            agree += record.agrees
     payload = {
         "kind": "classification-summary",
         "ring": spec.token(),
@@ -145,7 +149,7 @@ def _cmd_classify(args) -> int:
         "total": total,
         "agree": agree,
         "disagree": total - agree,
-        "records_hash": hash_lines(lines),
+        "records_hash": digest.hexdigest(),
     }
     _emit_payload(args, payload)
     _say(f"{total} matrices classified; right/left exponent sets agree on {agree}")
@@ -237,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--n-bound", type=int, default=None)
-    p.add_argument("--records", help="write one JSON record per line to this file")
+    p.add_argument("--records", help="write one JSON record per line to this file, as each "
+                   "is made; a scan that fails leaves the lines written so far")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("identity-check", parents=[common],

@@ -1,15 +1,15 @@
 """Exhaustive verification suites over finite coefficient rings.
 
 Finite rings are compiled once into index tables (element list in canonical
-order plus addition/multiplication tables), so the inner loops work on flat
-tuples of small integers no matter how nested the ring tower is; their
-products are the ``table`` kernels of :mod:`piregular.rings`.  Every
-exhaustive scan runs through one driver, :func:`_scan`: it checks every
-size against the budget before an engine is built, then streams one
-per-matrix function over each matrix in row-major order, on one process or
-in contiguous chunks on a pool; :func:`cp_report` and the transpose check
-share one such function and one fold.  Powers come from one ladder per
-matrix, A, A^2, ... up to the first repeat.
+order plus addition/multiplication tables), so however nested the ring
+tower is, a matrix is a tuple of rows of small element indices: the shape
+of payload rows, multiplied by the ``table`` kernels of
+:mod:`piregular.rings`.  Every exhaustive scan runs through one driver,
+:func:`_scan`: it checks every size against the budget before an engine is
+built, then streams one per-matrix function over each matrix in row-major
+order, on one process or in contiguous chunks on a pool; :func:`cp_report`
+and the transpose check share one such function and one fold.  Powers come
+from one ladder per matrix, A, A^2, ... up to the first repeat.
 
 There is one witness search: the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
@@ -32,7 +32,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, product
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
@@ -54,8 +53,8 @@ def _size(spec: RingSpec, exponent: int, what: str) -> int:
 
 class _Engine:
     """Index-table arithmetic for m-by-m matrices over one finite ring, held
-    as flat row-major tuples of indices into ``payloads`` and multiplied by
-    the ``table`` kernel over the ``add``/``mul`` tables.  The ring must be
+    as tuples of rows of indices into ``payloads`` and multiplied by the
+    ``table`` kernel over the ``add``/``mul`` tables.  The ring must be
     commutative: the left search runs as the transposed right search.
     Every finite ``RingSpec`` in the package is commutative.
     """
@@ -63,22 +62,17 @@ class _Engine:
     def __init__(self, spec: RingSpec, m: int):
         self.spec = spec
         self.m = m
-        payloads = list(spec.payloads())
-        self.payloads = payloads
+        self.payloads = payloads = list(spec.payloads())
         self.q = len(payloads)
-        index = {p: i for i, p in enumerate(payloads)}
-        self.index = index
+        self.index = index = {p: i for i, p in enumerate(payloads)}
         self.add = [[index[spec.p_add(a, b)] for b in payloads] for a in payloads]
         self.mul = [[index[spec.p_mul(a, b)] for b in payloads] for a in payloads]
         zero, one = index[spec.zero_payload()], index[spec.one_payload()]
         self.vectors = list(product(range(self.q), repeat=m))
-        self.ident = tuple(one if i == j else zero for i in range(m) for j in range(m))
-        # itemgetter of one index returns the entry, so 1x1 keeps its tuple
-        self.transpose = (itemgetter(*(j * m + i for i in range(m) for j in range(m)))
-                          if m > 1 else tuple)
+        self.ident = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
         self._col_maps = {}
 
-    # -- flat-matrix arithmetic -------------------------------------------
+    # -- index-matrix arithmetic ----------------------------------------------
 
     def mat_mul(self, lhs, rhs):
         return _KERNELS["table", self.m](self, lhs, rhs)
@@ -86,14 +80,16 @@ class _Engine:
     def mat_pow(self, mat, exponent: int):
         return binary_power(mat, exponent, lambda: self.ident, self.mat_mul)
 
-    def from_square(self, mat: SquareMatrix):
-        index = self.index
-        return tuple(index[p] for row in mat.rows for p in row)
+    def transpose(self, mat):
+        return tuple(zip(*mat))
 
-    def to_square(self, flat) -> SquareMatrix:
-        m, entry = self.m, self.payloads.__getitem__
-        return SquareMatrix(self.spec, tuple(
-            tuple(map(entry, flat[i:i + m])) for i in range(0, m * m, m)))
+    def from_square(self, mat: SquareMatrix):
+        index = self.index.__getitem__
+        return tuple(tuple(map(index, row)) for row in mat.rows)
+
+    def to_square(self, mat) -> SquareMatrix:
+        entry = self.payloads.__getitem__
+        return SquareMatrix(self.spec, tuple(tuple(map(entry, row)) for row in mat))
 
     # -- powers ---------------------------------------------------------------
 
@@ -127,10 +123,10 @@ class _Engine:
             return cached
         m, q, add, mul = self.m, self.q, self.add, self.mul
         codes = None
-        for i in range(m):
-            vals = mul[mat[i * m]]
-            for k in range(1, m):
-                mul_row = mul[mat[i * m + k]]
+        for row in mat:
+            vals = mul[row[0]]
+            for entry in row[1:]:
+                mul_row = mul[entry]
                 vals = [add[x][p] for x in vals for p in mul_row]
             codes = vals if codes is None else [c * q + v for c, v in zip(codes, vals)]
         table = array("h" if q ** m <= 32768 else "i", [-1]) * (q ** m)
@@ -143,19 +139,19 @@ class _Engine:
         """First X in row-major enumeration order with target = base X (X^T
         if ``transposed``), or None.  Column constraints are independent, so
         per-column lex minima assemble exactly that first X, whose transpose
-        is their concatenation."""
-        m, q = self.m, self.q
+        has them as its rows."""
+        q = self.q
         table = self._col_map(base)
         chosen = []
-        for j in range(m):
+        for column in zip(*target):
             code = 0
-            for i in range(m):
-                code = code * q + target[i * m + j]
+            for t in column:
+                code = code * q + t
             vcode = table[code]
             if vcode < 0:
                 return None
-            chosen.extend(self.vectors[vcode])
-        return tuple(chosen) if transposed else self.transpose(tuple(chosen))
+            chosen.append(self.vectors[vcode])
+        return tuple(chosen) if transposed else tuple(zip(*chosen))
 
     def solve_left(self, target, base):
         """First Y in row-major enumeration order with target = Y base: the
@@ -181,7 +177,7 @@ def _engine(spec: RingSpec, m: int) -> _Engine:
 def _walk(spec: RingSpec, m: int, visit, start: int, stop: int):
     """``visit`` on matrices number ``start`` to ``stop - 1`` in row-major order."""
     engine = _engine(spec, m)
-    return map(partial(visit, engine), islice(product(range(engine.q), repeat=m * m), start, stop))
+    return map(partial(visit, engine), islice(product(engine.vectors, repeat=m), start, stop))
 
 
 def _walk_chunk(*args) -> list:
@@ -275,8 +271,8 @@ class ClassificationRecord:
         }
 
 
-def _classify(n_bound: Optional[int], engine: _Engine, flat) -> ClassificationRecord:
-    powers, index = engine.ladder(flat)
+def _classify(n_bound: Optional[int], engine: _Engine, mat) -> ClassificationRecord:
+    powers, index = engine.ladder(mat)
     cycle = powers[index - 1:]
     powers += cycle + cycle  # past the ladder, the powers repeat its cycle
     bound = index + 1 if n_bound is None else min(n_bound, index + 1)
@@ -299,7 +295,7 @@ def _classify(n_bound: Optional[int], engine: _Engine, flat) -> ClassificationRe
             "power-sequence index must always carry a right witness")
     agrees = {n for n, _ in rights} == {n for n, _ in lefts}
     return ClassificationRecord(
-        A=engine.to_square(flat), power_index=index,
+        A=engine.to_square(mat), power_index=index,
         right_witnesses=tuple(rights), left_witnesses=tuple(lefts),
         agrees=agrees)
 
@@ -357,23 +353,26 @@ class CpReport:
 
 _KINDS = {(True, True): "both", (True, False): "right_only",
           (False, True): "left_only", (False, False): "neither"}
+_OUTCOMES = {sides: (*sides, None, None) for sides in _KINDS}  # shared: pickled once per chunk
 
 
-def _sides(n: int, certify: bool, engine: _Engine, flat) -> tuple:
+def _sides(n: int, certify: bool, engine: _Engine, mat) -> tuple:
     """(right, left, A, failure): whether A has a right and a left witness
     at n; A as JSON if it has just one, else None; the failure of the
     certificate built from its right witness if ``certify``, else None."""
-    low, high = engine.power_pair(flat, n)
+    low, high = engine.power_pair(mat, n)
     x = engine.solve(low, high)
     right, left = x is not None, engine.solve_left(low, high) is not None
     failure = None
     if certify and right:
-        a = engine.to_square(flat)
+        a = engine.to_square(mat)
         try:
             right_to_left_certificate(RightWitnessInstance(a, n, engine.to_square(x)))
         except PiregularError as exc:
             failure = {"A": matrix_to_json(a), "reason": f"{type(exc).__name__}: {exc}"}
-    return right, left, matrix_to_json(engine.to_square(flat)) if right != left else None, failure
+    if right == left and failure is None:
+        return _OUTCOMES[right, left]
+    return right, left, matrix_to_json(engine.to_square(mat)) if right != left else None, failure
 
 
 def _agreement(spec: RingSpec, m: int, n: int, certify: bool, workers: int = 1) -> tuple:

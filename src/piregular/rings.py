@@ -20,7 +20,8 @@ entry forms: plain ``+`` and ``*`` over the integers, the same with one
 ``% modulus`` per entry mod k, and ``p_add``/``p_mul`` calls for every other
 ring; above that, ``p_dot`` loops, as a kernel grows as dim^3.  A fourth form,
 ``table``, serves :mod:`piregular.lab` at every dimension (its budget keeps
-dim <= 20).  Kernels are cached in the module on first use, never on a spec.
+dim <= 20) on rows of element indices, the shape of payload rows.  Kernels
+are cached in the module on first use, never on a spec.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -273,8 +274,8 @@ def _product_kernel(key):
     ``+`` and ``*``, ``residue`` then takes one ``% spec.modulus`` per entry,
     and ``calls`` folds ``spec.p_add`` over ``spec.p_mul`` from the left,
     keeping the left factor on the left, so entries need not commute.  ``table``
-    folds ``spec.add[x][y]`` over ``spec.mul[x][y]`` alike, on flat index tuples
-    instead of payload rows.  Sources hold only integer indices and names."""
+    folds ``spec.add[x][y]`` over ``spec.mul[x][y]`` alike, on rows of element
+    indices.  Sources hold only integer indices and names."""
     form, m = key
     prelude = {"integer": "pass", "residue": "k = spec.modulus",
                "calls": "add, mul = spec.p_add, spec.p_mul",
@@ -282,8 +283,8 @@ def _product_kernel(key):
     op = "{}[{}][{}]" if form == "table" else "{}({}, {})"
 
     def square(cell) -> str:
-        rows = [" ".join(cell(i, j) + "," for j in range(m)) for i in range(m)]
-        return "(" + " ".join(rows if form == "table" else (f"({row})," for row in rows)) + ")"
+        return "(" + " ".join(
+            "(" + " ".join(cell(i, j) + "," for j in range(m)) + ")," for i in range(m)) + ")"
 
     def entry(i, j) -> str:
         if form in ("calls", "table"):
@@ -683,17 +684,12 @@ class QuotientPoly(PolyOver):
 # -- enumeration and sampling ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _cached_payloads(spec: RingSpec) -> tuple:
-    return spec.payloads()
-
-
 def enumerate_elements(spec: RingSpec) -> list:
     """All elements of a finite ring in canonical order (residues ascending,
     then polynomial payloads by degree and lexicographic coefficients)."""
     if not spec.is_finite:
         raise NotEnumerable(f"{spec} is infinite")
-    return [RingElem(spec, p) for p in _cached_payloads(spec)]
+    return [RingElem(spec, p) for p in spec.payloads()]
 
 
 def sample_element(spec: RingSpec, rng, bound: Optional[int] = None) -> RingElem:

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piregular import cli, errors, poly_ring, witnesses
+from piregular import cli, errors, lab, poly_ring, witnesses
 from piregular.cli import dispatch
 from piregular.identities import MAX_DEGREE
+from piregular.jsonio import hash_lines
+
+from test_acceptance import GOLDEN
 
 RTL_OK = ["right-to-left", "--ring", "zmod:4", "--dim", "2", "--n", "2",
           "--A", "[[2,0],[0,1]]", "--X", "[[1,0],[0,1]]"]
@@ -353,6 +356,39 @@ def test_classify_command(tmp_path, capsys):
     lines = records.read_text().splitlines()
     assert len(lines) == 16
     assert all(json.loads(line)["agrees"] for line in lines)
+
+
+def test_classify_records_hash_matches_the_golden_and_the_file(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    assert dispatch(["classify", "--ring", "zmod:4", "--dim", "2",
+                     "--records", str(records)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["records_hash"] == GOLDEN["classify_z4_records"]
+    assert doc["records_hash"] == hash_lines(records.read_text().splitlines())
+
+
+def test_classify_past_the_budget_writes_no_records_file(tmp_path, capsys):
+    records = tmp_path / "records.jsonl"
+    assert dispatch(["classify", "--ring", "zmod:2000", "--dim", "1",
+                     "--records", str(records)]) == 2
+    assert not records.exists()
+
+
+def test_a_failing_classify_keeps_the_records_written_so_far(tmp_path, monkeypatch, capsys):
+    records = tmp_path / "records.jsonl"
+    plain, calls = lab._classify, []
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) > 5:
+            raise errors.InternalViolation("sixth record")
+        return plain(*args)
+
+    monkeypatch.setattr(lab, "_classify", failing)
+    assert dispatch(["classify", "--ring", "zmod:2", "--dim", "2",
+                     "--records", str(records)]) == 3
+    assert capsys.readouterr().out == ""
+    assert len(records.read_text().splitlines()) == 5
 
 
 def test_identity_check_command(capsys):

@@ -235,7 +235,7 @@ def test_engine_product_matches_the_naive_product(token, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_engine_transpose_matches_square_matrix(m):
-    # m = 1 is the identity: a transpose must stay a flat tuple, not an entry.
+    # m = 1 is the identity: a transpose must stay a matrix of rows, not an entry.
     engine = lab._Engine(Z5, m)
     rng = random.Random(m)
     for _ in range(20):
@@ -394,6 +394,14 @@ def test_scans_compute_each_power_once(monkeypatch):
         calls.clear()
         scan()
         assert len(calls) == 256
+
+
+def test_agreeing_outcomes_share_one_result_tuple():
+    # a chunk pickles each common result once when the scan shares it
+    results = lab._walk_chunk(IntegersMod(4), 2, partial(lab._sides, 1, False), 0, 256)
+    agreeing = [r for r in results if r[0] == r[1]]
+    assert len(agreeing) == 256  # Z_4 is commutative: no matrix is one-sided
+    assert len({id(r) for r in agreeing}) == len({r[:2] for r in agreeing}) == 2
 
 
 def test_transpose_closure_agrees_with_cp_verdict():

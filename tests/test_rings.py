@@ -26,7 +26,7 @@ from piregular import (
     poly_ring,
     sample_element,
 )
-from piregular import rings
+from piregular import lab, rings
 from piregular.rings import (
     _LiteralParser,
     _monic_rem,
@@ -453,6 +453,20 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     # one kernel per form and dimension serves every modulus
     assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
                for form, dim in rings._KERNELS)
+
+
+@pytest.mark.parametrize("k", [2, 9, 12])
+def test_table_kernels_return_payload_rows_like_every_form(k):
+    # over zmod:k the element indices are the residues, so the engine's
+    # table kernel and p_matmul must agree on the very same rows
+    rng = random.Random(k)
+    spec = IntegersMod(k)
+    for dim in (1, 2, 3, 4):
+        engine = lab._Engine(spec, dim)
+        for _ in range(5):
+            l, r = (tuple(tuple(rng.randrange(k) for _ in range(dim)) for _ in range(dim))
+                    for _ in range(2))
+            assert rings._KERNELS["table", dim](engine, l, r) == spec.p_matmul(l, r)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 9])
