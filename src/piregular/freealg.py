@@ -492,6 +492,11 @@ class _NCParser(_ExpressionParser):
                       for word, coeff in value._terms.items()), default=0)
         return max(len(value) ** min(exponent, DEFAULT_BUDGET.bit_length()), exponent * weight)
 
+    def power_terms(self, value: NCPolynomial):
+        """At most the term count to the k-th power; called only within the
+        size budget, so k <= 20 unless there is at most one term."""
+        return lambda k: len(value) ** k
+
 
 def parse_nc(text: str) -> NCPolynomial:
     """Parse a noncommutative polynomial expression.  Each letter is a

@@ -21,11 +21,13 @@ else.
 A matrix literal ``[[e,e],[e,e]]`` is read by the ring module's tokenizer
 and recursive descent, with one element literal per entry.
 
-Characteristic polynomials use the Samuelson-Berkowitz recurrence: the
-coefficient vector of each leading principal block is pushed through a
-Toeplitz convolution built from one new row and column.  That keeps the
-whole computation inside the coefficient ring, with no divisions, which is
-what makes it usable over rings with zero divisors like Z_k or Z_3[t]/(t^2).
+Characteristic polynomials start from the closed form of the leading 1x1
+or 2x2 block and run the Samuelson-Berkowitz recurrence from there: the
+coefficient vector of each larger leading principal block is pushed
+through a Toeplitz convolution built from one new row and column.  That
+keeps the whole computation inside the coefficient ring, with no
+divisions, which is what makes it usable over rings with zero divisors
+like Z_k or Z_3[t]/(t^2).
 """
 
 from __future__ import annotations
@@ -175,7 +177,9 @@ def berkowitz_char_poly(mat: SquareMatrix) -> RingElem:
     """Characteristic polynomial det(xI - A), an element of
     ``poly_ring(A.ring)``, computed without divisions.
 
-    Runs the Samuelson-Berkowitz recurrence over leading principal blocks:
+    Starts from the closed form of the leading block, x - a at 1x1 and
+    x^2 - (a+d)x + (ad - bc) for [[a, b], [c, d]], then runs the
+    Samuelson-Berkowitz recurrence over the larger leading principal blocks:
     if the block grows by a bottom-right scalar a with new row R and column
     C against the old block M, the new coefficient vector is the Toeplitz
     convolution of (1, -a, -RC, -RMC, -RM^2 C, ...) with the old one.  The
@@ -183,12 +187,16 @@ def berkowitz_char_poly(mat: SquareMatrix) -> RingElem:
     """
     _require_commutative(mat.ring)
     ring, rows, m = mat.ring, mat.rows, mat.dim
-    dot, neg = ring.p_dot, ring.p_neg
-    coeffs = [ring.one_payload()]  # leading-first; char poly of the empty block is 1
-    for k in range(1, m + 1):
+    dot, neg, mul, one = ring.p_dot, ring.p_neg, ring.p_mul, ring.one_payload()
+    if m == 1:
+        coeffs = [one, neg(rows[0][0])]  # leading-first
+    else:
+        (a, b), (c, d) = rows[0][:2], rows[1][:2]
+        coeffs = [one, neg(ring.p_add(a, d)), ring.p_sub(mul(a, d), mul(b, c))]
+    for k in range(3, m + 1):
         block = [row[:k - 1] for row in rows[:k - 1]]
         row = rows[k - 1][:k - 1]
-        toeplitz = [ring.one_payload(), neg(rows[k - 1][k - 1])]
+        toeplitz = [one, neg(rows[k - 1][k - 1])]
         vec = [rows[i][k - 1] for i in range(k - 1)]
         for _ in range(k - 1):
             toeplitz.append(neg(dot(row, vec)))

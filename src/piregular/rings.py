@@ -29,8 +29,9 @@ modulus is an element literal), element literals such as ``1+2*t``, the
 matrix literals of :mod:`piregular.matrices` and the free-algebra
 expressions of :mod:`piregular.freealg`.  Whitespace only separates tokens,
 and a run of ASCII digits is the only integer.  A power whose size would
-pass ``DEFAULT_BUDGET`` is refused with ``BudgetExceeded`` before it is
-computed.
+pass ``DEFAULT_BUDGET``, or whose term products would pass ``WORK_BUDGET``
+(about the square of its size for a dense polynomial), is refused with
+``BudgetExceeded`` before it is computed.
 
 A finite quotient ring of at most 256 elements computes each sum, product,
 literal and parse once and then reads it from a table of at most
@@ -80,6 +81,7 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
 
 
 DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, n * dim, the size of a parsed power
+WORK_BUDGET = 1 << 18  # the term products of a parsed power
 
 
 def require_positive(error=InvalidBound, /, **values) -> None:
@@ -761,6 +763,34 @@ def _weight(payload) -> int:
     return len(payload) and len(payload) - 1 + max(map(_weight, payload))
 
 
+def _power_terms(spec, payload, k: int) -> int:
+    """Coefficients of payload^k, counted densely down a tower of polynomial
+    rings: k times the degree plus one at each level, at most a quotient's
+    degree, or one where a single coefficient is nonzero."""
+    if not isinstance(payload, tuple) or not payload:
+        return 1
+    nonzero = [c for c in payload if c]
+    length = 1 if len(nonzero) == 1 else k * (len(payload) - 1) + 1
+    if isinstance(spec, QuotientPoly):
+        length = min(length, len(spec.modulus) - 1)
+    return length * max(_power_terms(spec.base, c, k) for c in nonzero)
+
+
+def _power_work(terms, exponent: int) -> int:
+    """Term products that binary_power makes for base^exponent, when base^k
+    has terms(k) terms and a product costs the product of its factors' terms:
+    about the square of the result's size for a dense polynomial."""
+    work = 0
+
+    def mul(i, j):
+        nonlocal work
+        work += terms(i) * terms(j)
+        return i + j
+
+    binary_power(1, exponent, int, mul)
+    return work
+
+
 class _ExpressionParser:
     """Recursive descent over signed sums of products of powers, where
     juxtaposition multiplies; a subclass reads one ``primary`` of ``spec``."""
@@ -816,7 +846,8 @@ class _ExpressionParser:
 
     def factor(self):
         """A primary, raised to a power only if the power's size stays within
-        DEFAULT_BUDGET; a larger one is refused before any work."""
+        DEFAULT_BUDGET and its term products within WORK_BUDGET; a power
+        past either is refused before any work."""
         value = self.primary()
         if self.peek()[0] == "^":
             self.take()
@@ -824,6 +855,9 @@ class _ExpressionParser:
             if self.power_size(value, exponent) > DEFAULT_BUDGET:
                 raise BudgetExceeded(
                     f"a power with exponent {exponent} exceeds the size budget {DEFAULT_BUDGET}")
+            if _power_work(self.power_terms(value), exponent) > WORK_BUDGET:
+                raise BudgetExceeded(
+                    f"a power with exponent {exponent} exceeds the work budget {WORK_BUDGET}")
             value = value ** exponent
         return value
 
@@ -831,6 +865,10 @@ class _ExpressionParser:
         raise NotImplementedError
 
     def power_size(self, value, exponent: int) -> int:
+        raise NotImplementedError
+
+    def power_terms(self, value):
+        """The function k -> the number of terms of value^k."""
         raise NotImplementedError
 
 
@@ -862,6 +900,12 @@ class _LiteralParser(_ExpressionParser):
         """0 in a finite ring, whose powers cost O(log exponent) products of
         bounded size; else the exponent times the payload's weight."""
         return 0 if self.spec.is_finite else exponent * _weight(value.payload)
+
+    def power_terms(self, value: RingElem):
+        """k -> :func:`_power_terms`; 0 in a finite ring, as for the size."""
+        if self.spec.is_finite:
+            return lambda k: 0
+        return partial(_power_terms, self.spec, value.payload)
 
     def ring_spec(self) -> RingSpec:
         """``int | zmod:<k> | poly:<spec>:<var> | quot:<spec>:<monic>``, where

@@ -72,7 +72,7 @@ def _rows_over(a, *mats) -> tuple:
     """Payload rows of ``mats``, each a SquareMatrix over ``a``'s ring and dimension."""
     if not all(isinstance(mat, SquareMatrix) for mat in (a, *mats)):
         raise SpecMismatch("base and witness must be square matrices")
-    if any(mat.ring != a.ring or mat.dim != a.dim for mat in mats):
+    if any((mat.ring is not a.ring and mat.ring != a.ring) or mat.dim != a.dim for mat in mats):
         raise SpecMismatch("witness matrix must match the base matrix")
     return tuple(mat.rows for mat in mats)
 
@@ -85,12 +85,13 @@ def _require(checks: tuple) -> tuple:
     return checks
 
 
+# Both powers below have exponent >= 1 (N >= n >= 1), so no identity is passed.
 def _commuting_witness(ring, a_big, c, big_n):  # w = A^N C^(N+1); C right witness at N
-    return ring.p_matmul(a_big, _powers(ring, c, (big_n + 1,))[big_n + 1])
+    return ring.p_matmul(a_big, binary_power(c, big_n + 1, None, ring.p_matmul))
 
 
 def _lowered_left_witness(ring, w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w left at N
-    return ring.p_matmul(_powers(ring, w, (big_n - n + 1,))[big_n - n + 1], a_gap)
+    return ring.p_matmul(binary_power(w, big_n - n + 1, None, ring.p_matmul), a_gap)
 
 
 @dataclass(frozen=True, slots=True)

@@ -36,6 +36,26 @@ def _cofactor(ring, rows):
     return total
 
 
+def naive_char_poly(mat: SquareMatrix):
+    """det(xI - A) by the Samuelson-Berkowitz recurrence started from the
+    empty block, one leading principal block at a time, with no closed form
+    for the first two: the recurrence as written before its 2x2 seed."""
+    ring, rows, m = mat.ring, mat.rows, mat.dim
+    dot, neg = ring.p_dot, ring.p_neg
+    coeffs = [ring.one_payload()]  # leading-first
+    for k in range(1, m + 1):
+        block = [row[:k - 1] for row in rows[:k - 1]]
+        row = rows[k - 1][:k - 1]
+        toeplitz = [ring.one_payload(), neg(rows[k - 1][k - 1])]
+        vec = [rows[i][k - 1] for i in range(k - 1)]
+        for _ in range(k - 1):
+            toeplitz.append(neg(dot(row, vec)))
+            vec = [dot(block_row, vec) for block_row in block]
+        rev = toeplitz[::-1]
+        coeffs = [dot(rev[k - i:], coeffs[:i + 1]) for i in range(k)] + [dot(rev[:k], coeffs)]
+    return poly_ring(ring).wrap(tuple(coeffs[::-1]))
+
+
 def matrix_polynomial(coeffs):
     """The matrix over poly_ring(R) whose x^k coefficient is ``coeffs[k]``,
     one entry at a time: M_m(R)[x] read as M_m(R[x])."""

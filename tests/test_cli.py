@@ -85,6 +85,10 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
          "--A", "[[t^99999999]]", "--X", "[[0]]"],
         ["right-to-left", "--ring", "int", "--dim", "1", "--n", "1",
          "--A", "[[3^99999999]]", "--X", "[[0]]"],
+        # powers within the size budget whose products pass the work budget
+        ["right-to-left", "--ring", "poly:poly:int:t:u", "--dim", "1", "--n", "1",
+         "--A", "[[(1+t)^3000]]", "--X", "[[0]]"],
+        ["nf", "--expr", "(a+b+c+d)^10"],
     ]
     for argv in cases:
         start = time.perf_counter()

@@ -20,6 +20,7 @@ from piregular import (
     shepherdson_demo,
     shepherdson_system,
 )
+from piregular import rings
 from piregular.freealg import ALPHABET, deglex_key
 
 from helpers import naive_normal_form
@@ -206,6 +207,21 @@ def test_parser_basics():
 def test_parser_refuses_powers_past_the_size_budget(text):
     with pytest.raises(BudgetExceeded, match="size budget"):
         parse_nc(text)
+
+
+def test_parser_refuses_powers_past_the_work_budget():
+    # exactly 4^10 = 2^20 terms, but 1114384 term products to get there
+    with pytest.raises(BudgetExceeded, match="work budget"):
+        parse_nc("(a+b+c+d)^10")
+    assert len(parse_nc("(a+b+c+d)^8")) == 4 ** 8
+
+
+def test_work_budget_counts_the_term_products_of_a_power(monkeypatch):
+    products, plain = [], NCPolynomial.__mul__
+    monkeypatch.setattr(NCPolynomial, "__mul__",
+                        lambda a, b: products.append(len(a) * len(b)) or plain(a, b))
+    parse_nc("(a+b+c)^7")
+    assert sum(products) == rings._power_work(lambda k: 3 ** k, 7)
 
 
 def test_parser_allows_powers_within_the_size_budget():

@@ -32,6 +32,7 @@ from piregular import (
 from helpers import (
     cofactor_det,
     matrix_polynomial,
+    naive_char_poly,
     naive_difference,
     naive_power,
     naive_product,
@@ -45,6 +46,7 @@ Z12 = IntegersMod(12)
 DUAL_Z3 = parse_ring_spec("quot:zmod:3:t^2")
 
 ORACLE_RINGS = [(Z, 9), (Z12, None), (DUAL_Z3, None)]
+CHAR_POLY_RINGS = ORACLE_RINGS + [(IntegersMod(9), None)]
 
 
 def mat(spec, text):
@@ -169,7 +171,7 @@ def test_char_poly_against_cofactor_oracle():
     # det(xI - A) by Laplace expansion over the polynomial ring pins the
     # Berkowitz recurrence to an independent computation.
     rng = random.Random(1984)
-    for spec, bound in ORACLE_RINGS:
+    for spec, bound in CHAR_POLY_RINGS:
         pspec = poly_ring(spec)
         for dim in range(1, 6):
             for _ in range(3):
@@ -179,6 +181,29 @@ def test_char_poly_against_cofactor_oracle():
                      for j in range(dim)] for i in range(dim)])
                 expected = cofactor_det(x_minus_a)
                 assert berkowitz_char_poly(a) == expected, (spec, dim)
+
+
+def test_seeded_char_poly_against_the_unseeded_recurrence():
+    rng = random.Random(2084)
+    for spec, bound in CHAR_POLY_RINGS:
+        for dim in range(1, 10):
+            for _ in range(2):
+                a = random_matrix(spec, dim, rng, bound)
+                assert berkowitz_char_poly(a) == naive_char_poly(a), (spec, dim)
+
+
+def test_char_poly_seed_edges():
+    # the 1x1 and 2x2 closed forms, x - a and x^2 - (a+d)x + (ad - bc), with
+    # b*c != 0 so the off-diagonal product counts
+    for spec, _ in CHAR_POLY_RINGS:
+        pspec, num = poly_ring(spec), spec.p_from_int
+        one_by_one = SquareMatrix.from_rows(spec, [[num(4)]])
+        two_by_two = SquareMatrix.from_rows(spec, [[num(1), num(2)], [num(5), num(4)]])
+        assert spec.p_mul(num(2), num(5)) != spec.zero_payload()
+        assert berkowitz_char_poly(one_by_one) == pspec.element([num(-4), num(1)])
+        assert berkowitz_char_poly(two_by_two) == pspec.element([num(-6), num(-5), num(1)])
+        for mat in (one_by_one, two_by_two):
+            assert berkowitz_char_poly(mat) == naive_char_poly(mat)
 
 
 def test_char_poly_is_monic_of_degree_dim():

@@ -505,6 +505,25 @@ def test_powers_past_the_size_budget_are_refused(token, literal, refused):
         parse_element(spec, literal)
 
 
+@pytest.mark.parametrize("token, literal, refused", [
+    # a dense power's term products grow as the square of its size
+    ("poly:poly:int:t:u", "(1+t)^800", False),
+    ("poly:poly:int:t:u", "(1+t)^3000", True),
+    ("poly:poly:int:t:u", "(1+t+t^2)^500", True),
+    # a monomial's powers stay monomials, and a quotient caps the degree
+    ("poly:int:t", "t^500000", False),
+    ("poly:quot:int:t^2:u", "(1+t)^100000", False),
+    ("int", "2^524288", False),
+])
+def test_powers_past_the_work_budget_are_refused(token, literal, refused):
+    spec = parse_ring_spec(token)
+    if refused:
+        with pytest.raises(BudgetExceeded, match="work budget"):
+            parse_element(spec, literal)
+    else:
+        parse_element(spec, literal)
+
+
 def test_a_quotient_modulus_is_read_within_the_budget():
     with pytest.raises(BudgetExceeded):
         parse_ring_spec("quot:int:t^99999999")

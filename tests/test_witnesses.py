@@ -36,7 +36,16 @@ from piregular import (
 from piregular import lab, rings, witnesses
 from piregular.rings import DEFAULT_BUDGET
 
-from helpers import count_products, matrix_polynomial, naive_left_witness, random_matrix
+from helpers import (
+    cofactor_det,
+    count_products,
+    matrix_polynomial,
+    naive_difference,
+    naive_left_witness,
+    naive_power,
+    naive_product,
+    random_matrix,
+)
 
 Z = Integers()
 Z4 = IntegersMod(4)
@@ -245,8 +254,8 @@ def test_pipeline_computes_each_power_once(monkeypatch):
     cert = right_to_left_certificate(RightWitnessInstance(a, 1, x))
     produced = len(calls)
     assert verify_certificate(cert).ok
-    assert 0 < len(calls) - produced <= 8
-    assert len(calls) <= 21
+    assert len(calls) - produced == 8
+    assert len(calls) == 21
 
 
 def test_certificate_reuses_the_instance_powers(monkeypatch):
@@ -258,8 +267,34 @@ def test_certificate_reuses_the_instance_powers(monkeypatch):
     cert = right_to_left_certificate(RightWitnessInstance(a, 1, x))
     produced = len(calls)
     assert verify_certificate(cert).ok
-    assert 0 < produced <= 13
-    assert len(calls) - produced <= 8
+    assert produced == 13
+    assert len(calls) - produced == 8
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_matches_naive_powers_and_products(n, dim):
+    # q from cofactor expansion of det(xI - X); then C, w and Y by the
+    # textbook formulas, every power a chain of naive products.
+    z12, rng = IntegersMod(12), random.Random(100 * n + dim)
+    while True:
+        a = random_matrix(z12, dim, rng)
+        x = right_witness_search(a, n)
+        if x is not None:
+            break
+    cert = right_to_left_certificate(RightWitnessInstance(a, n, x))
+    pspec = poly_ring(z12)
+    x_minus_x = SquareMatrix.from_rows(pspec, [
+        [pspec.element([z12.p_neg(x.rows[i][j])] + [1] * (i == j)) for j in range(dim)]
+        for i in range(dim)])
+    q = [z12.wrap(s) for s in cofactor_det(x_minus_x).payload[::-1]]
+    big_n, ea = n * dim, a.entries
+    c = [[z12.zero()] * dim for _ in range(dim)]
+    for i in range(dim):  # C = -(s1 I + s2 A + ... + sm A^(m-1))
+        c = naive_difference(c, [[q[i + 1] * e for e in row] for row in naive_power(z12, ea, i)])
+    w = naive_product(z12, naive_power(z12, ea, big_n), naive_power(z12, c, big_n + 1))
+    y = naive_product(z12, naive_power(z12, w, big_n - n + 1), naive_power(z12, ea, big_n - n))
+    assert [[list(row) for row in mat.entries] for mat in (cert.C, cert.w, cert.Y)] == [c, w, y]
 
 
 def test_emit_trusts_only_its_producer(monkeypatch):
