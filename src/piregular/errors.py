@@ -31,10 +31,11 @@ class NotEnumerable(PiregularError):
 
 
 class BudgetExceeded(PiregularError):
-    """A scan, a table or an instance's n * dim would exceed DEFAULT_BUDGET
-    (2^20), a parsed power's term products would exceed WORK_BUDGET (2^18),
-    or a result holds an integer with more digits than CPython turns into
-    text (``sys.get_int_max_str_digits()``, 4300 by default)."""
+    """A scan, a table, an instance's n * dim or a parsed power's size would
+    exceed DEFAULT_BUDGET (2^20), the term products made parsing one text
+    would exceed WORK_BUDGET (2^18), or a result holds an integer with more
+    digits than CPython turns into text (``sys.get_int_max_str_digits()``,
+    4300 by default)."""
 
     @classmethod
     def digits(cls) -> "BudgetExceeded":

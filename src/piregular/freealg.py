@@ -464,7 +464,7 @@ def shepherdson_demo() -> ShepherdsonReport:
 class _NCParser(_ExpressionParser):
     """Sums of juxtaposed factors: ``2ab - (1/2)w^2(x + y)`` and the like."""
 
-    def primary(self) -> NCPolynomial:
+    def atom(self) -> NCPolynomial:
         kind, value = self.take()
         if kind == "int":
             if self.peek()[0] == "/":
@@ -478,11 +478,10 @@ class _NCParser(_ExpressionParser):
             if value not in _RANK:
                 raise ParseError(f"unknown generator {value!r}; alphabet is {ALPHABET!r}")
             return NCPolynomial.from_word(value)
-        if kind == "(":
-            value = self.expression()
-            self.take(")")
-            return value
         raise ParseError(f"unexpected token {value!r}")
+
+    def terms(self, value: NCPolynomial) -> int:
+        return len(value)
 
     def power_size(self, value: NCPolynomial, exponent: int) -> int:
         """The term count raised to the exponent (capped where it must pass
@@ -491,11 +490,6 @@ class _NCParser(_ExpressionParser):
         weight = max((len(word) + coeff.numerator.bit_length() + coeff.denominator.bit_length()
                       for word, coeff in value._terms.items()), default=0)
         return max(len(value) ** min(exponent, DEFAULT_BUDGET.bit_length()), exponent * weight)
-
-    def power_terms(self, value: NCPolynomial):
-        """At most the term count to the k-th power; called only within the
-        size budget, so k <= 20 unless there is at most one term."""
-        return lambda k: len(value) ** k
 
 
 def parse_nc(text: str) -> NCPolynomial:

@@ -28,10 +28,12 @@ specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
 modulus is an element literal), element literals such as ``1+2*t``, the
 matrix literals of :mod:`piregular.matrices` and the free-algebra
 expressions of :mod:`piregular.freealg`.  Whitespace only separates tokens,
-and a run of ASCII digits is the only integer.  A power whose size would
-pass ``DEFAULT_BUDGET``, or whose term products would pass ``WORK_BUDGET``
-(about the square of its size for a dense polynomial), is refused with
-``BudgetExceeded`` before it is computed.
+and a run of ASCII digits is the only integer.  Parentheses group; a name is
+the generator of the tower layer with that letter, so no tower reuses one.
+``BudgetExceeded`` refuses a power whose size would pass ``DEFAULT_BUDGET``,
+and the product that would take a text's term products (about the square of
+the result's size for a dense polynomial) past ``WORK_BUDGET``, before either
+is computed.
 
 A finite quotient ring of at most 256 elements computes each sum, product,
 literal and parse once and then reads it from a table of at most
@@ -81,7 +83,7 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
 
 
 DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, n * dim, the size of a parsed power
-WORK_BUDGET = 1 << 18  # the term products of a parsed power
+WORK_BUDGET = 1 << 18  # the term products made while parsing one text
 
 
 def require_positive(error=InvalidBound, /, **values) -> None:
@@ -509,6 +511,15 @@ def _canon_coeff_seq(base: RingSpec, raw) -> tuple:
     return _strip(base, [base.canon(c) for c in raw])
 
 
+def _variables(spec: RingSpec) -> set:
+    """The letters of the polynomial layers of ``spec``'s tower."""
+    used = set()
+    while isinstance(spec, PolyOver):
+        used.add(spec.variable)
+        spec = spec.base
+    return used
+
+
 @dataclass(frozen=True)
 class PolyOver(RingSpec):
     """Univariate polynomials over a described base ring."""
@@ -524,6 +535,8 @@ class PolyOver(RingSpec):
         if not (isinstance(self.variable, str) and len(self.variable) == 1
                 and self.variable.isalpha()):
             raise InvalidSpec(f"variable must be a single letter, got {self.variable!r}")
+        if self.variable in _variables(self.base):
+            raise InvalidSpec(f"{self.base} already uses the variable {self.variable!r}")
 
     def canon(self, raw):
         return _canon_coeff_seq(self.base, raw)
@@ -573,10 +586,7 @@ def poly_ring(spec: RingSpec) -> PolyOver:
     of the alphabet) that no polynomial layer of ``spec`` uses.
     Characteristic polynomials live here, and a matrix over it is a matrix
     polynomial: M_m(R[x]) = M_m(R)[x]."""
-    used, layer = set(), spec
-    while layer is not None:
-        used.add(getattr(layer, "variable", None))
-        layer = getattr(layer, "base", None)
+    used = _variables(spec)
     variable = next((v for v in "xyzuvwstp" + ascii_letters if v not in used), None)
     if variable is None:
         raise InvalidSpec(f"{spec} leaves no free polynomial variable")
@@ -755,50 +765,38 @@ def _parse_ring_token(text: str) -> RingSpec:
     return parser.finish(parser.ring_spec())
 
 
-def _weight(payload) -> int:
-    """An integer's bit length, or a polynomial's degree plus its heaviest
+def _weight(spec, payload) -> int:
+    """0 for an element of a finite ring, whose powers stay bounded; else an
+    integer's bit length, or a polynomial's degree plus its heaviest
     coefficient's weight: a power multiplies each by at most its exponent."""
+    if spec.is_finite:
+        return 0
     if isinstance(payload, int):
         return payload.bit_length()
-    return len(payload) and len(payload) - 1 + max(map(_weight, payload))
+    return len(payload) and len(payload) - 1 + max(_weight(spec.base, c) for c in payload)
 
 
-def _power_terms(spec, payload, k: int) -> int:
-    """Coefficients of payload^k, counted densely down a tower of polynomial
-    rings: k times the degree plus one at each level, at most a quotient's
-    degree, or one where a single coefficient is nonzero."""
+def _terms(payload) -> int:
+    """Coefficients of an element, counted densely down a tower of
+    polynomial rings: the degree plus one at each level, or one where a
+    single coefficient is nonzero, times the most terms of a coefficient."""
     if not isinstance(payload, tuple) or not payload:
         return 1
     nonzero = [c for c in payload if c]
-    length = 1 if len(nonzero) == 1 else k * (len(payload) - 1) + 1
-    if isinstance(spec, QuotientPoly):
-        length = min(length, len(spec.modulus) - 1)
-    return length * max(_power_terms(spec.base, c, k) for c in nonzero)
-
-
-def _power_work(terms, exponent: int) -> int:
-    """Term products that binary_power makes for base^exponent, when base^k
-    has terms(k) terms and a product costs the product of its factors' terms:
-    about the square of the result's size for a dense polynomial."""
-    work = 0
-
-    def mul(i, j):
-        nonlocal work
-        work += terms(i) * terms(j)
-        return i + j
-
-    binary_power(1, exponent, int, mul)
-    return work
+    return (1 if len(nonzero) == 1 else len(payload)) * max(map(_terms, nonzero))
 
 
 class _ExpressionParser:
     """Recursive descent over signed sums of products of powers, where
-    juxtaposition multiplies; a subclass reads one ``primary`` of ``spec``."""
+    juxtaposition multiplies and parentheses group; a subclass reads one
+    ``atom`` of ``spec`` and counts its ``terms``.  One parser reads one
+    text, and every product it makes is charged to its ``work``."""
 
-    def __init__(self, spec, tokens: list, pos: int = 0):
+    def __init__(self, spec, tokens: list):
         self.spec = spec
         self.tokens = tokens
-        self.pos = pos
+        self.pos = 0
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -819,6 +817,15 @@ class _ExpressionParser:
     def parse(self):
         return self.finish(self.expression())
 
+    def product(self, lhs, rhs):
+        """lhs * rhs, charged the product of their term counts; the product
+        that would take the text's work past WORK_BUDGET is refused before
+        it runs."""
+        self.work += self.terms(lhs) * self.terms(rhs)
+        if self.work > WORK_BUDGET:
+            raise BudgetExceeded(f"this text's term products exceed the work budget {WORK_BUDGET}")
+        return lhs * rhs
+
     def expression(self):
         negate = False
         if self.peek()[0] in "+-":
@@ -834,20 +841,15 @@ class _ExpressionParser:
 
     def term(self):
         value = self.factor()
-        while True:
-            kind = self.peek()[0]
-            if kind == "*":
+        while self.peek()[0] in ("*", "int", "name", "("):
+            if self.peek()[0] == "*":
                 self.take()
-                value = value * self.factor()
-            elif kind in ("int", "name", "("):
-                value = value * self.factor()
-            else:
-                return value
+            value = self.product(value, self.factor())
+        return value
 
     def factor(self):
         """A primary, raised to a power only if the power's size stays within
-        DEFAULT_BUDGET and its term products within WORK_BUDGET; a power
-        past either is refused before any work."""
+        DEFAULT_BUDGET; a power past it is refused before any product."""
         value = self.primary()
         if self.peek()[0] == "^":
             self.take()
@@ -855,57 +857,54 @@ class _ExpressionParser:
             if self.power_size(value, exponent) > DEFAULT_BUDGET:
                 raise BudgetExceeded(
                     f"a power with exponent {exponent} exceeds the size budget {DEFAULT_BUDGET}")
-            if _power_work(self.power_terms(value), exponent) > WORK_BUDGET:
-                raise BudgetExceeded(
-                    f"a power with exponent {exponent} exceeds the work budget {WORK_BUDGET}")
-            value = value ** exponent
+            value = binary_power(value, exponent, self.spec.one, self.product)
         return value
 
     def primary(self):
+        if self.peek()[0] != "(":
+            return self.atom()
+        self.take()
+        value = self.expression()
+        self.take(")")
+        return value
+
+    def atom(self):
+        raise NotImplementedError
+
+    def terms(self, value) -> int:
         raise NotImplementedError
 
     def power_size(self, value, exponent: int) -> int:
         raise NotImplementedError
 
-    def power_terms(self, value):
-        """The function k -> the number of terms of value^k."""
-        raise NotImplementedError
-
 
 class _LiteralParser(_ExpressionParser):
     """Ring-element literals such as ``-3``, ``1+2*t``, ``t^2`` or
-    ``(1+t)*u^2`` for nested towers, and the ring specs that embed them."""
+    ``(1+t)*u^2`` for nested towers, and the ring specs that embed them.
+    A name is the generator of the tower layer that uses its letter."""
 
-    def primary(self) -> RingElem:
+    def atom(self) -> RingElem:
         kind, value = self.take()
         if kind == "int":
             return self.spec.from_int(value)
         if kind == "name":
-            if value == getattr(self.spec, "variable", None):
-                return self.spec.gen()
-            raise ParseError(f"unknown symbol {value!r} for ring {self.spec}")
-        if kind == "(":
-            base = getattr(self.spec, "base", None)
-            if base is None:
-                raise ParseError(f"parenthesized coefficients not allowed in {self.spec}")
-            inner = _LiteralParser(base, self.tokens, self.pos)
-            value = inner.expression()
-            self.pos = inner.pos
-            self.take(")")
-            # lift the base element into this ring as a constant
-            return self.spec.element([value.payload])
+            return self.generator(self.spec, value)
         raise ParseError(f"unexpected token {value!r}")
 
-    def power_size(self, value: RingElem, exponent: int) -> int:
-        """0 in a finite ring, whose powers cost O(log exponent) products of
-        bounded size; else the exponent times the payload's weight."""
-        return 0 if self.spec.is_finite else exponent * _weight(value.payload)
+    def generator(self, spec: RingSpec, name: str) -> RingElem:
+        """The generator of the layer of ``spec``'s tower named ``name``,
+        lifted into ``spec`` as a constant."""
+        if not isinstance(spec, PolyOver):
+            raise ParseError(f"unknown symbol {name!r} for ring {self.spec}")
+        if name == spec.variable:
+            return spec.gen()
+        return spec.element([self.generator(spec.base, name).payload])
 
-    def power_terms(self, value: RingElem):
-        """k -> :func:`_power_terms`; 0 in a finite ring, as for the size."""
-        if self.spec.is_finite:
-            return lambda k: 0
-        return partial(_power_terms, self.spec, value.payload)
+    def terms(self, value: RingElem) -> int:
+        return _terms(value.payload)
+
+    def power_size(self, value: RingElem, exponent: int) -> int:
+        return exponent * _weight(self.spec, value.payload)
 
     def ring_spec(self) -> RingSpec:
         """``int | zmod:<k> | poly:<spec>:<var> | quot:<spec>:<monic>``, where

@@ -94,6 +94,12 @@ def _lowered_left_witness(ring, w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w
     return ring.p_matmul(binary_power(w, big_n - n + 1, None, ring.p_matmul), a_gap)
 
 
+def _check_exponent_budget(n: int, dim: int) -> None:
+    """Refuse n * dim, which bounds a certificate's p, past DEFAULT_BUDGET."""
+    if n * dim > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"exponent {n} times dimension {dim} exceeds budget {DEFAULT_BUDGET}")
+
+
 @dataclass(frozen=True, slots=True)
 class RightWitnessInstance:
     """A verified instance of A^n = A^(n+1) X; checked at construction,
@@ -110,9 +116,7 @@ class RightWitnessInstance:
     def __post_init__(self):
         n, (x,) = self.n, _rows_over(self.A, self.X)
         require_positive(PreconditionFailed, exponent=n)
-        if n * self.A.dim > DEFAULT_BUDGET:
-            raise BudgetExceeded(
-                f"exponent {n} times dimension {self.A.dim} exceeds budget {DEFAULT_BUDGET}")
+        _check_exponent_budget(n, self.A.dim)
         powers = _powers(self.A.ring, self.A.rows, (n, n + 1))
         ax = self.A.ring.p_matmul(powers[n + 1], x)
         if powers[n] != ax:
@@ -295,9 +299,7 @@ def certificate_from_json(data: dict) -> LeftWitnessCertificate:
         if any(isinstance(e, bool) or not isinstance(e, int) or e < 1 for e in (n, big_n)):
             raise MalformedPayload("certificate exponents n and N must be positive integers")
         require_positive(MalformedPayload, dim=dim)
-        if n * dim > DEFAULT_BUDGET:  # checked as for an instance, before any matrix is built
-            raise BudgetExceeded(
-                f"exponent {n} times dimension {dim} exceeds budget {DEFAULT_BUDGET}")
+        _check_exponent_budget(n, dim)  # as for an instance, before any matrix is built
         mats = {key: matrix_from_json(spec, data[key], dim) for key in ("A", "X", "C", "w", "Y")}
         p_coeffs, items = data["p_coeffs"], data["identities"]
         if not (isinstance(p_coeffs, list) and isinstance(items, list)

@@ -89,6 +89,8 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
         ["right-to-left", "--ring", "poly:poly:int:t:u", "--dim", "1", "--n", "1",
          "--A", "[[(1+t)^3000]]", "--X", "[[0]]"],
         ["nf", "--expr", "(a+b+c+d)^10"],
+        # a product of powers that each fit the work budget is charged to the same account
+        ["nf", "--expr", "(a+b+c+d)^5 (a+b+c+d)^5"],
     ]
     for argv in cases:
         start = time.perf_counter()

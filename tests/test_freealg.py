@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
@@ -13,10 +14,14 @@ from piregular import (
     NonTerminating,
     ParseError,
     RewriteSystem,
+    RingElem,
     SquareMatrix,
     nc_normal_form,
     overlap_check,
+    parse_element,
+    parse_matrix_literal,
     parse_nc,
+    parse_ring_spec,
     shepherdson_demo,
     shepherdson_system,
 )
@@ -216,12 +221,38 @@ def test_parser_refuses_powers_past_the_work_budget():
     assert len(parse_nc("(a+b+c+d)^8")) == 4 ** 8
 
 
-def test_work_budget_counts_the_term_products_of_a_power(monkeypatch):
-    products, plain = [], NCPolynomial.__mul__
+@pytest.mark.parametrize("ring, text, accepted", [
+    ("free", "(a+b+c)^7", True),
+    ("free", "2ab - (1/2)w^2(x + y)", True),
+    ("free", "(a+b)^3 (w+x+y)^4 (a-z)", True),
+    ("free", "(a+b+c+d)^10", False),
+    ("free", "(a+b+c+d)^5 (a+b+c+d)^5", False),
+    ("poly:poly:int:t:u", "(1+t)^300 (t+u)^7 - u^2(1+t)", True),
+    ("quot:zmod:3:t^2", "(1+t)^99 * (2+t)", True),
+    ("poly:poly:int:t:u", "(1+t)^800*(1+t)^800", False),
+    ("poly:poly:int:t:u", "[[(1+t)^2, t u], [u^5, (t+u)^6]]", True),  # one matrix, one account
+])
+def test_work_account_is_the_sum_of_the_term_products_made(ring, text, accepted, monkeypatch):
+    if ring == "free":
+        parse = parse_nc
+    else:
+        literal = parse_matrix_literal if text.startswith("[") else parse_element
+        parse = partial(literal, parse_ring_spec(ring))
+    products, parsers = [], []
+    nc_mul, elem_mul, finish = NCPolynomial.__mul__, RingElem.__mul__, rings._ExpressionParser.finish
     monkeypatch.setattr(NCPolynomial, "__mul__",
-                        lambda a, b: products.append(len(a) * len(b)) or plain(a, b))
-    parse_nc("(a+b+c)^7")
-    assert sum(products) == rings._power_work(lambda k: 3 ** k, 7)
+                        lambda a, b: products.append(len(a) * len(b)) or nc_mul(a, b))
+    monkeypatch.setattr(RingElem, "__mul__", lambda a, b: products.append(
+        rings._terms(a.payload) * rings._terms(b.payload)) or elem_mul(a, b))
+    monkeypatch.setattr(rings._ExpressionParser, "finish",
+                        lambda parser, value: parsers.append(parser) or finish(parser, value))
+    if accepted:
+        parse(text)
+        assert products and [parser.work for parser in parsers] == [sum(products)]
+    else:
+        with pytest.raises(BudgetExceeded, match="work budget"):
+            parse(text)
+        assert 0 < sum(products) <= rings.WORK_BUDGET
 
 
 def test_parser_allows_powers_within_the_size_budget():

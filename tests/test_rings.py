@@ -205,6 +205,9 @@ def test_invalid_specs_rejected():
     with pytest.raises(InvalidSpec):
         # degree-0 modulus
         QuotientPoly(Z4, "t", (1,))
+    with pytest.raises(InvalidSpec):
+        # a tower that reuses a letter
+        parse_ring_spec("poly:poly:int:t:t")
 
 
 def test_malformed_payloads_rejected():
@@ -258,7 +261,9 @@ def test_element_literals_round_trip_exhaustively(spec):
 
 def test_element_literals_round_trip_sampled():
     rng = random.Random(99)
-    for spec, bound in [(Z, 50), (POLY_Z3, 4), (GAUSS, 9)]:
+    towers = [PolyOver(DUAL_Z3, "x"), parse_ring_spec("poly:poly:int:t:u"),
+              parse_ring_spec("poly:quot:int:t^2:u")]
+    for spec, bound in [(Z, 50), (POLY_Z3, 4), (GAUSS, 9)] + [(tower, 4) for tower in towers]:
         for _ in range(50):
             e = sample_element(spec, rng, bound)
             assert parse_element(spec, str(e)) == e
@@ -271,6 +276,8 @@ def test_element_literal_expressions():
         POLY_Z3.element([1, 2, 1])
     assert parse_element(POLY_Z3, "t*t") == POLY_Z3.element([0, 0, 1])
     assert parse_element(DUAL_Z3, "t^2") == DUAL_Z3.zero()
+    # parentheses group in the literal's own ring
+    assert parse_element(PolyOver(Z, "t"), "(1+t)^2") == PolyOver(Z, "t").element([1, 2, 1])
     with pytest.raises(ParseError):
         parse_element(Z4, "t")
     with pytest.raises(ParseError):
@@ -510,6 +517,8 @@ def test_powers_past_the_size_budget_are_refused(token, literal, refused):
     ("poly:poly:int:t:u", "(1+t)^800", False),
     ("poly:poly:int:t:u", "(1+t)^3000", True),
     ("poly:poly:int:t:u", "(1+t+t^2)^500", True),
+    # one account per text: a product of powers pays for both
+    ("poly:poly:int:t:u", "(1+t)^800*(1+t)^800", True),
     # a monomial's powers stay monomials, and a quotient caps the degree
     ("poly:int:t", "t^500000", False),
     ("poly:quot:int:t^2:u", "(1+t)^100000", False),
