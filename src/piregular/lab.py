@@ -1,15 +1,15 @@
 """Exhaustive verification suites over finite coefficient rings.
 
-Finite rings are compiled once into index tables (element list in canonical
-order plus addition/multiplication tables), so however nested the ring
-tower is, a matrix is a tuple of rows of small element indices: the shape
-of payload rows, multiplied by the ``table`` kernels of
-:mod:`piregular.rings`.  Every exhaustive scan runs through one driver,
-:func:`_scan`: it checks every size against the budget before an engine is
-built, then streams one per-matrix function over each matrix in row-major
-order, on one process or in contiguous chunks on a pool; :func:`cp_report`
-and the transpose check share one such function and one fold.  Powers come
-from one ladder per matrix, A, A^2, ... up to the first repeat.
+Finite rings are compiled once into index tables (canonical element list
+plus addition/multiplication tables), so a matrix over any ring tower is a
+tuple of rows of small element indices, multiplied by the ``table`` kernels
+of :mod:`piregular.rings`; over ``zmod:k`` they are its payload rows.  Every
+exhaustive scan runs through one driver, :func:`_scan`: it checks every size
+against the budget before an engine is built, then streams one per-matrix
+function over each matrix in row-major order, on one process or in chunks on
+a pool; :func:`cp_report` and the transpose check share one such function
+and one fold.  The report certifies each right witness on payload rows with
+the row functions of :mod:`piregular.witnesses`, and no wrapper objects.
 
 There is one witness search: the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
@@ -35,9 +35,9 @@ from itertools import islice, product
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
-from .matrices import SquareMatrix, matrix_to_json
+from .matrices import SquareMatrix, _require_commutative, matrix_to_json
 from .rings import DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, binary_power, require_positive
-from .witnesses import RightWitnessInstance, right_to_left_certificate
+from .witnesses import certificate_rows, instance_rows
 
 
 def _size(spec: RingSpec, exponent: int, what: str) -> int:
@@ -54,9 +54,10 @@ def _size(spec: RingSpec, exponent: int, what: str) -> int:
 class _Engine:
     """Index-table arithmetic for m-by-m matrices over one finite ring, held
     as tuples of rows of indices into ``payloads`` and multiplied by the
-    ``table`` kernel over the ``add``/``mul`` tables.  The ring must be
-    commutative: the left search runs as the transposed right search.
-    Every finite ``RingSpec`` in the package is commutative.
+    ``table`` kernel, bound once, over the ``add``/``mul`` tables.  The
+    payloads of ``zmod:k`` are 0..k-1, so there index rows are payload rows.
+    The ring must be commutative: the left search runs as the transposed
+    right search, and :func:`_engine` refuses any other.
     """
 
     def __init__(self, spec: RingSpec, m: int):
@@ -71,11 +72,13 @@ class _Engine:
         self.vectors = list(product(range(self.q), repeat=m))
         self.ident = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
         self._col_maps = {}
+        self._kernel = _KERNELS["table", m]
+        self._plain = payloads == list(range(self.q))  # index rows are payload rows
 
     # -- index-matrix arithmetic ----------------------------------------------
 
     def mat_mul(self, lhs, rhs):
-        return _KERNELS["table", self.m](self, lhs, rhs)
+        return self._kernel(self, lhs, rhs)
 
     def mat_pow(self, mat, exponent: int):
         return binary_power(mat, exponent, lambda: self.ident, self.mat_mul)
@@ -87,9 +90,12 @@ class _Engine:
         index = self.index.__getitem__
         return tuple(tuple(map(index, row)) for row in mat.rows)
 
+    def payload_rows(self, mat):
+        return mat if self._plain else tuple(tuple(map(self.payloads.__getitem__, row))
+                                             for row in mat)
+
     def to_square(self, mat) -> SquareMatrix:
-        entry = self.payloads.__getitem__
-        return SquareMatrix(self.spec, tuple(tuple(map(entry, row)) for row in mat))
+        return SquareMatrix(self.spec, self.payload_rows(mat))
 
     # -- powers ---------------------------------------------------------------
 
@@ -167,6 +173,7 @@ def _engine(spec: RingSpec, m: int) -> _Engine:
     q^m entries (vectors, column maps); both must fit the budget."""
     require_positive(dim=m)
     _size(spec, max(2, m), "table entries")
+    _require_commutative(spec, "witness searches")  # the left one runs transposed
     key = (spec, m)
     engine = _ENGINES.get(key)
     if engine is None:
@@ -359,17 +366,18 @@ _OUTCOMES = {sides: (*sides, None, None) for sides in _KINDS}  # shared: pickled
 def _sides(n: int, certify: bool, engine: _Engine, mat) -> tuple:
     """(right, left, A, failure): whether A has a right and a left witness
     at n; A as JSON if it has just one, else None; the failure of the
-    certificate built from its right witness if ``certify``, else None."""
+    certificate built on payload rows from its right witness if ``certify``."""
     low, high = engine.power_pair(mat, n)
     x = engine.solve(low, high)
     right, left = x is not None, engine.solve_left(low, high) is not None
     failure = None
     if certify and right:
-        a = engine.to_square(mat)
+        ring, a, x = engine.spec, engine.payload_rows(mat), engine.payload_rows(x)
         try:
-            right_to_left_certificate(RightWitnessInstance(a, n, engine.to_square(x)))
+            certificate_rows(ring, a, n, x, *instance_rows(ring, a, n, x))
         except PiregularError as exc:
-            failure = {"A": matrix_to_json(a), "reason": f"{type(exc).__name__}: {exc}"}
+            failure = {"A": matrix_to_json(engine.to_square(mat)),
+                       "reason": f"{type(exc).__name__}: {exc}"}
     if right == left and failure is None:
         return _OUTCOMES[right, left]
     return right, left, matrix_to_json(engine.to_square(mat)) if right != left else None, failure

@@ -168,9 +168,9 @@ def matrix_from_json(spec: RingSpec, data, dim: int) -> SquareMatrix:
     return SquareMatrix(spec, tuple(rows))
 
 
-def _require_commutative(ring):
+def _require_commutative(ring, what="determinants"):
     if not getattr(ring, "commutative", False):
-        raise NonCommutativeRing("determinants need a commutative coefficient ring")
+        raise NonCommutativeRing(f"{what} need a commutative coefficient ring")
 
 
 def berkowitz_char_poly(mat: SquareMatrix) -> RingElem:
@@ -185,8 +185,12 @@ def berkowitz_char_poly(mat: SquareMatrix) -> RingElem:
     convolution of (1, -a, -RC, -RMC, -RM^2 C, ...) with the old one.  The
     recurrence runs on payloads; only the result is wrapped.
     """
-    _require_commutative(mat.ring)
-    ring, rows, m = mat.ring, mat.rows, mat.dim
+    return char_poly_rows(mat.ring, mat.rows)
+
+
+def char_poly_rows(ring, rows) -> RingElem:  # berkowitz_char_poly on payload rows
+    _require_commutative(ring)
+    m = len(rows)
     dot, neg, mul, one = ring.p_dot, ring.p_neg, ring.p_mul, ring.one_payload()
     if m == 1:
         coeffs = [one, neg(rows[0][0])]  # leading-first

@@ -14,12 +14,12 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
 3.  Y = w^(N-n+1) A^(N-n) lowers the left exponent back to n:
     A^n = Y A^(n+1).
 
-Ring and dimension are checked once per instance or certificate, then every
-product is one ``p_matmul`` call on payload rows.  Each power of A is
-computed once, from the instance check's A^n, A^(n+1) and A^(n+1) X on, and
-the seven identities once; a failure raises instead of returning a bad
-witness.  The verifier recomputes them on its own powers of A (none if
-N != n*dim).  Emitting trusts only this producer's certificates.
+The pipeline is :func:`instance_rows` then :func:`certificate_rows` on payload
+rows, one ``p_matmul`` per product; the public API checks ring and dimension
+once and wraps the rows, and scans call the two bare.  Each power of A (from
+the instance's A^n, A^(n+1), A^(n+1) X on) and identity is computed once, and
+a failure raises.  The verifier recomputes the identities on its own powers
+(none if N != n*dim); emitting trusts only this producer's certificates.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (
     UnverifiedCertificate,
 )
 from .jsonio import canonical_dumps
-from .matrices import SquareMatrix, berkowitz_char_poly, matrix_from_json, matrix_to_json
+from .matrices import SquareMatrix, char_poly_rows, matrix_from_json, matrix_to_json
 from .matrices import determinant as det_poly_matrix  # noqa: F401  (perfbench wraps it by name)
 from .rings import (
     DEFAULT_BUDGET,
@@ -100,29 +100,31 @@ def _check_exponent_budget(n: int, dim: int) -> None:
         raise BudgetExceeded(f"exponent {n} times dimension {dim} exceeds budget {DEFAULT_BUDGET}")
 
 
+def instance_rows(ring, a, n, x) -> tuple:
+    """(powers A^n and A^(n+1), A^(n+1) X) on payload rows; PreconditionFailed
+    unless n >= 1, n * dim <= DEFAULT_BUDGET (before any power) and A^n = A^(n+1) X."""
+    require_positive(PreconditionFailed, exponent=n)
+    _check_exponent_budget(n, len(a))
+    powers = _powers(ring, a, (n, n + 1))
+    ax = ring.p_matmul(powers[n + 1], x)
+    if powers[n] != ax:
+        raise PreconditionFailed(f"A^{n} != A^{n + 1}*X: not a right witness instance")
+    return powers, ax
+
+
 @dataclass(frozen=True, slots=True)
 class RightWitnessInstance:
-    """A verified instance of A^n = A^(n+1) X; checked at construction,
-    which keeps the payload rows of A^n, A^(n+1) and A^(n+1) X it compared.
-    Its certificate's p holds over n * dim coefficients, so n * dim must not
-    exceed DEFAULT_BUDGET; that is checked before any power."""
+    """A verified instance of A^n = A^(n+1) X; checked at construction by
+    :func:`instance_rows`, whose powers and product it keeps as ``_checked_rows``."""
 
     A: SquareMatrix
     n: int
     X: SquareMatrix
-    _checked_powers: dict = field(init=False, compare=False, repr=False)
-    _checked_product: tuple = field(init=False, compare=False, repr=False)
+    _checked_rows: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n, (x,) = self.n, _rows_over(self.A, self.X)
-        require_positive(PreconditionFailed, exponent=n)
-        _check_exponent_budget(n, self.A.dim)
-        powers = _powers(self.A.ring, self.A.rows, (n, n + 1))
-        ax = self.A.ring.p_matmul(powers[n + 1], x)
-        if powers[n] != ax:
-            raise PreconditionFailed(f"A^{n} != A^{n + 1}*X: not a right witness instance")
-        object.__setattr__(self, "_checked_powers", powers)
-        object.__setattr__(self, "_checked_product", ax)
+        (x,), a = _rows_over(self.A, self.X), self.A
+        object.__setattr__(self, "_checked_rows", instance_rows(a.ring, a.rows, self.n, x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +172,7 @@ class CertificateVerdict:
 def drazin_witness(a: SquareMatrix, x: SquareMatrix, n: int) -> SquareMatrix:
     """From a^n = a^(n+1) x build w = a^n x^(n+1), which commutes with a and
     is again a witness: a^n = a^(n+1) w, hence also a^n = w a^(n+1)."""
-    powers = RightWitnessInstance(a, n, x)._checked_powers
+    powers = RightWitnessInstance(a, n, x)._checked_rows[0]
     ring, ar, mul = a.ring, a.rows, a.ring.p_matmul
     w = _commuting_witness(ring, powers[n], x.rows, n)
     _require((("a*w = w*a", mul(ar, w) == mul(w, ar)),
@@ -185,7 +187,7 @@ def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> Exponent
     if m < n:
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
     ring, mul, k = a.ring, a.ring.p_matmul, m - n
-    powers = _powers(ring, a.rows, (m, m + 1), RightWitnessInstance(a, n, x)._checked_powers)
+    powers = _powers(ring, a.rows, (m, m + 1), RightWitnessInstance(a, n, x)._checked_rows[0])
     x_k = _powers(ring, x.rows, (k,))[k]
     _require((("a^m = a^(m+1)*x", powers[m] == mul(powers[m + 1], x.rows)),
               ("a^n = a^(n+k)*x^k", powers[n] == mul(powers[m], x_k))))
@@ -203,7 +205,7 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     require_positive(PreconditionFailed, n=n, N=N)
     if N < n:
         raise PreconditionFailed(f"need 1 <= n <= N, got n={n!r}, N={N!r}")
-    powers = RightWitnessInstance(a, n, x)._checked_powers
+    powers = RightWitnessInstance(a, n, x)._checked_rows[0]
     ring, mul, (wr,) = a.ring, a.ring.p_matmul, _rows_over(a, w)
     powers = _powers(ring, a.rows, (N - n, N, N + 1), powers)
     if powers[N] != mul(wr, powers[N + 1]):
@@ -213,14 +215,13 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     return SquareMatrix(ring, y)
 
 
-def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertificate:
-    """Run the full pipeline and return a self-contained, verified
-    certificate; raises InternalViolation naming any failing identity."""
-    a, n, x, ring, m = inst.A, inst.n, inst.X, inst.A.ring, inst.A.dim
-    big_n = n * m
-    powers = _powers(ring, a.rows, (*range(m), big_n - n, big_n, big_n + 1), inst._checked_powers)
+def certificate_rows(ring, a, n, x, powers, ax) -> tuple:
+    """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
+    ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
+    m, big_n = len(a), n * len(a)
+    powers = _powers(ring, a, (*range(m), big_n - n, big_n, big_n + 1), powers)
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
-    chi = berkowitz_char_poly(x)
+    chi = char_poly_rows(ring, x)
     q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
     p = chi.spec.wrap(_strip(ring, [ring.zero_payload()] * big_n + list(q)))
     # C = -(s1 I + s2 A + ... + sm A^(m-1)); each entry is (-s1, ..., -sm)
@@ -230,11 +231,18 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
               for row_stack in zip(*(powers[i] for i in range(m))))
     w = _commuting_witness(ring, powers[big_n], c, big_n)
     y = _lowered_left_witness(ring, w, powers[big_n - n], big_n, n)
-    identities = _require(_certificate_checks(
-        ring, powers, a.rows, n, x.rows, p, c, big_n, w, y, inst._checked_product))
-    cert = LeftWitnessCertificate(
-        A=a, n=n, X=x, p=p, C=SquareMatrix(ring, c), N=big_n, w=SquareMatrix(ring, w),
-        Y=SquareMatrix(ring, y), verified=True, identities=identities)
+    return p, c, big_n, w, y, _require(_certificate_checks(
+        ring, powers, a, n, x, p, c, big_n, w, y, ax))
+
+
+def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertificate:
+    """Run the full pipeline and return a self-contained, verified
+    certificate; raises InternalViolation naming any failing identity."""
+    p, c, big_n, w, y, identities = certificate_rows(
+        inst.A.ring, inst.A.rows, inst.n, inst.X.rows, *inst._checked_rows)
+    c, w, y = (SquareMatrix(inst.A.ring, rows) for rows in (c, w, y))
+    cert = LeftWitnessCertificate(A=inst.A, n=inst.n, X=inst.X, p=p, C=c, N=big_n, w=w, Y=y,
+                                  verified=True, identities=identities)
     object.__setattr__(cert, "_checked", True)
     return cert
 

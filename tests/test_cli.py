@@ -179,8 +179,8 @@ def test_every_error_class_exits_with_its_documented_code(error, monkeypatch, ca
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(witnesses, "berkowitz_char_poly",
-                        lambda x: poly_ring(x.ring).gen() ** x.dim)
+    monkeypatch.setattr(witnesses, "char_poly_rows",
+                        lambda ring, rows: poly_ring(ring).gen() ** len(rows))
     assert dispatch(RTL_OK) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

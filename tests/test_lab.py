@@ -12,8 +12,10 @@ from piregular import (
     InternalViolation,
     IntegersMod,
     InvalidBound,
+    NonCommutativeRing,
     NotEnumerable,
     PreconditionFailed,
+    RingSpec,
     SquareMatrix,
     canonical_dumps,
     classify_all,
@@ -29,6 +31,7 @@ from piregular import lab
 
 from helpers import (
     all_matrices,
+    count_products,
     naive_col_map,
     naive_left_witness,
     naive_product,
@@ -437,18 +440,87 @@ def test_a_one_sided_matrix_reaches_both_reports_and_the_exit_code(monkeypatch, 
 
 
 def test_a_certificate_failure_reaches_the_report(monkeypatch):
-    plain_certificate = lab.right_to_left_certificate
+    plain_certificate = lab.certificate_rows
     identity = SquareMatrix.identity(Z4, 2)
 
-    def certificate(instance):
-        if instance.A == identity:
+    def certificate(ring, a, *rest):
+        if a == identity.rows:
             raise InternalViolation("boom")
-        return plain_certificate(instance)
+        return plain_certificate(ring, a, *rest)
 
-    monkeypatch.setattr(lab, "right_to_left_certificate", certificate)
+    monkeypatch.setattr(lab, "certificate_rows", certificate)
     report = cp_report(4, 2, 1, workers=1)
     assert report.pipeline_failures == [
         {"A": IDENTITY_JSON, "reason": "InternalViolation: boom"}]
     assert report.counterexamples == []
     assert report.pipeline_checked == report.total - report.counts["neither"]
     assert not report.ok
+
+
+def test_a_failed_instance_check_reaches_the_report(monkeypatch):
+    plain_solve = lab._Engine.solve
+
+    def solve(self, target, base, transposed=False):
+        if target == base == self.ident and not transposed:
+            return ((0, 0), (0, 0))  # A^2 X = 0, not A = I
+        return plain_solve(self, target, base, transposed)
+
+    monkeypatch.setattr(lab._Engine, "solve", solve)
+    report = cp_report(4, 2, 1, workers=1)
+    assert [failure["A"] for failure in report.pipeline_failures] == [IDENTITY_JSON]
+    assert report.pipeline_failures[0]["reason"].startswith(
+        "PreconditionFailed: A^1 != A^2*X")
+    assert report.counterexamples == []
+    assert not report.ok
+
+
+# -- the scan's certificates on payload rows -------------------------------------
+
+
+@pytest.mark.parametrize("k, m, n, per_certificate", [(4, 2, 1, 13), (4, 2, 2, 17), (2, 3, 1, 15)])
+def test_scan_certificates_make_the_public_paths_products(monkeypatch, k, m, n, per_certificate):
+    # The same products as RightWitnessInstance plus right_to_left_certificate
+    # (13 for a 2x2 n = 1 instance), and none of a verification on top.
+    calls = count_products(monkeypatch)
+    report = cp_report(k, m, n, workers=1)
+    assert report.ok and report.pipeline_checked > 0
+    assert len(calls) == per_certificate * report.pipeline_checked
+
+
+@pytest.mark.parametrize("token", ["zmod:9", "quot:zmod:3:t^2", "zmod:2"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_engine_payload_rows_are_the_matrix_rows(token, m):
+    spec, rng = parse_ring_spec(token), random.Random(f"{token}/{m}")
+    engine = lab._engine(spec, m)
+    for _ in range(20):
+        a = random_matrix(spec, m, rng)
+        rows = engine.from_square(a)
+        assert engine.to_square(rows) == a
+        assert engine.payload_rows(rows) == a.rows
+        # zmod:k payloads are the indices 0..k-1, so no translation is made
+        assert (engine.payload_rows(rows) is rows) == token.startswith("zmod:")
+
+
+class NoncommutativeStub(RingSpec):
+    """Two elements declared noncommutative: enough to reach the engine."""
+
+    commutative = False
+
+    def cardinality(self):
+        return 2
+
+    def payloads(self):
+        return (0, 1)
+
+    def token(self):
+        return "noncommutative-stub"
+
+
+def test_engines_refuse_noncommutative_rings(monkeypatch):
+    monkeypatch.setattr(lab, "_ENGINES", {})
+    stub = NoncommutativeStub()
+    for build in (lambda: lab._engine(stub, 2), lambda: classify_all(stub, 2),
+                  lambda: transpose_closure_check(stub, 2, 1)):
+        with pytest.raises(NonCommutativeRing):
+            build()
+    assert lab._ENGINES == {}

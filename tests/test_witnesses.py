@@ -341,8 +341,8 @@ def test_warm_quotient_certificates_make_no_products_or_parses(monkeypatch):
 def test_failing_identity_raises_internal_violation(monkeypatch):
     # A char poly x^m gives the wrong q(x) = 1, which makes C = 0, so the
     # raised and lowered witnesses fail.
-    monkeypatch.setattr(witnesses, "berkowitz_char_poly",
-                        lambda x: poly_ring(x.ring).gen() ** x.dim)
+    monkeypatch.setattr(witnesses, "char_poly_rows",
+                        lambda ring, rows: poly_ring(ring).gen() ** len(rows))
     a = mat(Z4, "[[2,0],[0,1]]")
     inst = RightWitnessInstance(a, 2, SquareMatrix.identity(Z4, 2))
     with pytest.raises(InternalViolation) as info:
