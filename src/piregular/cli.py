@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="exhaustive right/left agreement scan over M_dim(Z_k)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=int, default=1, help="exponent; n * dim at most 2^20")
     p.add_argument("--workers", type=int, default=1, help="process count (default: 1)")
     p.set_defaults(handler=_cmd_cp_verify)
 

@@ -118,7 +118,7 @@ def check_identity_on_samples(spec: RingSpec, dim: int, degree: int,
                               samples: int, seed: int, bound: int = 9) -> IdentityReport:
     """Sample tuples deterministically and evaluate the identity on each;
     stops at the first non-vanishing tuple, which becomes the witness."""
-    require_positive(samples=samples, dim=dim)
+    require_positive(samples=samples, dim=dim, bound=bound)
     _require_degree(degree)
     rng = random.Random(seed)
     witness = None

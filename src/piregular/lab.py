@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
 from .matrices import SquareMatrix, _require_commutative, matrix_to_json
 from .rings import DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, binary_power, require_positive
-from .witnesses import certificate_rows, instance_rows
+from .witnesses import _check_exponent_budget, certificate_rows, instance_rows
 
 
 def _size(spec: RingSpec, exponent: int, what: str) -> int:
@@ -402,6 +402,8 @@ def cp_report(k: int, m: int, n: int, workers: int = 1) -> CpReport:
     """Scan all of M_m(Z_k) at exponent n; the output is identical for any
     worker count, and ``workers`` in the report is the count used."""
     started = time.perf_counter()
+    require_positive(n=n, dim=m)
+    _check_exponent_budget(n, m)  # as every certificate would, but once and before the scan
     counts, counterexamples, failures = _agreement(IntegersMod(k), m, n, True, workers)
     total = sum(counts.values())
     return CpReport(modulus=k, dim=m, exponent=n, total=total, counts=counts,

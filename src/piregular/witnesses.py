@@ -16,10 +16,10 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
 
 The pipeline is :func:`instance_rows` then :func:`certificate_rows` on payload
 rows, one ``p_matmul`` per product; the public API checks ring and dimension
-once and wraps the rows, and scans call the two bare.  Each power of A (from
-the instance's A^n, A^(n+1), A^(n+1) X on) and identity is computed once, and
-a failure raises.  The verifier recomputes the identities on its own powers
-(none if N != n*dim); emitting trusts only this producer's certificates.
+once and wraps the rows, and scans call the two bare.  The instance check
+starts one table of powers of A that every later stage fills in place, so each
+power is computed once; a failure raises.  The verifier fills a table of its
+own (no power if N != n*dim); emitting trusts only this producer's certificates.
 """
 
 from __future__ import annotations
@@ -54,18 +54,16 @@ def _identity_rows(ring, dim: int) -> tuple:
     return SquareMatrix.identity(ring, dim).rows
 
 
-def _powers(ring, a, exponents, known=()) -> dict:
-    """Rows of A^k (k -> rows) for each k in ``exponents`` and ``known``, each
-    computed once: A^(k+1) from A^k, others by O(log k) binary powering.
-    ``known`` itself comes back, unchanged, when it holds every exponent."""
-    missing = sorted(set(exponents).difference(known))
-    if not missing:
-        return known
-    out, mul = dict(known), ring.p_matmul
-    for k in missing:
-        out[k] = mul(out[k - 1], a) if k >= 2 and k - 1 in out else binary_power(
-            a, k, lambda: _identity_rows(ring, len(a)), mul)
-    return out
+def _powers(ring, a, exponents, powers: dict) -> dict:
+    """Fill ``powers`` (k -> rows of A^k) in place for each k in ``exponents``,
+    given ascending, and return it: A^k costs one product from a held A^(k-1)
+    when k >= 2, any other power O(log k) binary powering."""
+    mul = ring.p_matmul
+    for k in exponents:
+        if k not in powers:
+            powers[k] = mul(powers[k - 1], a) if k >= 2 and k - 1 in powers else binary_power(
+                a, k, lambda: _identity_rows(ring, len(a)), mul)
+    return powers
 
 
 def _rows_over(a, *mats) -> tuple:
@@ -105,7 +103,7 @@ def instance_rows(ring, a, n, x) -> tuple:
     unless n >= 1, n * dim <= DEFAULT_BUDGET (before any power) and A^n = A^(n+1) X."""
     require_positive(PreconditionFailed, exponent=n)
     _check_exponent_budget(n, len(a))
-    powers = _powers(ring, a, (n, n + 1))
+    powers = _powers(ring, a, (n, n + 1), {})
     ax = ring.p_matmul(powers[n + 1], x)
     if powers[n] != ax:
         raise PreconditionFailed(f"A^{n} != A^{n + 1}*X: not a right witness instance")
@@ -188,7 +186,7 @@ def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> Exponent
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
     ring, mul, k = a.ring, a.ring.p_matmul, m - n
     powers = _powers(ring, a.rows, (m, m + 1), RightWitnessInstance(a, n, x)._checked_rows[0])
-    x_k = _powers(ring, x.rows, (k,))[k]
+    x_k = _powers(ring, x.rows, (k,), {})[k]
     _require((("a^m = a^(m+1)*x", powers[m] == mul(powers[m + 1], x.rows)),
               ("a^n = a^(n+k)*x^k", powers[n] == mul(powers[m], x_k))))
     return ExponentRaiseRecord(n=n, m=m, shift=k)
@@ -207,7 +205,7 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
         raise PreconditionFailed(f"need 1 <= n <= N, got n={n!r}, N={N!r}")
     powers = RightWitnessInstance(a, n, x)._checked_rows[0]
     ring, mul, (wr,) = a.ring, a.ring.p_matmul, _rows_over(a, w)
-    powers = _powers(ring, a.rows, (N - n, N, N + 1), powers)
+    _powers(ring, a.rows, (N - n, N, N + 1), powers)
     if powers[N] != mul(wr, powers[N + 1]):
         raise PreconditionFailed(f"a^{N} != w*a^{N + 1}")
     y = _lowered_left_witness(ring, wr, powers[N - n], N, n)
@@ -219,7 +217,7 @@ def certificate_rows(ring, a, n, x, powers, ax) -> tuple:
     """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
     ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
     m, big_n = len(a), n * len(a)
-    powers = _powers(ring, a, (*range(m), big_n - n, big_n, big_n + 1), powers)
+    _powers(ring, a, (*range(m), big_n - n, big_n, big_n + 1), powers)
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
     chi = char_poly_rows(ring, x)
     q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
@@ -247,13 +245,13 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
     return cert
 
 
-def _certificate_checks(ring, known: dict, a, n, x, p, c, big_n, w, y, ax=None) -> tuple:
+def _certificate_checks(ring, powers: dict, a, n, x, p, c, big_n, w, y, ax=None) -> tuple:
     """The seven identities on A, n, X, p, C, N, w, Y (matrices as payload
-    rows), each evaluated once.  A^n, A^(n+1), A^N, A^(N+1) come from ``known``
-    or are computed only if N = n*dim; else every identity needing them fails."""
+    rows), each evaluated once.  A^n, A^(n+1), A^N, A^(N+1) fill ``powers`` in
+    place only if N = n*dim; else every identity needing them fails."""
     mul, zero, ok = ring.p_matmul, ring.zero_payload(), big_n == n * len(a)
     if ok:
-        powers = _powers(ring, a, (n, n + 1, big_n, big_n + 1), known)
+        _powers(ring, a, (n, n + 1, big_n, big_n + 1), powers)
         a_n, a_n1, a_big, a_big1 = (powers[k] for k in (n, n + 1, big_n, big_n + 1))
     return (
         ("right_witness", ok and a_n == (mul(a_n1, x) if ax is None else ax)),

@@ -13,6 +13,7 @@ from piregular import (
     NCPolynomial,
     SquareMatrix,
     enumerate_elements,
+    parse_ring_spec,
     poly_ring,
     sample_element,
 )
@@ -133,6 +134,30 @@ def naive_power(ring, rows, exponent):
     for _ in range(exponent):
         out = naive_product(ring, out, rows)
     return out
+
+
+def naive_certificate_identities(doc) -> dict:
+    """name -> holds for the seven identities of a certificate document
+    whose fields are all well typed, every power of A a chain of naive
+    products; only the ring's own JSON loader reads the entries."""
+    ring = parse_ring_spec(doc["ring"])
+    n, big_n, zero = doc["n"], doc["N"], ring.zero()
+    a, x, c, w, y = ([[ring.wrap(ring.payload_from_json(e)) for e in row] for row in doc[key]]
+                     for key in ("A", "X", "C", "w", "Y"))
+    p = [ring.wrap(ring.payload_from_json(e)) for e in doc["p_coeffs"]]
+    while p and p[-1] == zero:
+        p.pop()
+    a_n, a_n1, a_big, a_big1 = (naive_power(ring, a, k) for k in (n, n + 1, big_n, big_n + 1))
+    return {
+        "right_witness": a_n == naive_product(ring, a_n1, x),
+        "exponent_is_n_times_dim": big_n == n * doc["dim"],
+        "char_poly_factor_shape": len(p) > big_n and all(e == zero for e in p[:big_n])
+        and p[big_n] == ring.one(),
+        "raised_right_witness": a_big == naive_product(ring, a_big1, c),
+        "commuting_witness": naive_product(ring, a, w) == naive_product(ring, w, a),
+        "raised_left_witness": a_big == naive_product(ring, w, a_big1),
+        "left_witness": a_n == naive_product(ring, y, a_n1),
+    }
 
 
 def naive_sum(lhs, rhs):

@@ -1,19 +1,23 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piregular import cli, errors, lab, poly_ring, witnesses
+from piregular import (cli, emit_certificate, errors, integer_instance, lab, parse_ring_spec,
+                       poly_ring, right_to_left_certificate, sampled_finite_instance, witnesses)
 from piregular.cli import dispatch
 from piregular.identities import MAX_DEGREE
 from piregular.jsonio import hash_lines
 
+from helpers import naive_certificate_identities
 from test_acceptance import GOLDEN
 
 RTL_OK = ["right-to-left", "--ring", "zmod:4", "--dim", "2", "--n", "2",
@@ -305,6 +309,71 @@ def test_verify_cert_rejects_wrongly_shaped_lists(field, value, tmp_path, capsys
     assert "Traceback" not in captured.err
 
 
+CERT_RINGS = ["zmod:12", "quot:zmod:3:t^2", "int"]
+WRONG_TYPES = [None, 1.5, {}, "x"]  # wrong for every field and every entry
+SEEDS = st.integers(0, 99)
+
+
+@st.composite
+def mutated_certificate(draw):
+    """A valid certificate document from ``generators`` with one mutation:
+    an entry of a matrix or of p_coeffs, n or N moved by one, a stored flag
+    flipped, or a field of the wrong type; and whether the document is now
+    malformed (a wrong type, or an exponent below 1)."""
+    token, dim, seed = draw(st.sampled_from(CERT_RINGS)), draw(st.integers(1, 2)), draw(SEEDS)
+    spec = parse_ring_spec(token)
+    if token == "int":
+        nil_dim = draw(st.integers(0, dim))
+        inst = integer_instance(nil_dim, dim - nil_dim, seed)
+    else:
+        inst = sampled_finite_instance(spec, dim, seed)
+    doc = json.loads(emit_certificate(right_to_left_certificate(inst)))
+    kind = draw(st.sampled_from(["A", "X", "C", "w", "Y", "p_coeffs", "n", "N",
+                                 "verified", "holds", "type"]))
+    if kind in ("n", "N"):
+        doc[kind] += draw(st.sampled_from([-1, 1]))
+        return doc, doc[kind] < 1
+    if kind == "verified":
+        doc["verified"] = not doc["verified"]
+    elif kind == "holds":
+        item = draw(st.sampled_from(doc["identities"]))
+        item["holds"] = not item["holds"]
+    elif kind == "type":
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(WRONG_TYPES))
+        return doc, True
+    else:
+        rng, wrong = random.Random(draw(SEEDS)), draw(st.integers(0, 3)) == 0  # one in four
+        row = doc[kind] if kind == "p_coeffs" else doc[kind][draw(st.integers(0, dim - 1))]
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(WRONG_TYPES)) if wrong \
+            else spec.payload_to_json(spec.sample_payload(rng, 3))
+        return doc, wrong
+    return doc, False
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_certificate())
+def test_verify_cert_gives_no_false_verdict_on_a_mutated_certificate(case):
+    # exit 0 exactly when a naive oracle confirms all seven identities, exit 1
+    # naming what fails, else exit 2; never a traceback
+    doc, malformed = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = dispatch(["verify-cert", "--path", "-"])
+    assert "Traceback" not in err.getvalue()
+    if malformed:
+        assert (code, out.getvalue()) == (2, ""), err.getvalue()
+        return
+    failing = {name for name, holds in naive_certificate_identities(doc).items() if not holds}
+    assert code == (1 if failing else 0), err.getvalue()
+    if code == 1:
+        named = set(err.getvalue().split("certificate FAILED: ", 1)[1].strip().split(", "))
+        if doc["N"] == doc["n"] * doc["dim"]:
+            assert named == failing
+        else:  # the verifier computes no power, so it fails every identity needing one
+            assert "exponent_is_n_times_dim" in failing & named
+
+
 RTL_1X1 = ["right-to-left", "--ring", "zmod:4", "--dim", "1", "--n", "1",
            "--A", "[[3]]", "--X", "[[3]]"]
 
@@ -461,9 +530,9 @@ CLI_SIZES = {
                   "workers": range(-2, 4)},
     "classify": {"dim": range(-1, 3), "n-bound": range(-2, 4)},
     "identity-check": {"dim": range(-1, 3), "degree": [-1, 0, 1, 2, 3, 4, 9],
-                       "samples": range(-2, 4)},
+                       "samples": range(-2, 4), "bound": range(-2, 4)},
 }
-OPTIONAL_SIZES = {"n", "workers", "n-bound", "samples"}
+OPTIONAL_SIZES = {"n", "workers", "n-bound", "samples", "bound"}
 
 
 @st.composite

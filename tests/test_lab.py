@@ -28,6 +28,7 @@ from piregular import (
     transpose_closure_check,
 )
 from piregular import lab
+from piregular.rings import DEFAULT_BUDGET
 
 from helpers import (
     all_matrices,
@@ -184,6 +185,22 @@ def test_tables_exactly_at_the_budget_still_run(monkeypatch):
     report = cp_report(1024, 1, 1)  # 1024^2 == DEFAULT_BUDGET table entries
     assert report.total == 1024
     assert report.ok
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scans_refuse_an_exponent_past_the_certificate_budget(workers, capsys):
+    # n * dim bounds every certificate's p, so a scan past it is refused
+    # before it starts, not reported as one pipeline failure per certificate
+    from piregular.cli import dispatch
+    assert cp_report(2, 1, DEFAULT_BUDGET, workers=workers).ok
+    for m, n in [(1, DEFAULT_BUDGET + 1), (2, DEFAULT_BUDGET // 2 + 1)]:
+        with pytest.raises(BudgetExceeded, match=f"exponent {n} times dimension {m}"):
+            cp_report(2, m, n, workers=workers)
+    capsys.readouterr()
+    argv = ["cp-verify", "--k", "2", "--dim", "1", "--n", "2000000", "--workers", str(workers)]
+    assert dispatch(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exceeds budget" in err and "Traceback" not in err
 
 
 def test_classify_walks_lazily(monkeypatch):

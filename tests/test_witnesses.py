@@ -271,6 +271,24 @@ def test_certificate_reuses_the_instance_powers(monkeypatch):
     assert len(calls) - produced == 8
 
 
+def test_step_functions_extend_the_instance_powers(monkeypatch):
+    # Each step builds the instance's A^n, A^(n+1) and then walks its table
+    # upwards, one product per next power; reading A^N before A^(N-n) would
+    # make the first count 11.
+    a, x = mat(Z5, "[[2]]"), mat(Z5, "[[3]]")
+    calls = count_products(monkeypatch)
+    for step, products in [(lambda: azumaya_lower_left(a, x, x, 4, 1), 10),
+                           (lambda: azumaya_lower_left(a, x, x, 6, 2), 14),
+                           (lambda: exponent_raise(a, x, 1, 4), 9),
+                           (lambda: exponent_raise(a, x, 2, 5), 11),
+                           (lambda: drazin_witness(a, x, 3), 10)]:
+        calls.clear()
+        step()
+        assert len(calls) == products
+    inst = RightWitnessInstance(mat(Z9, "[[2,3],[1,5]]"), 2, mat(Z9, "[[2,6],[5,8]]"))
+    assert right_to_left_certificate(inst) == right_to_left_certificate(inst)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_certificate_matches_naive_powers_and_products(n, dim):
