@@ -212,7 +212,7 @@ class FreeAlgebra:
     p_neg = staticmethod(operator.neg)
     p_mul = staticmethod(operator.mul)
     p_dot = RingSpec.p_dot
-    p_matmul, matmul_form = RingSpec.p_matmul, "calls"
+    p_matmul, matmul, matmul_form = RingSpec.p_matmul, RingSpec.matmul, "calls"
 
     def gen(self, letter: str) -> NCPolynomial:
         return NCPolynomial.from_word(_check_word(letter))

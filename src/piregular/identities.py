@@ -16,9 +16,9 @@ built on every subset of at most ceil(k/2) arguments from one-argument
 splits (h = 1), smallest first, and then from one split of all k arguments
 in half.  s(H) stays on the left of s(S - H), so entries need not commute.
 That takes 18, 110 and 574 products for k = 4, 6, 8, against the 60, 1950
-and 109592 of a walk over all k! permutations.  Products are ``p_matmul``
-calls and sums ``p_add``/``p_sub`` on payload rows; one matrix is wrapped
-at the end.
+and 109592 of a walk over all k! permutations.  Products are calls of the one
+``ring.matmul(dim)`` bound per identity, and sums ``p_add``/``p_sub``, on
+payload rows; one matrix is wrapped at the end.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def standard_identity(mats: Sequence[SquareMatrix]) -> SquareMatrix:
         if mat.dim != first.dim:
             raise DimMismatch("all arguments must share one dimension")
     ring = first.ring
-    matmul, half = ring.p_matmul, (k + 1) // 2
+    matmul, half = ring.matmul(first.dim), (k + 1) // 2
     table = {(i,): mat.rows for i, mat in enumerate(mats)}
     for size in range(2, half + 1):
         for subset in combinations(range(k), size):

@@ -2,10 +2,11 @@
 
 A matrix holds rows of canonical payloads and does all of its arithmetic
 on them through the entry ring's payload methods (``p_add``, ``p_dot``,
-...).  The ring's ``p_matmul`` is the one product entry point: a generated
-straight-line kernel up to dimension 8, a loop of ``p_dot`` calls above.
-``SquareMatrix.__mul__`` is its checked boundary wrapper, which matches
-ring and dimension and then makes one ``p_matmul`` call.  ``RingElem`` appears
+...).  A product is the ring's ``p_matmul`` or, for a run of products of one
+dimension, ``matmul(dim)`` bound once: a generated straight-line kernel up to
+dimension 8, a loop of ``p_dot`` calls above.  ``SquareMatrix.__mul__`` is
+the checked boundary wrapper of a one-off product, which matches ring and
+dimension and then makes one ``p_matmul`` call.  ``RingElem`` appears
 only at the boundary, in ``entries`` and ``entry``.  Matrix arithmetic
 never assumes the entry ring is commutative, so the same type also carries
 matrices over the free algebra, whose payloads are the polynomials

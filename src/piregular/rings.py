@@ -13,15 +13,18 @@ values carrying a canonical payload, so structural equality is ring equality:
 Berkowitz) runs on bare payloads through the spec's ``p_*`` methods, and
 wraps a payload into a ``RingElem`` only when it is handed back to a caller.
 
-``RingSpec.p_matmul`` is the one product entry point on payload rows.  Up to
-dimension 8 it calls a kernel generated for that dimension, with every
-``l[i][k]*r[k][j]`` term written out as straight-line code in one of three
-entry forms: plain ``+`` and ``*`` over the integers, the same with one
-``% modulus`` per entry mod k, and ``p_add``/``p_mul`` calls for every other
-ring; above that, ``p_dot`` loops, as a kernel grows as dim^3.  A fourth form,
-``table``, serves :mod:`piregular.lab` at every dimension (its budget keeps
-dim <= 20) on rows of element indices, the shape of payload rows.  Kernels
-are cached in the module on first use, never on a spec.
+``RingSpec.p_matmul`` makes one product on payload rows, and
+``RingSpec.matmul(dim)`` binds the same product once for a run of products
+of one ring and dimension.  Up to dimension 8 both call a kernel generated
+for that dimension, with every ``l[i][k]*r[k][j]`` term written out as
+straight-line code in one of three entry forms: plain ``+`` and ``*`` over
+the integers, the same with one ``% modulus`` per entry mod k, and
+``p_add``/``p_mul`` calls for every other ring; above that, ``p_matmul``
+loops over ``p_dot``, as a kernel grows as dim^3.  A fourth form, ``table``,
+serves :mod:`piregular.lab` at every dimension (its budget keeps dim <= 20)
+on rows of element indices, the shape of payload rows.  Kernels are cached
+in the module on first use, never on a spec; ``matmul`` returns a fresh
+``partial`` of one and the spec.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -130,10 +133,10 @@ class RingSpec:
     matmul_form = "calls"  # how the generated product kernel combines entries
 
     def p_matmul(self, rows, other_rows) -> tuple:
-        """Payload rows of the product of two square matrices' payload rows;
-        the one product entry point.  Up to dimension ``_KERNEL_CAP`` it calls
-        the straight-line kernel of this ring's ``matmul_form``, compiled on
-        the first product of that form and dimension; above it, a loop of
+        """Payload rows of the product of two square matrices' payload rows,
+        for a one-off product.  Up to dimension ``_KERNEL_CAP`` it calls the
+        straight-line kernel of this ring's ``matmul_form``, compiled on the
+        first product of that form and dimension; above it, a loop of
         ``p_dot`` calls, since the kernel's source grows as dim^3."""
         if len(rows) <= _KERNEL_CAP:
             return _KERNELS[self.matmul_form, len(rows)](self, rows, other_rows)
@@ -144,6 +147,13 @@ class RingSpec:
                 new.append(dot(row, col))
             out.append(tuple(new))
         return tuple(out)
+
+    def matmul(self, dim: int):
+        """The product of two ``dim``-by-``dim`` payload-row matrices, bound once: the
+        kernel :meth:`p_matmul` looks up per call, or ``p_matmul`` above ``_KERNEL_CAP``."""
+        if dim <= _KERNEL_CAP:
+            return partial(_KERNELS[self.matmul_form, dim], self)
+        return self.p_matmul
 
     def p_from_int(self, n: int) -> Payload:
         raise NotImplementedError
@@ -717,8 +727,10 @@ def sample_element(spec: RingSpec, rng, bound: Optional[int] = None) -> RingElem
 
 def _nonblank(text, what: str) -> str:
     """``text`` itself; anything but a string with a non-space character is
-    a ParseError naming ``what``."""
-    if not isinstance(text, str) or not text.strip():
+    a ParseError naming ``what`` and, for a non-string, its type."""
+    if not isinstance(text, str):
+        raise ParseError(f"{what} must be a string, got {type(text).__name__}")
+    if not text.strip():
         raise ParseError(f"empty {what}")
     return text
 

@@ -15,17 +15,19 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
     A^n = Y A^(n+1).
 
 The pipeline is :func:`instance_rows` then :func:`certificate_rows` on payload
-rows, one ``p_matmul`` per product; the public API checks ring and dimension
-once and wraps the rows, and scans call the two bare.  The instance check
-starts one table of powers of A that every later stage fills in place, so each
-power is computed once; a failure raises.  The verifier fills a table of its
-own (no power if N != n*dim); emitting trusts only this producer's certificates.
+rows; the public API checks ring and dimension once and wraps the rows, and
+scans call the two bare.  The instance check starts one table of powers of A
+that every later stage fills in place, so each power is computed once; the
+table carries ``ring.matmul(dim)``, bound once, and every product is made
+with it.  A failure raises.  The verifier fills a table of its own (no power
+if N != n*dim) and checks p against one Berkowitz call on X; emitting trusts
+only this producer's certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (
     BudgetExceeded,
@@ -54,16 +56,24 @@ def _identity_rows(ring, dim: int) -> tuple:
     return SquareMatrix.identity(ring, dim).rows
 
 
-def _powers(ring, a, exponents, powers: dict) -> dict:
-    """Fill ``powers`` (k -> rows of A^k) in place for each k in ``exponents``,
-    given ascending, and return it: A^k costs one product from a held A^(k-1)
-    when k >= 2, any other power O(log k) binary powering."""
-    mul = ring.p_matmul
-    for k in exponents:
-        if k not in powers:
-            powers[k] = mul(powers[k - 1], a) if k >= 2 and k - 1 in powers else binary_power(
-                a, k, lambda: _identity_rows(ring, len(a)), mul)
-    return powers
+class _Powers(dict):
+    """k -> rows of A^k, from A^0 = I and A^1 = ``a``, with ``ring`` and ``mul =
+    ring.matmul(dim)``, the one product of every power and check on A."""
+
+    __slots__ = ("ring", "a", "mul")
+
+    def __init__(self, ring, a):
+        self[0], self[1] = _identity_rows(ring, len(a)), a
+        self.ring, self.a, self.mul = ring, a, ring.matmul(len(a))
+
+    def fill(self, exponents) -> "_Powers":
+        """Add each missing A^k, ``exponents`` ascending, and return the table:
+        one product from a held A^(k-1), else O(log k) binary powering."""
+        a, mul = self.a, self.mul
+        for k in exponents:
+            if k not in self:
+                self[k] = mul(self[k - 1], a) if k - 1 in self else binary_power(a, k, None, mul)
+        return self
 
 
 def _rows_over(a, *mats) -> tuple:
@@ -84,12 +94,12 @@ def _require(checks: tuple) -> tuple:
 
 
 # Both powers below have exponent >= 1 (N >= n >= 1), so no identity is passed.
-def _commuting_witness(ring, a_big, c, big_n):  # w = A^N C^(N+1); C right witness at N
-    return ring.p_matmul(a_big, binary_power(c, big_n + 1, None, ring.p_matmul))
+def _commuting_witness(mul, a_big, c, big_n):  # w = A^N C^(N+1); C right witness at N
+    return mul(a_big, binary_power(c, big_n + 1, None, mul))
 
 
-def _lowered_left_witness(ring, w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w left at N
-    return ring.p_matmul(binary_power(w, big_n - n + 1, None, ring.p_matmul), a_gap)
+def _lowered_left_witness(mul, w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w left at N
+    return mul(binary_power(w, big_n - n + 1, None, mul), a_gap)
 
 
 def _check_exponent_budget(n: int, dim: int) -> None:
@@ -103,8 +113,8 @@ def instance_rows(ring, a, n, x) -> tuple:
     unless n >= 1, n * dim <= DEFAULT_BUDGET (before any power) and A^n = A^(n+1) X."""
     require_positive(PreconditionFailed, exponent=n)
     _check_exponent_budget(n, len(a))
-    powers = _powers(ring, a, (n, n + 1), {})
-    ax = ring.p_matmul(powers[n + 1], x)
+    powers = _Powers(ring, a).fill((n, n + 1))
+    ax = powers.mul(powers[n + 1], x)
     if powers[n] != ax:
         raise PreconditionFailed(f"A^{n} != A^{n + 1}*X: not a right witness instance")
     return powers, ax
@@ -171,11 +181,11 @@ def drazin_witness(a: SquareMatrix, x: SquareMatrix, n: int) -> SquareMatrix:
     """From a^n = a^(n+1) x build w = a^n x^(n+1), which commutes with a and
     is again a witness: a^n = a^(n+1) w, hence also a^n = w a^(n+1)."""
     powers = RightWitnessInstance(a, n, x)._checked_rows[0]
-    ring, ar, mul = a.ring, a.rows, a.ring.p_matmul
-    w = _commuting_witness(ring, powers[n], x.rows, n)
+    ar, mul = a.rows, powers.mul
+    w = _commuting_witness(mul, powers[n], x.rows, n)
     _require((("a*w = w*a", mul(ar, w) == mul(w, ar)),
               ("a^n = a^(n+1)*w", powers[n] == mul(powers[n + 1], w))))
-    return SquareMatrix(ring, w)
+    return SquareMatrix(a.ring, w)
 
 
 def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> ExponentRaiseRecord:
@@ -184,9 +194,8 @@ def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> Exponent
     require_positive(PreconditionFailed, n=n, m=m)
     if m < n:
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
-    ring, mul, k = a.ring, a.ring.p_matmul, m - n
-    powers = _powers(ring, a.rows, (m, m + 1), RightWitnessInstance(a, n, x)._checked_rows[0])
-    x_k = _powers(ring, x.rows, (k,), {})[k]
+    k, powers = m - n, RightWitnessInstance(a, n, x)._checked_rows[0].fill((m, m + 1))
+    mul, x_k = powers.mul, _Powers(a.ring, x.rows).fill((k,))[k]
     _require((("a^m = a^(m+1)*x", powers[m] == mul(powers[m + 1], x.rows)),
               ("a^n = a^(n+k)*x^k", powers[n] == mul(powers[m], x_k))))
     return ExponentRaiseRecord(n=n, m=m, shift=k)
@@ -203,34 +212,33 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     require_positive(PreconditionFailed, n=n, N=N)
     if N < n:
         raise PreconditionFailed(f"need 1 <= n <= N, got n={n!r}, N={N!r}")
-    powers = RightWitnessInstance(a, n, x)._checked_rows[0]
-    ring, mul, (wr,) = a.ring, a.ring.p_matmul, _rows_over(a, w)
-    _powers(ring, a.rows, (N - n, N, N + 1), powers)
+    powers = RightWitnessInstance(a, n, x)._checked_rows[0].fill((N - n, N, N + 1))
+    mul, (wr,) = powers.mul, _rows_over(a, w)
     if powers[N] != mul(wr, powers[N + 1]):
         raise PreconditionFailed(f"a^{N} != w*a^{N + 1}")
-    y = _lowered_left_witness(ring, wr, powers[N - n], N, n)
+    y = _lowered_left_witness(mul, wr, powers[N - n], N, n)
     _require((("a^n = Y*a^(n+1)", powers[n] == mul(y, powers[n + 1])),))
-    return SquareMatrix(ring, y)
+    return SquareMatrix(a.ring, y)
 
 
 def certificate_rows(ring, a, n, x, powers, ax) -> tuple:
     """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
     ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
-    m, big_n = len(a), n * len(a)
-    _powers(ring, a, (*range(m), big_n - n, big_n, big_n + 1), powers)
+    m, big_n, mul = len(a), n * len(a), powers.mul
+    powers.fill((*range(m), big_n - n, big_n, big_n + 1))
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
     chi = char_poly_rows(ring, x)
     q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
     p = chi.spec.wrap(_strip(ring, [ring.zero_payload()] * big_n + list(q)))
     # C = -(s1 I + s2 A + ... + sm A^(m-1)); each entry is (-s1, ..., -sm)
     # dotted with that entry of A^0, ..., A^(m-1).
-    neg_s, dot = list(map(ring.p_neg, q[1:])), ring.p_dot
-    c = tuple(tuple(dot(neg_s, stack) for stack in zip(*row_stack))
-              for row_stack in zip(*(powers[i] for i in range(m))))
-    w = _commuting_witness(ring, powers[big_n], c, big_n)
-    y = _lowered_left_witness(ring, w, powers[big_n - n], big_n, n)
+    dot = partial(ring.p_dot, list(map(ring.p_neg, q[1:])))
+    c = tuple([tuple(map(dot, zip(*row_stack)))
+               for row_stack in zip(*map(powers.__getitem__, range(m)))])
+    w = _commuting_witness(mul, powers[big_n], c, big_n)
+    y = _lowered_left_witness(mul, w, powers[big_n - n], big_n, n)
     return p, c, big_n, w, y, _require(_certificate_checks(
-        ring, powers, a, n, x, p, c, big_n, w, y, ax))
+        powers, n, x, p, chi, c, big_n, w, y, ax))
 
 
 def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertificate:
@@ -245,20 +253,23 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
     return cert
 
 
-def _certificate_checks(ring, powers: dict, a, n, x, p, c, big_n, w, y, ax=None) -> tuple:
+def _certificate_checks(powers: _Powers, n, x, p, chi, c, big_n, w, y, ax=None) -> tuple:
     """The seven identities on A, n, X, p, C, N, w, Y (matrices as payload
-    rows), each evaluated once.  A^n, A^(n+1), A^N, A^(N+1) fill ``powers`` in
-    place only if N = n*dim; else every identity needing them fails."""
-    mul, zero, ok = ring.p_matmul, ring.zero_payload(), big_n == n * len(a)
+    rows), each evaluated once; A is the table's, and p must be x^N times
+    ``chi``, the char poly of X, reversed.  A^n, A^(n+1), A^N, A^(N+1) fill
+    ``powers`` in place only if N = n*dim; else every identity needing them
+    fails."""
+    ring, a, mul = powers.ring, powers.a, powers.mul
+    zero, ok = ring.zero_payload(), big_n == n * len(a)
     if ok:
-        _powers(ring, a, (n, n + 1, big_n, big_n + 1), powers)
-        a_n, a_n1, a_big, a_big1 = (powers[k] for k in (n, n + 1, big_n, big_n + 1))
+        powers.fill((n, n + 1, big_n, big_n + 1))
+        a_n, a_n1, a_big, a_big1 = powers[n], powers[n + 1], powers[big_n], powers[big_n + 1]
     return (
         ("right_witness", ok and a_n == (mul(a_n1, x) if ax is None else ax)),
         ("exponent_is_n_times_dim", ok),
-        ("char_poly_factor_shape", ok and p.spec == poly_ring(ring) and len(p.payload) > big_n
-         and all(c_i == zero for c_i in p.payload[:big_n])
-         and p.payload[big_n] == ring.one_payload()),
+        ("char_poly_factor_shape", ok and (p.spec is chi.spec or p.spec == chi.spec)
+         and p.payload[:big_n].count(zero) == big_n
+         and p.payload[big_n:] == _strip(ring, list(chi.payload[::-1]))),
         ("raised_right_witness", ok and a_big == mul(a_big1, c)),
         ("commuting_witness", mul(a, w) == mul(w, a)),
         ("raised_left_witness", ok and a_big == mul(w, a_big1)),
@@ -269,9 +280,9 @@ def _certificate_checks(ring, powers: dict, a, n, x, p, c, big_n, w, y, ax=None)
 def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
     """Re-check every identity from the stored fields alone, all over A's
     ring and dimension, on powers of A computed here and shared with nothing."""
-    x, c, w, y = _rows_over(cert.A, cert.X, cert.C, cert.w, cert.Y)
-    checks = _certificate_checks(cert.A.ring, {}, cert.A.rows, cert.n, x, cert.p, c,
-                                 cert.N, w, y)
+    ring, (x, c, w, y) = cert.A.ring, _rows_over(cert.A, cert.X, cert.C, cert.w, cert.Y)
+    checks = _certificate_checks(_Powers(ring, cert.A.rows), cert.n, x, cert.p,
+                                 char_poly_rows(ring, x), c, cert.N, w, y)
     return CertificateVerdict(ok=all(holds for _, holds in checks), identities=checks)
 
 

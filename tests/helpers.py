@@ -18,6 +18,7 @@ from piregular import (
     sample_element,
 )
 from piregular.freealg import deglex_key
+from piregular.rings import _KERNEL_CAP
 
 
 def cofactor_det(mat: SquareMatrix):
@@ -139,20 +140,23 @@ def naive_power(ring, rows, exponent):
 def naive_certificate_identities(doc) -> dict:
     """name -> holds for the seven identities of a certificate document
     whose fields are all well typed, every power of A a chain of naive
-    products; only the ring's own JSON loader reads the entries."""
+    products and p compared with x^N times the reversed ``naive_char_poly``
+    of X; only the ring's own JSON loader reads the entries."""
     ring = parse_ring_spec(doc["ring"])
     n, big_n, zero = doc["n"], doc["N"], ring.zero()
     a, x, c, w, y = ([[ring.wrap(ring.payload_from_json(e)) for e in row] for row in doc[key]]
                      for key in ("A", "X", "C", "w", "Y"))
     p = [ring.wrap(ring.payload_from_json(e)) for e in doc["p_coeffs"]]
-    while p and p[-1] == zero:
-        p.pop()
+    chi = naive_char_poly(SquareMatrix.from_rows(ring, x)).payload
+    expected = [zero] * big_n + [ring.wrap(s) for s in chi[::-1]]
+    for coeffs in (p, expected):
+        while coeffs and coeffs[-1] == zero:
+            coeffs.pop()
     a_n, a_n1, a_big, a_big1 = (naive_power(ring, a, k) for k in (n, n + 1, big_n, big_n + 1))
     return {
         "right_witness": a_n == naive_product(ring, a_n1, x),
         "exponent_is_n_times_dim": big_n == n * doc["dim"],
-        "char_poly_factor_shape": len(p) > big_n and all(e == zero for e in p[:big_n])
-        and p[big_n] == ring.one(),
+        "char_poly_factor_shape": p == expected,
         "raised_right_witness": a_big == naive_product(ring, a_big1, c),
         "commuting_witness": naive_product(ring, a, w) == naive_product(ring, w, a),
         "raised_left_witness": a_big == naive_product(ring, w, a_big1),
@@ -169,13 +173,23 @@ def naive_difference(lhs, rhs):
 
 
 def count_products(monkeypatch):
-    """Count calls of ``p_matmul`` over Z_k, the one matrix product entry
-    point; a SquareMatrix product is one call, and so is each product the
-    witness pipeline and the verifier make on payload rows."""
+    """Count the matrix products over Z_k: each call of ``p_matmul`` (a
+    SquareMatrix product is one) and each call of a product bound by
+    ``matmul(dim)``, as the witness pipeline, the verifier and the standard
+    identity make them on payload rows.  Above the kernel cap ``matmul(dim)``
+    is ``p_matmul`` itself, so its calls are counted once."""
     calls = []
-    plain_matmul = IntegersMod.p_matmul
+    plain_matmul, plain_bound = IntegersMod.p_matmul, IntegersMod.matmul
+
+    def bound(self, dim):
+        mul = plain_bound(self, dim)
+        if dim > _KERNEL_CAP:
+            return mul
+        return lambda a, b: calls.append(1) or mul(a, b)
+
     monkeypatch.setattr(IntegersMod, "p_matmul",
                         lambda self, a, b: calls.append(1) or plain_matmul(self, a, b))
+    monkeypatch.setattr(IntegersMod, "matmul", bound)
     return calls
 
 

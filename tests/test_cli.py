@@ -231,6 +231,22 @@ def test_verify_cert_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_cert_checks_every_coefficient_of_p(tmp_path, capsys):
+    # p = x^N q(x) with q(x) = det(I - xX); here q = 1 + 10x + x^2, and a
+    # changed top coefficient keeps the zero prefix and the leading 1 of q
+    spec = parse_ring_spec("zmod:12")
+    doc = json.loads(emit_certificate(right_to_left_certificate(
+        sampled_finite_instance(spec, 2, 5))))
+    assert doc["p_coeffs"] == [0, 0, 1, 10, 1]
+    doc["p_coeffs"][-1] = 6
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert dispatch(["verify-cert", "--path", str(path)]) == 1
+    assert capsys.readouterr().err.strip().endswith("certificate FAILED: char_poly_factor_shape")
+    with pytest.raises(errors.UnverifiedCertificate, match="char_poly_factor_shape"):
+        emit_certificate(witnesses.certificate_from_json(doc))
+
+
 def test_verify_cert_refuses_a_huge_wrong_exponent_without_powering(tmp_path, capsys):
     # N != n*dim is read before any power: A^4000000 over the integers
     # would take seconds and megabytes, and no identity that needs it holds.
@@ -383,7 +399,13 @@ RTL_1X1 = ["right-to-left", "--ring", "zmod:4", "--dim", "1", "--n", "1",
     (RTL_1X1, "dim", 1.0, "dim must be a positive integer, got 1.0"),
     (RTL_OK, "verified", "no", "verified and every holds must be true or false"),
     (RTL_OK, "holds", "no", "verified and every holds must be true or false"),
-], ids=["dim-true", "dim-float", "verified-string", "holds-string"])
+    (RTL_OK, "ring", 1.5, "ring spec must be a string, got float"),
+    (RTL_OK, "ring", None, "ring spec must be a string, got NoneType"),
+    (RTL_OK, "ring", {}, "ring spec must be a string, got dict"),
+    (RTL_OK, "ring", 3, "ring spec must be a string, got int"),
+    (RTL_OK, "ring", ["zmod:4"], "ring spec must be a string, got list"),
+], ids=["dim-true", "dim-float", "verified-string", "holds-string", "ring-float",
+        "ring-null", "ring-object", "ring-int", "ring-list"])
 def test_verify_cert_rejects_wrongly_typed_dim_and_flags(argv, field, value, message,
                                                         tmp_path, capsys):
     path = tmp_path / "cert.json"

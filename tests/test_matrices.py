@@ -431,8 +431,10 @@ def check_against_oracles(case, exponent):
         "transpose": [[ea[j][i] for j in range(dim)] for i in range(dim)],
         "pow": naive_power(ring, ea, exponent),
     }
+    expected["bound mul"] = expected["mul"]
     got = {"mul": a * b, "add": a + b, "sub": a - b, "neg": -a, "scale": a.scale(scalar),
-           "transpose": a.transpose(), "pow": a ** exponent}
+           "transpose": a.transpose(), "pow": a ** exponent,
+           "bound mul": SquareMatrix(ring, ring.matmul(dim)(a.rows, b.rows))}
     for name, result in got.items():
         assert rows_of(result) == expected[name], name
         # stored rows are canonical payloads, so == is entrywise ring equality

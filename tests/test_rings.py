@@ -448,7 +448,7 @@ def test_integer_specs_pickle_alike_before_and_after_products():
         cold = pickle.dumps(spec)
         for dim in range(1, rings._KERNEL_CAP + 2):
             rows = tuple(tuple(range(i, i + dim)) for i in range(dim))
-            spec.p_matmul(rows, rows)
+            assert spec.matmul(dim)(rows, rows) == spec.p_matmul(rows, rows)
         assert pickle.dumps(spec) == cold and not vars(spec).keys() - {"modulus"}
 
 

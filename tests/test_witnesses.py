@@ -77,7 +77,7 @@ def test_instance_exponent_times_dim_must_fit_the_budget(monkeypatch):
     # and that refusal computes no power.
     a, x = mat(Z4, "[[2,0],[0,1]]"), SquareMatrix.identity(Z4, 2)
     assert RightWitnessInstance(a, DEFAULT_BUDGET // 2, x).n == DEFAULT_BUDGET // 2
-    monkeypatch.setattr(witnesses, "_powers", None)
+    monkeypatch.setattr(witnesses, "_Powers", None)
     for n in (DEFAULT_BUDGET // 2 + 1, 10 ** 9):
         with pytest.raises(BudgetExceeded, match="exceeds budget"):
             RightWitnessInstance(a, n, x)
