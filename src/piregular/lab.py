@@ -37,7 +37,7 @@ from typing import Iterator, Optional
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
 from .matrices import SquareMatrix, _require_commutative, matrix_to_json
 from .rings import DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, binary_power, require_positive
-from .witnesses import _check_exponent_budget, certificate_rows, instance_rows
+from .witnesses import _Context, certificate_rows, instance_rows
 
 
 def _size(spec: RingSpec, exponent: int, what: str) -> int:
@@ -363,18 +363,18 @@ _KINDS = {(True, True): "both", (True, False): "right_only",
 _OUTCOMES = {sides: (*sides, None, None) for sides in _KINDS}  # shared: pickled once per chunk
 
 
-def _sides(n: int, certify: bool, engine: _Engine, mat) -> tuple:
+def _sides(n: int, certify, engine: _Engine, mat) -> tuple:
     """(right, left, A, failure): whether A has a right and a left witness
-    at n; A as JSON if it has just one, else None; the failure of the
-    certificate built on payload rows from its right witness if ``certify``."""
+    at n; A as JSON if it has just one, else None; the failure of the certificate
+    built on payload rows from its right witness if ``certify`` is a context, not False."""
     low, high = engine.power_pair(mat, n)
     x = engine.solve(low, high)
     right, left = x is not None, engine.solve_left(low, high) is not None
     failure = None
     if certify and right:
-        ring, a, x = engine.spec, engine.payload_rows(mat), engine.payload_rows(x)
+        a, x = engine.payload_rows(mat), engine.payload_rows(x)
         try:
-            certificate_rows(ring, a, n, x, *instance_rows(ring, a, n, x))
+            certificate_rows(x, *instance_rows(certify, a, x))
         except PiregularError as exc:
             failure = {"A": matrix_to_json(engine.to_square(mat)),
                        "reason": f"{type(exc).__name__}: {exc}"}
@@ -387,6 +387,7 @@ def _agreement(spec: RingSpec, m: int, n: int, certify: bool, workers: int = 1) 
     """The fold of :func:`_sides` over M_m(spec): the ``_KINDS`` counts, the
     one-sided matrices and the certificate failures, in scan order."""
     require_positive(n=n)
+    certify = certify and _Context(spec, m, n)  # before the scan; a pooled chunk unpickles one
     counts = dict.fromkeys(_KINDS.values(), 0)
     one_sided, failures = [], []
     for right, left, a, failure in _scan(spec, m, partial(_sides, n, certify), workers):
@@ -402,8 +403,7 @@ def cp_report(k: int, m: int, n: int, workers: int = 1) -> CpReport:
     """Scan all of M_m(Z_k) at exponent n; the output is identical for any
     worker count, and ``workers`` in the report is the count used."""
     started = time.perf_counter()
-    require_positive(n=n, dim=m)
-    _check_exponent_budget(n, m)  # as every certificate would, but once and before the scan
+    require_positive(n=n, dim=m)  # the certificate context checks n * m before the scan
     counts, counterexamples, failures = _agreement(IntegersMod(k), m, n, True, workers)
     total = sum(counts.values())
     return CpReport(modulus=k, dim=m, exponent=n, total=total, counts=counts,

@@ -203,9 +203,10 @@ def char_poly_rows(ring, rows) -> RingElem:  # berkowitz_char_poly on payload ro
         row = rows[k - 1][:k - 1]
         toeplitz = [one, neg(rows[k - 1][k - 1])]
         vec = [rows[i][k - 1] for i in range(k - 1)]
-        for _ in range(k - 1):
-            toeplitz.append(neg(dot(row, vec)))
+        toeplitz.append(neg(dot(row, vec)))  # -RC, then -RMC, ..., -RM^(k-2)C
+        for _ in range(k - 2):
             vec = [dot(block_row, vec) for block_row in block]
+            toeplitz.append(neg(dot(row, vec)))
         rev = toeplitz[::-1]  # new[i] pairs toeplitz[i], toeplitz[i-1], ... with coeffs
         coeffs = [dot(rev[k - i:], coeffs[:i + 1]) for i in range(k)] + [dot(rev[:k], coeffs)]
     return poly_ring(ring).wrap(tuple(coeffs[::-1]))  # monic, so already canonical

@@ -15,19 +15,19 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
     A^n = Y A^(n+1).
 
 The pipeline is :func:`instance_rows` then :func:`certificate_rows` on payload
-rows; the public API checks ring and dimension once and wraps the rows, and
-scans call the two bare.  The instance check starts one table of powers of A
-that every later stage fills in place, so each power is computed once; the
-table carries ``ring.matmul(dim)``, bound once, and every product is made
-with it.  A failure raises.  The verifier fills a table of its own (no power
-if N != n*dim) and checks p against one Berkowitz call on X; emitting trusts
-only this producer's certificates.
+rows, in a context made once per public call or scan that checks n >= 1 and
+n*dim <= DEFAULT_BUDGET and binds ``ring.matmul(dim)``, the combination that
+builds C, I and p's zero prefix.  The public API checks ring and dimension once
+and wraps the rows; scans call the two bare.  The instance check starts one
+table of powers of A that every later stage fills in place with the bound
+product, so each power is computed once.  A failure raises.  The verifier makes
+a context and a table of its own (no power if N != n*dim) and checks p against
+one Berkowitz call on X; emitting trusts only this producer's certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
 
 from .errors import (
     BudgetExceeded,
@@ -51,20 +51,39 @@ from .rings import (
 )
 
 
-@lru_cache(maxsize=256)
-def _identity_rows(ring, dim: int) -> tuple:
-    return SquareMatrix.identity(ring, dim).rows
+class _Context:
+    """What every certificate over one ring, dimension and n shares, made once per
+    public call or scan after the checks n >= 1 and n * dim <= DEFAULT_BUDGET: the
+    bound product and combination, I, p's N zeros and the exponents the instance
+    and the certificate fill.  It pickles as its arguments, so each process binds its own."""
+
+    __slots__ = ("ring", "dim", "n", "big_n", "mul", "combine", "ident", "zeros",
+                 "instance_exponents", "certificate_exponents")
+
+    def __init__(self, ring, dim: int, n: int):
+        require_positive(PreconditionFailed, exponent=n)
+        _check_exponent_budget(n, dim)
+        self.ring, self.dim, self.n, self.big_n = ring, dim, n, n * dim
+        self.mul, self.combine = ring.matmul(dim), ring.combination(dim)
+        zero, one = ring.zero_payload(), ring.one_payload()
+        self.ident = tuple([(zero,) * i + (one,) + (zero,) * (dim - 1 - i) for i in range(dim)])
+        self.zeros = (zero,) * self.big_n
+        self.instance_exponents = (n, n + 1)
+        self.certificate_exponents = (*range(dim), self.big_n - n, self.big_n, self.big_n + 1)
+
+    def __reduce__(self):
+        return _Context, (self.ring, self.dim, self.n)
 
 
 class _Powers(dict):
-    """k -> rows of A^k, from A^0 = I and A^1 = ``a``, with ``ring`` and ``mul =
-    ring.matmul(dim)``, the one product of every power and check on A."""
+    """k -> rows of A^k, from A^0 = I and A^1 = ``a``, with the context ``ctx``
+    and its product ``mul``, the one product of every power and check on A."""
 
-    __slots__ = ("ring", "a", "mul")
+    __slots__ = ("ctx", "a", "mul")
 
-    def __init__(self, ring, a):
-        self[0], self[1] = _identity_rows(ring, len(a)), a
-        self.ring, self.a, self.mul = ring, a, ring.matmul(len(a))
+    def __init__(self, ctx: _Context, a):
+        self[0], self[1] = ctx.ident, a
+        self.ctx, self.a, self.mul = ctx, a, ctx.mul
 
     def fill(self, exponents) -> "_Powers":
         """Add each missing A^k, ``exponents`` ascending, and return the table:
@@ -108,12 +127,10 @@ def _check_exponent_budget(n: int, dim: int) -> None:
         raise BudgetExceeded(f"exponent {n} times dimension {dim} exceeds budget {DEFAULT_BUDGET}")
 
 
-def instance_rows(ring, a, n, x) -> tuple:
-    """(powers A^n and A^(n+1), A^(n+1) X) on payload rows; PreconditionFailed
-    unless n >= 1, n * dim <= DEFAULT_BUDGET (before any power) and A^n = A^(n+1) X."""
-    require_positive(PreconditionFailed, exponent=n)
-    _check_exponent_budget(n, len(a))
-    powers = _Powers(ring, a).fill((n, n + 1))
+def instance_rows(ctx: _Context, a, x) -> tuple:
+    """(powers A^n and A^(n+1), A^(n+1) X) on payload rows, n the context's;
+    PreconditionFailed unless A^n = A^(n+1) X."""
+    n, powers = ctx.n, _Powers(ctx, a).fill(ctx.instance_exponents)
     ax = powers.mul(powers[n + 1], x)
     if powers[n] != ax:
         raise PreconditionFailed(f"A^{n} != A^{n + 1}*X: not a right witness instance")
@@ -123,7 +140,7 @@ def instance_rows(ring, a, n, x) -> tuple:
 @dataclass(frozen=True, slots=True)
 class RightWitnessInstance:
     """A verified instance of A^n = A^(n+1) X; checked at construction by
-    :func:`instance_rows`, whose powers and product it keeps as ``_checked_rows``."""
+    :func:`instance_rows` in a new context, keeping its result as ``_checked_rows``."""
 
     A: SquareMatrix
     n: int
@@ -132,7 +149,8 @@ class RightWitnessInstance:
 
     def __post_init__(self):
         (x,), a = _rows_over(self.A, self.X), self.A
-        object.__setattr__(self, "_checked_rows", instance_rows(a.ring, a.rows, self.n, x))
+        object.__setattr__(self, "_checked_rows",
+                           instance_rows(_Context(a.ring, a.dim, self.n), a.rows, x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +213,7 @@ def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> Exponent
     if m < n:
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
     k, powers = m - n, RightWitnessInstance(a, n, x)._checked_rows[0].fill((m, m + 1))
-    mul, x_k = powers.mul, _Powers(a.ring, x.rows).fill((k,))[k]
+    mul, x_k = powers.mul, _Powers(powers.ctx, x.rows).fill((k,))[k]
     _require((("a^m = a^(m+1)*x", powers[m] == mul(powers[m + 1], x.rows)),
               ("a^n = a^(n+k)*x^k", powers[n] == mul(powers[m], x_k))))
     return ExponentRaiseRecord(n=n, m=m, shift=k)
@@ -221,31 +239,28 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     return SquareMatrix(a.ring, y)
 
 
-def certificate_rows(ring, a, n, x, powers, ax) -> tuple:
+def certificate_rows(x, powers, ax) -> tuple:
     """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
     ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
-    m, big_n, mul = len(a), n * len(a), powers.mul
-    powers.fill((*range(m), big_n - n, big_n, big_n + 1))
+    ctx = powers.ctx
+    ring, n, big_n, mul = ctx.ring, ctx.n, ctx.big_n, ctx.mul
+    powers.fill(ctx.certificate_exponents)
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
     chi = char_poly_rows(ring, x)
     q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
-    p = chi.spec.wrap(_strip(ring, [ring.zero_payload()] * big_n + list(q)))
-    # C = -(s1 I + s2 A + ... + sm A^(m-1)); each entry is (-s1, ..., -sm)
-    # dotted with that entry of A^0, ..., A^(m-1).
-    dot = partial(ring.p_dot, list(map(ring.p_neg, q[1:])))
-    c = tuple([tuple(map(dot, zip(*row_stack)))
-               for row_stack in zip(*map(powers.__getitem__, range(m)))])
+    p = chi.spec.wrap(ctx.zeros + _strip(ring, list(q)))  # q(0) = 1: already canonical
+    # C = -(s1 I + s2 A + ... + sm A^(m-1)), one combination of A^0, ..., A^(m-1)
+    c = ctx.combine(tuple(map(ring.p_neg, q[1:])), [powers[k] for k in range(ctx.dim)])
     w = _commuting_witness(mul, powers[big_n], c, big_n)
     y = _lowered_left_witness(mul, w, powers[big_n - n], big_n, n)
     return p, c, big_n, w, y, _require(_certificate_checks(
-        powers, n, x, p, chi, c, big_n, w, y, ax))
+        powers, x, p, chi, c, big_n, w, y, ax))
 
 
 def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertificate:
     """Run the full pipeline and return a self-contained, verified
     certificate; raises InternalViolation naming any failing identity."""
-    p, c, big_n, w, y, identities = certificate_rows(
-        inst.A.ring, inst.A.rows, inst.n, inst.X.rows, *inst._checked_rows)
+    p, c, big_n, w, y, identities = certificate_rows(inst.X.rows, *inst._checked_rows)
     c, w, y = (SquareMatrix(inst.A.ring, rows) for rows in (c, w, y))
     cert = LeftWitnessCertificate(A=inst.A, n=inst.n, X=inst.X, p=p, C=c, N=big_n, w=w, Y=y,
                                   verified=True, identities=identities)
@@ -253,14 +268,14 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
     return cert
 
 
-def _certificate_checks(powers: _Powers, n, x, p, chi, c, big_n, w, y, ax=None) -> tuple:
+def _certificate_checks(powers: _Powers, x, p, chi, c, big_n, w, y, ax=None) -> tuple:
     """The seven identities on A, n, X, p, C, N, w, Y (matrices as payload
-    rows), each evaluated once; A is the table's, and p must be x^N times
-    ``chi``, the char poly of X, reversed.  A^n, A^(n+1), A^N, A^(N+1) fill
-    ``powers`` in place only if N = n*dim; else every identity needing them
-    fails."""
-    ring, a, mul = powers.ring, powers.a, powers.mul
-    zero, ok = ring.zero_payload(), big_n == n * len(a)
+    rows), each evaluated once; A and n are the table's and its context's, and
+    p must be x^N times ``chi``, the char poly of X, reversed.  A^n, A^(n+1),
+    A^N, A^(N+1) fill ``powers`` in place only if N = n*dim; else every
+    identity needing them fails."""
+    ctx, a, mul = powers.ctx, powers.a, powers.mul
+    n, ok = ctx.n, big_n == ctx.big_n
     if ok:
         powers.fill((n, n + 1, big_n, big_n + 1))
         a_n, a_n1, a_big, a_big1 = powers[n], powers[n + 1], powers[big_n], powers[big_n + 1]
@@ -268,8 +283,7 @@ def _certificate_checks(powers: _Powers, n, x, p, chi, c, big_n, w, y, ax=None) 
         ("right_witness", ok and a_n == (mul(a_n1, x) if ax is None else ax)),
         ("exponent_is_n_times_dim", ok),
         ("char_poly_factor_shape", ok and (p.spec is chi.spec or p.spec == chi.spec)
-         and p.payload[:big_n].count(zero) == big_n
-         and p.payload[big_n:] == _strip(ring, list(chi.payload[::-1]))),
+         and p.payload == ctx.zeros + _strip(ctx.ring, list(chi.payload[::-1]))),
         ("raised_right_witness", ok and a_big == mul(a_big1, c)),
         ("commuting_witness", mul(a, w) == mul(w, a)),
         ("raised_left_witness", ok and a_big == mul(w, a_big1)),
@@ -280,9 +294,9 @@ def _certificate_checks(powers: _Powers, n, x, p, chi, c, big_n, w, y, ax=None) 
 def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
     """Re-check every identity from the stored fields alone, all over A's
     ring and dimension, on powers of A computed here and shared with nothing."""
-    ring, (x, c, w, y) = cert.A.ring, _rows_over(cert.A, cert.X, cert.C, cert.w, cert.Y)
-    checks = _certificate_checks(_Powers(ring, cert.A.rows), cert.n, x, cert.p,
-                                 char_poly_rows(ring, x), c, cert.N, w, y)
+    a, (x, c, w, y) = cert.A, _rows_over(cert.A, cert.X, cert.C, cert.w, cert.Y)
+    checks = _certificate_checks(_Powers(_Context(a.ring, a.dim, cert.n), a.rows), x, cert.p,
+                                 char_poly_rows(a.ring, x), c, cert.N, w, y)
     return CertificateVerdict(ok=all(holds for _, holds in checks), identities=checks)
 
 

@@ -326,6 +326,7 @@ def test_verify_cert_rejects_wrongly_shaped_lists(field, value, tmp_path, capsys
 
 
 CERT_RINGS = ["zmod:12", "quot:zmod:3:t^2", "int"]
+RING_TOKENS = CERT_RINGS + ["zmod:5", "quot:zmod:2:t^2"]  # a quot ring reads string literals
 WRONG_TYPES = [None, 1.5, {}, "x"]  # wrong for every field and every entry
 SEEDS = st.integers(0, 99)
 
@@ -333,9 +334,11 @@ SEEDS = st.integers(0, 99)
 @st.composite
 def mutated_certificate(draw):
     """A valid certificate document from ``generators`` with one mutation:
-    an entry of a matrix or of p_coeffs, n or N moved by one, a stored flag
-    flipped, or a field of the wrong type; and whether the document is now
-    malformed (a wrong type, or an exponent below 1)."""
+    an entry of a matrix or of p_coeffs, n, N or dim moved by one, two matrix
+    fields swapped, another ring token, a stored flag flipped, or a field of
+    the wrong type; and whether the document is now malformed (a wrong type,
+    an exponent below 1, matrices of another dim, or entries that are not
+    literals of the new ring)."""
     token, dim, seed = draw(st.sampled_from(CERT_RINGS)), draw(st.integers(1, 2)), draw(SEEDS)
     spec = parse_ring_spec(token)
     if token == "int":
@@ -344,12 +347,19 @@ def mutated_certificate(draw):
     else:
         inst = sampled_finite_instance(spec, dim, seed)
     doc = json.loads(emit_certificate(right_to_left_certificate(inst)))
-    kind = draw(st.sampled_from(["A", "X", "C", "w", "Y", "p_coeffs", "n", "N",
-                                 "verified", "holds", "type"]))
-    if kind in ("n", "N"):
+    kind = draw(st.sampled_from(["A", "X", "C", "w", "Y", "p_coeffs", "n", "N", "dim",
+                                 "swap", "ring", "verified", "holds", "type"]))
+    if kind in ("n", "N", "dim"):
         doc[kind] += draw(st.sampled_from([-1, 1]))
-        return doc, doc[kind] < 1
-    if kind == "verified":
+        return doc, doc[kind] < 1 or kind == "dim"
+    if kind == "swap":
+        first, second = draw(st.lists(st.sampled_from("AXCwY"), min_size=2, max_size=2,
+                                      unique=True))
+        doc[first], doc[second] = doc[second], doc[first]
+    elif kind == "ring":
+        doc["ring"] = draw(st.sampled_from([other for other in RING_TOKENS if other != token]))
+        return doc, doc["ring"].startswith("quot") != token.startswith("quot")  # strings
+    elif kind == "verified":
         doc["verified"] = not doc["verified"]
     elif kind == "holds":
         item = draw(st.sampled_from(doc["identities"]))

@@ -460,10 +460,10 @@ def test_a_certificate_failure_reaches_the_report(monkeypatch):
     plain_certificate = lab.certificate_rows
     identity = SquareMatrix.identity(Z4, 2)
 
-    def certificate(ring, a, *rest):
-        if a == identity.rows:
+    def certificate(x, powers, ax):
+        if powers.a == identity.rows:
             raise InternalViolation("boom")
-        return plain_certificate(ring, a, *rest)
+        return plain_certificate(x, powers, ax)
 
     monkeypatch.setattr(lab, "certificate_rows", certificate)
     report = cp_report(4, 2, 1, workers=1)

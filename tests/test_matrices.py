@@ -39,6 +39,7 @@ from helpers import (
     naive_sum,
     random_matrix,
 )
+from piregular.rings import sample_element
 
 Z = Integers()
 Z4 = IntegersMod(4)
@@ -204,6 +205,19 @@ def test_char_poly_seed_edges():
         assert berkowitz_char_poly(two_by_two) == pspec.element([num(-6), num(-5), num(1)])
         for mat in (one_by_one, two_by_two):
             assert berkowitz_char_poly(mat) == naive_char_poly(mat)
+
+
+@pytest.mark.parametrize("dim, dots", [(3, 8), (4, 22), (5, 44)])
+def test_char_poly_makes_no_unread_block_product(monkeypatch, dim, dots):
+    # Each block k >= 3 makes k-1 Toeplitz dots, (k-2)(k-1) for the powers of
+    # the block they read and k+1 for the convolution; one product more of the
+    # block with its vector (k-1 dots) would go unread.
+    a = random_matrix(Z12, dim, random.Random(dim))
+    expected, calls, plain_dot = naive_char_poly(a), [], IntegersMod.p_dot
+    monkeypatch.setattr(IntegersMod, "p_dot",
+                        lambda self, row, col: calls.append(1) or plain_dot(self, row, col))
+    assert berkowitz_char_poly(a) == expected
+    assert len(calls) == dots
 
 
 def test_char_poly_is_monic_of_degree_dim():
@@ -416,6 +430,21 @@ def test_kernel_matches_entrywise_oracle(case, exponent):
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
 def test_every_entry_form_and_the_loop_match_the_oracles(kind, dim):
     check_against_oracles(kernel_matrices(kind, dim, seed=dim), exponent=3)
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+@pytest.mark.parametrize("kind", [kind for kind in KERNEL_KINDS if kind != "free"])
+def test_every_entry_form_and_the_loop_combine_like_the_oracle(kind, dim):
+    # combination(dim) against s_0 M_0 + ... + s_(dim-1) M_(dim-1), summed
+    # entrywise from ring.zero() with the entries' own operators
+    ring = kernel_matrices(kind, dim, seed=dim)[0]
+    rng, bound = random.Random(dim), None if ring.is_finite else 4
+    s = [sample_element(ring, rng, bound) for _ in range(dim)]
+    mats = [random_matrix(ring, dim, rng, bound) for _ in range(dim)]
+    expected = [[sum((c * m.entries[i][j] for c, m in zip(s, mats)), ring.zero())
+                 for j in range(dim)] for i in range(dim)]
+    got = ring.combination(dim)(tuple(c.payload for c in s), [m.rows for m in mats])
+    assert SquareMatrix(ring, got) == SquareMatrix.from_rows(ring, expected)
 
 
 def check_against_oracles(case, exponent):

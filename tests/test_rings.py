@@ -457,9 +457,10 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     assert IntegersMod(7).p_matmul(rows, rows) == ((4, 1), (0, 1))
     assert IntegersMod(9).p_matmul(rows, rows) == ((4, 6), (1, 7))
     assert Integers().p_matmul(rows, rows) == ((67, 78), (91, 106))
-    # one kernel per form and dimension serves every modulus
-    assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
-               for form, dim in rings._KERNELS)
+    # one kernel per form and dimension (and term count, for a combination)
+    # serves every modulus
+    assert all(form in ("integer", "residue", "calls", "table") and 1 <= len(sizes) <= 2
+               and all(type(size) is int for size in sizes) for form, *sizes in rings._KERNELS)
 
 
 @pytest.mark.parametrize("k", [2, 9, 12])
@@ -479,9 +480,11 @@ def test_table_kernels_return_payload_rows_like_every_form(k):
 @pytest.mark.parametrize("dim", [1, 2, 9])
 @pytest.mark.parametrize("form", ["integer", "residue", "calls", "table"])
 def test_generated_kernels_reach_no_globals(form, dim):
-    # the compiled source names only its own locals and these spec attributes
-    code = rings._KERNELS[form, dim].__code__
-    assert set(code.co_names) <= {"modulus", "p_add", "p_mul", "add", "mul"}
+    # the compiled source names only its own locals and these spec attributes,
+    # for a product and for a combination of dim matrices alike
+    for key in ((form, dim), (form, dim, dim)):
+        code = rings._KERNELS[key].__code__
+        assert set(code.co_names) <= {"modulus", "p_add", "p_mul", "add", "mul"}
 
 
 def test_importing_the_package_compiles_no_kernel():

@@ -34,6 +34,7 @@ from piregular import (
     verify_certificate,
 )
 from piregular import lab, rings, witnesses
+from piregular.matrices import char_poly_rows
 from piregular.rings import DEFAULT_BUDGET
 
 from helpers import (
@@ -287,6 +288,25 @@ def test_step_functions_extend_the_instance_powers(monkeypatch):
         assert len(calls) == products
     inst = RightWitnessInstance(mat(Z9, "[[2,3],[1,5]]"), 2, mat(Z9, "[[2,6],[5,8]]"))
     assert right_to_left_certificate(inst) == right_to_left_certificate(inst)
+
+
+@pytest.mark.parametrize("dim", range(1, rings._KERNEL_CAP + 1))
+def test_building_c_makes_no_dot_call_up_to_the_kernel_cap(monkeypatch, dim):
+    # C is one call of the combination kernel, so a certificate makes only
+    # the p_dot calls of its one Berkowitz call on X
+    insts = [integer_instance(dim // 2, dim - dim // 2, dim)]
+    if dim <= 3:
+        insts.append(sampled_finite_instance(IntegersMod(12), dim, dim))
+    calls = []
+    for spec in (Integers, IntegersMod):
+        monkeypatch.setattr(spec, "p_dot", lambda self, row, col, dot=spec.p_dot:
+                            calls.append(1) or dot(self, row, col))
+    for inst in insts:
+        char_poly_rows(inst.X.ring, inst.X.rows)
+        berkowitz = len(calls)
+        right_to_left_certificate(inst)
+        assert len(calls) == 2 * berkowitz
+        calls.clear()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
