@@ -363,18 +363,18 @@ _KINDS = {(True, True): "both", (True, False): "right_only",
 _OUTCOMES = {sides: (*sides, None, None) for sides in _KINDS}  # shared: pickled once per chunk
 
 
-def _sides(n: int, certify, engine: _Engine, mat) -> tuple:
+def _sides(n: int, ctx: Optional[_Context], engine: _Engine, mat) -> tuple:
     """(right, left, A, failure): whether A has a right and a left witness
     at n; A as JSON if it has just one, else None; the failure of the certificate
-    built on payload rows from its right witness if ``certify`` is a context, not False."""
+    built on payload rows from its right witness in ``ctx``, unless it is None."""
     low, high = engine.power_pair(mat, n)
     x = engine.solve(low, high)
     right, left = x is not None, engine.solve_left(low, high) is not None
     failure = None
-    if certify and right:
+    if ctx is not None and right:
         a, x = engine.payload_rows(mat), engine.payload_rows(x)
         try:
-            certificate_rows(x, *instance_rows(certify, a, x))
+            certificate_rows(x, *instance_rows(ctx, a, x))
         except PiregularError as exc:
             failure = {"A": matrix_to_json(engine.to_square(mat)),
                        "reason": f"{type(exc).__name__}: {exc}"}
@@ -387,10 +387,10 @@ def _agreement(spec: RingSpec, m: int, n: int, certify: bool, workers: int = 1) 
     """The fold of :func:`_sides` over M_m(spec): the ``_KINDS`` counts, the
     one-sided matrices and the certificate failures, in scan order."""
     require_positive(n=n)
-    certify = certify and _Context(spec, m, n)  # before the scan; a pooled chunk unpickles one
+    ctx = _Context(spec, m, n, scan=True) if certify else None  # a pooled chunk unpickles it
     counts = dict.fromkeys(_KINDS.values(), 0)
     one_sided, failures = [], []
-    for right, left, a, failure in _scan(spec, m, partial(_sides, n, certify), workers):
+    for right, left, a, failure in _scan(spec, m, partial(_sides, n, ctx), workers):
         counts[_KINDS[right, left]] += 1
         if a is not None:
             one_sided.append({"A": a, "right": right, "left": left})

@@ -20,12 +20,11 @@ for that dimension, with every ``l[i][k]*r[k][j]`` term written out as
 straight-line code in one of three entry forms: plain ``+`` and ``*`` over
 the integers, the same with one ``% modulus`` per entry mod k, and
 ``p_add``/``p_mul`` calls for every other ring; above that, ``p_matmul``
-loops over ``p_dot``, as a kernel grows as dim^3.  ``combination(dim)`` binds
-``s[0]*M[0] + ... + s[dim-1]*M[dim-1]`` (a certificate's C) alike.  A fourth
-form, ``table``, serves :mod:`piregular.lab` at every dimension (its budget
-keeps dim <= 20) on rows of element indices, the shape of payload rows.
-Kernels are cached in the module on first use, never on a spec; each binding
-is a fresh ``partial`` of one and the spec.
+loops over ``p_dot``, as a kernel grows as dim^3; ``combination(dim)`` binds
+a certificate's C alike.  A fourth form, ``table``, serves :mod:`piregular.lab`
+at every dimension (its budget keeps dim <= 20) on rows of element indices.
+Kernels are cached in the module on first use, never on a spec; a binding is
+a fresh ``partial`` of one and the spec.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -157,13 +156,14 @@ class RingSpec:
         return self.p_matmul
 
     def combination(self, dim: int):
-        """``combine(s, mats)``, the sum of ``s[t]*mats[t]`` over ``dim`` coefficients and
-        ``dim``-by-``dim`` payload-row matrices, bound once: the kernel of this ring's form
-        up to ``_KERNEL_CAP``, above it one ``p_dot`` of ``s`` with each entry's stack."""
+        """:meth:`p_combination` bound like :meth:`matmul`: a kernel up to ``_KERNEL_CAP``."""
         if dim <= _KERNEL_CAP:
-            return partial(_KERNELS[self.matmul_form, dim, dim], self)
-        return lambda s, mats: tuple([tuple([self.p_dot(s, stack) for stack in zip(*rows)])
-                                      for rows in zip(*mats)])
+            return partial(_KERNELS[self.matmul_form, dim, "combination"], self)
+        return self.p_combination
+
+    def p_combination(self, s, mats) -> tuple:
+        """The sum of ``s[t]*mats[t]``, one ``p_dot`` of ``s`` per stack of entries."""
+        return tuple([tuple([self.p_dot(s, stack) for stack in zip(*rows)]) for rows in zip(*mats)])
 
     def p_from_int(self, n: int) -> Payload:
         raise NotImplementedError
@@ -299,11 +299,9 @@ def _product_kernel(key):
     and ``calls`` folds ``spec.p_add`` over ``spec.p_mul`` from the left,
     keeping the left factor on the left, so entries need not commute.  ``table``
     folds ``spec.add[x][y]`` over ``spec.mul[x][y]`` alike, on rows of element
-    indices.  For ``key = (form, m, t)`` it is the combination
-    ``l[0]*r[0] + ... + l[t-1]*r[t-1]`` of t m-by-m matrices ``r``, each entry
-    written out and folded alike, coefficient on the left.  Sources hold only
-    integer indices and names."""
-    form, m, *terms = key  # terms = (t,) for a combination
+    indices.  ``(form, m, "combination")`` writes ``l[0]*r[0] + ... + l[m-1]*r[m-1]``
+    alike, coefficient on the left.  Sources hold only integer indices and names."""
+    (form, m), combination = key[:2], key[2:] == ("combination",)
     prelude = {"integer": "pass", "residue": "k = spec.modulus",
                "calls": "add, mul = spec.p_add, spec.p_mul",
                "table": "add, mul = spec.add, spec.mul"}[form]
@@ -314,19 +312,19 @@ def _product_kernel(key):
             "(" + " ".join(cell(i, j) + "," for j in range(m)) + ")," for i in range(m)) + ")"
 
     def entry(i, j) -> str:
-        pairs = ([(f"a{u}", f"b{u}_{i}_{j}") for u in range(*terms)] if terms
+        pairs = ([(f"a{k}", f"b{k}_{i}_{j}") for k in range(m)] if combination
                  else [(f"a{i}_{k}", f"b{k}_{j}") for k in range(m)])
         if form in ("calls", "table"):
             return reduce(partial(op.format, "add"), (op.format("mul", x, y) for x, y in pairs))
         total = " + ".join(f"{x}*{y}" for x, y in pairs)
         return f"({total}) % k" if form == "residue" else total
 
-    left, right = ((" ".join(f"a{u}," for u in range(*terms)),
-                    " ".join(square(f"b{u}_{{}}_{{}}".format) + "," for u in range(*terms)))
-                   if terms else (square("a{}_{}".format), square("b{}_{}".format)))
+    left, right = ((" ".join(f"a{k}," for k in range(m)),
+                    " ".join(square(f"b{k}_{{}}_{{}}".format) + "," for k in range(m)))
+                   if combination else (square("a{}_{}".format), square("b{}_{}".format)))
     source = "\n    ".join(("def kernel(spec, l, r):", prelude, f"{left} = l", f"{right} = r",
                             "return " + square(entry)))
-    namespace, what = {}, f"{terms[0]}-term combination" if terms else "product"
+    namespace, what = {}, "combination" if combination else "product"
     exec(compile(source, f"<{m}x{m} {form} {what}>", "exec"), namespace)
     return namespace["kernel"]
 
@@ -637,7 +635,7 @@ class _Table(dict):
         return value
 
 
-_KERNELS = _Table(_product_kernel)  # (form, dim[, terms]) -> kernel; filled on first use
+_KERNELS = _Table(_product_kernel)  # (form, dim[, "combination"]) -> kernel; filled on first use
 
 
 def _memo_ops(spec: "QuotientPoly") -> dict:

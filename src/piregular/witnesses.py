@@ -16,13 +16,11 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
 
 The pipeline is :func:`instance_rows` then :func:`certificate_rows` on payload
 rows, in a context made once per public call or scan that checks n >= 1 and
-n*dim <= DEFAULT_BUDGET and binds ``ring.matmul(dim)``, the combination that
-builds C, I and p's zero prefix.  The public API checks ring and dimension once
-and wraps the rows; scans call the two bare.  The instance check starts one
-table of powers of A that every later stage fills in place with the bound
-product, so each power is computed once.  A failure raises.  The verifier makes
-a context and a table of its own (no power if N != n*dim) and checks p against
-one Berkowitz call on X; emitting trusts only this producer's certificates.
+n*dim <= DEFAULT_BUDGET and binds the product and I.  The instance check starts
+one table of powers of A that every later stage fills in place, so each power
+is computed once.  A failure raises.  The verifier makes a context and a table
+of its own (no power if N != n*dim) and checks p against one Berkowitz call on
+X; emitting trusts only this producer's certificates.
 """
 
 from __future__ import annotations
@@ -52,27 +50,32 @@ from .rings import (
 
 
 class _Context:
-    """What every certificate over one ring, dimension and n shares, made once per
-    public call or scan after the checks n >= 1 and n * dim <= DEFAULT_BUDGET: the
-    bound product and combination, I, p's N zeros and the exponents the instance
-    and the certificate fill.  It pickles as its arguments, so each process binds its own."""
+    """The bound product and I of one ring, dimension and n, and on a first certificate
+    what only certificates use; it pickles as its arguments.  Only a ``scan``, with
+    thousands of certificates, repays the compile of C's kernel (the saving of 45-70
+    certificates); a public call certifies one and builds C by ``p_dot``."""
 
-    __slots__ = ("ring", "dim", "n", "big_n", "mul", "combine", "ident", "zeros",
-                 "instance_exponents", "certificate_exponents")
+    __slots__ = ("ring", "dim", "n", "scan", "mul", "ident", "_certifying")
 
-    def __init__(self, ring, dim: int, n: int):
+    def __init__(self, ring, dim: int, n: int, scan: bool = False):
         require_positive(PreconditionFailed, exponent=n)
         _check_exponent_budget(n, dim)
-        self.ring, self.dim, self.n, self.big_n = ring, dim, n, n * dim
-        self.mul, self.combine = ring.matmul(dim), ring.combination(dim)
+        self.ring, self.dim, self.n, self.scan, self.mul = ring, dim, n, scan, ring.matmul(dim)
         zero, one = ring.zero_payload(), ring.one_payload()
         self.ident = tuple([(zero,) * i + (one,) + (zero,) * (dim - 1 - i) for i in range(dim)])
-        self.zeros = (zero,) * self.big_n
-        self.instance_exponents = (n, n + 1)
-        self.certificate_exponents = (*range(dim), self.big_n - n, self.big_n, self.big_n + 1)
+        self._certifying = None
+
+    def certifying(self) -> tuple:
+        """(C's bound combination, p's N zeros, a certificate's exponents), made once."""
+        if self._certifying is None:
+            ring, dim, n, big_n = self.ring, self.dim, self.n, self.n * self.dim
+            combine = ring.combination(dim) if self.scan else ring.p_combination
+            self._certifying = (combine, (ring.zero_payload(),) * big_n,
+                                (*range(dim), big_n - n, big_n, big_n + 1))
+        return self._certifying
 
     def __reduce__(self):
-        return _Context, (self.ring, self.dim, self.n)
+        return _Context, (self.ring, self.dim, self.n, self.scan)
 
 
 class _Powers(dict):
@@ -128,9 +131,8 @@ def _check_exponent_budget(n: int, dim: int) -> None:
 
 
 def instance_rows(ctx: _Context, a, x) -> tuple:
-    """(powers A^n and A^(n+1), A^(n+1) X) on payload rows, n the context's;
-    PreconditionFailed unless A^n = A^(n+1) X."""
-    n, powers = ctx.n, _Powers(ctx, a).fill(ctx.instance_exponents)
+    """(powers of A to n+1, A^(n+1) X), payload rows; PreconditionFailed unless A^n = A^(n+1) X."""
+    n, powers = ctx.n, _Powers(ctx, a).fill((ctx.n, ctx.n + 1))
     ax = powers.mul(powers[n + 1], x)
     if powers[n] != ax:
         raise PreconditionFailed(f"A^{n} != A^{n + 1}*X: not a right witness instance")
@@ -242,15 +244,15 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
 def certificate_rows(x, powers, ax) -> tuple:
     """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
     ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
-    ctx = powers.ctx
-    ring, n, big_n, mul = ctx.ring, ctx.n, ctx.big_n, ctx.mul
-    powers.fill(ctx.certificate_exponents)
+    ctx, mul, (combine, zeros, exponents) = powers.ctx, powers.mul, powers.ctx.certifying()
+    ring, n, big_n = ctx.ring, ctx.n, ctx.n * ctx.dim
+    powers.fill(exponents)
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
     chi = char_poly_rows(ring, x)
     q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
-    p = chi.spec.wrap(ctx.zeros + _strip(ring, list(q)))  # q(0) = 1: already canonical
+    p = chi.spec.wrap(zeros + _strip(ring, list(q)))  # q(0) = 1: already canonical
     # C = -(s1 I + s2 A + ... + sm A^(m-1)), one combination of A^0, ..., A^(m-1)
-    c = ctx.combine(tuple(map(ring.p_neg, q[1:])), [powers[k] for k in range(ctx.dim)])
+    c = combine(tuple(map(ring.p_neg, q[1:])), [powers[k] for k in range(ctx.dim)])
     w = _commuting_witness(mul, powers[big_n], c, big_n)
     y = _lowered_left_witness(mul, w, powers[big_n - n], big_n, n)
     return p, c, big_n, w, y, _require(_certificate_checks(
@@ -269,13 +271,12 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
 
 
 def _certificate_checks(powers: _Powers, x, p, chi, c, big_n, w, y, ax=None) -> tuple:
-    """The seven identities on A, n, X, p, C, N, w, Y (matrices as payload
-    rows), each evaluated once; A and n are the table's and its context's, and
-    p must be x^N times ``chi``, the char poly of X, reversed.  A^n, A^(n+1),
-    A^N, A^(N+1) fill ``powers`` in place only if N = n*dim; else every
-    identity needing them fails."""
-    ctx, a, mul = powers.ctx, powers.a, powers.mul
-    n, ok = ctx.n, big_n == ctx.big_n
+    """The seven identities on A, n, X, p, C, N, w, Y (payload rows), each evaluated
+    once; A and n are the table's and its context's, and p must be x^N times ``chi``,
+    the char poly of X, reversed.  A^n, A^(n+1), A^N, A^(N+1) fill ``powers`` in place
+    only if N = n*dim; else every identity needing them fails."""
+    ring, n, a, mul = powers.ctx.ring, powers.ctx.n, powers.a, powers.mul
+    zero, ok = ring.zero_payload(), big_n == n * len(a)
     if ok:
         powers.fill((n, n + 1, big_n, big_n + 1))
         a_n, a_n1, a_big, a_big1 = powers[n], powers[n + 1], powers[big_n], powers[big_n + 1]
@@ -283,7 +284,8 @@ def _certificate_checks(powers: _Powers, x, p, chi, c, big_n, w, y, ax=None) -> 
         ("right_witness", ok and a_n == (mul(a_n1, x) if ax is None else ax)),
         ("exponent_is_n_times_dim", ok),
         ("char_poly_factor_shape", ok and (p.spec is chi.spec or p.spec == chi.spec)
-         and p.payload == ctx.zeros + _strip(ctx.ring, list(chi.payload[::-1]))),
+         and p.payload[:big_n].count(zero) == big_n
+         and p.payload[big_n:] == _strip(ring, list(chi.payload[::-1]))),
         ("raised_right_witness", ok and a_big == mul(a_big1, c)),
         ("commuting_witness", mul(a, w) == mul(w, a)),
         ("raised_left_witness", ok and a_big == mul(w, a_big1)),

@@ -336,7 +336,7 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch, capsys, cpus):
 
 def test_no_worker_outlives_a_pooled_scan(monkeypatch):
     monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    results = lab._scan(Z5, 2, partial(lab._sides, 1, False), workers=2)
+    results = lab._scan(Z5, 2, partial(lab._sides, 1, None), workers=2)
     next(results)
     # the chunks stream from a live pool; closing the scan shuts it down
     assert multiprocessing.active_children() != []
@@ -418,7 +418,7 @@ def test_scans_compute_each_power_once(monkeypatch):
 
 def test_agreeing_outcomes_share_one_result_tuple():
     # a chunk pickles each common result once when the scan shares it
-    results = lab._walk_chunk(IntegersMod(4), 2, partial(lab._sides, 1, False), 0, 256)
+    results = lab._walk_chunk(IntegersMod(4), 2, partial(lab._sides, 1, None), 0, 256)
     agreeing = [r for r in results if r[0] == r[1]]
     assert len(agreeing) == 256  # Z_4 is commutative: no matrix is one-sided
     assert len({id(r) for r in agreeing}) == len({r[:2] for r in agreeing}) == 2

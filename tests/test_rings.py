@@ -457,10 +457,9 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     assert IntegersMod(7).p_matmul(rows, rows) == ((4, 1), (0, 1))
     assert IntegersMod(9).p_matmul(rows, rows) == ((4, 6), (1, 7))
     assert Integers().p_matmul(rows, rows) == ((67, 78), (91, 106))
-    # one kernel per form and dimension (and term count, for a combination)
-    # serves every modulus
-    assert all(form in ("integer", "residue", "calls", "table") and 1 <= len(sizes) <= 2
-               and all(type(size) is int for size in sizes) for form, *sizes in rings._KERNELS)
+    # one kernel per form and dimension (and one combination) serves every modulus
+    assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
+               and kind in ([], ["combination"]) for form, dim, *kind in rings._KERNELS)
 
 
 @pytest.mark.parametrize("k", [2, 9, 12])
@@ -482,7 +481,7 @@ def test_table_kernels_return_payload_rows_like_every_form(k):
 def test_generated_kernels_reach_no_globals(form, dim):
     # the compiled source names only its own locals and these spec attributes,
     # for a product and for a combination of dim matrices alike
-    for key in ((form, dim), (form, dim, dim)):
+    for key in ((form, dim), (form, dim, "combination")):
         code = rings._KERNELS[key].__code__
         assert set(code.co_names) <= {"modulus", "p_add", "p_mul", "add", "mul"}
 

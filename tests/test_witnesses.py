@@ -6,6 +6,7 @@ import pytest
 
 from piregular import (
     BudgetExceeded,
+    FreeAlgebra,
     Integers,
     IntegersMod,
     InternalViolation,
@@ -26,6 +27,7 @@ from piregular import (
     integer_instance,
     left_witness_search,
     parse_matrix_literal,
+    parse_nc,
     parse_ring_spec,
     poly_ring,
     right_to_left_certificate,
@@ -157,6 +159,21 @@ def test_azumaya_rejects_bad_inputs():
         azumaya_lower_left(a, x, mat(Z5, "[[1]]"), 2, 1)  # w fails its identity
     with pytest.raises(PreconditionFailed):
         azumaya_lower_left(a, mat(Z5, "[[1]]"), mat(Z5, "[[3]]"), 2, 1)
+
+
+def test_step_functions_run_over_the_free_algebra():
+    # the three steps hold in any ring: over Q<a, ..., z>, A = [[1, a], [0, 0]]
+    # is idempotent and X = [[1 - ay, 0], [y, 1]] a right witness at every n
+    free = FreeAlgebra()
+
+    def nc(rows):
+        return SquareMatrix.from_rows(free, [[parse_nc(entry) for entry in row] for row in rows])
+
+    a, x = nc([["1", "a"], ["0", "0"]]), nc([["1 - a y", "0"], ["y", "1"]])
+    assert RightWitnessInstance(a, 2, x).n == 2
+    assert drazin_witness(a, x, 2) == a
+    assert exponent_raise(a, x, 1, 3).shift == 2
+    assert azumaya_lower_left(a, x, a, 3, 1) == a
 
 
 # -- full pipeline --------------------------------------------------------------
@@ -292,8 +309,9 @@ def test_step_functions_extend_the_instance_powers(monkeypatch):
 
 @pytest.mark.parametrize("dim", range(1, rings._KERNEL_CAP + 1))
 def test_building_c_makes_no_dot_call_up_to_the_kernel_cap(monkeypatch, dim):
-    # C is one call of the combination kernel, so a certificate makes only
-    # the p_dot calls of its one Berkowitz call on X
+    # in a scan's context C is one call of the combination kernel, so a
+    # certificate makes only the p_dot calls of its one Berkowitz call on X;
+    # a public call, which compiles no kernel for C, makes one more per entry
     insts = [integer_instance(dim // 2, dim - dim // 2, dim)]
     if dim <= 3:
         insts.append(sampled_finite_instance(IntegersMod(12), dim, dim))
@@ -304,8 +322,12 @@ def test_building_c_makes_no_dot_call_up_to_the_kernel_cap(monkeypatch, dim):
     for inst in insts:
         char_poly_rows(inst.X.ring, inst.X.rows)
         berkowitz = len(calls)
-        right_to_left_certificate(inst)
+        a, x = inst.A.rows, inst.X.rows
+        ctx = witnesses._Context(inst.A.ring, dim, inst.n, scan=True)
+        witnesses.certificate_rows(x, *witnesses.instance_rows(ctx, a, x))
         assert len(calls) == 2 * berkowitz
+        right_to_left_certificate(inst)
+        assert len(calls) == 3 * berkowitz + dim * dim
         calls.clear()
 
 
