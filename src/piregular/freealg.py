@@ -213,6 +213,7 @@ class FreeAlgebra:
     p_mul = staticmethod(operator.mul)
     p_dot = RingSpec.p_dot
     p_matmul, matmul, matmul_form = RingSpec.p_matmul, RingSpec.matmul, "calls"
+    p_accumulate, accumulate = RingSpec.p_accumulate, RingSpec.accumulate
 
     def gen(self, letter: str) -> NCPolynomial:
         return NCPolynomial.from_word(_check_word(letter))

@@ -16,9 +16,15 @@ built on every subset of at most ceil(k/2) arguments from one-argument
 splits (h = 1), smallest first, and then from one split of all k arguments
 in half.  s(H) stays on the left of s(S - H), so entries need not commute.
 That takes 18, 110 and 574 products for k = 4, 6, 8, against the 60, 1950
-and 109592 of a walk over all k! permutations.  Products are calls of the one
-``ring.matmul(dim)`` bound per identity, and sums ``p_add``/``p_sub``, on
-payload rows; one matrix is wrapped at the end.
+and 109592 of a walk over all k! permutations.  Each s(S) starts from the zero
+rows and adds or subtracts one term at a time with the one ``ring.accumulate(dim)``
+bound per identity, a generated kernel that folds the sum into the product, on
+payload rows, so one identity compiles one kernel per ring form and dimension;
+one matrix is wrapped at the end.
+
+The sampled check refuses, with ``BudgetExceeded``, an evaluation whose entry
+products (the recurrence's products times dim^3) and sampled entries pass
+``DEFAULT_BUDGET``, and the search more than ``DEFAULT_BUDGET`` tuples of units.
 """
 
 from __future__ import annotations
@@ -26,12 +32,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from typing import Optional, Sequence
 
-from .errors import DegreeTooLarge, DimMismatch, SpecMismatch
+from .errors import BudgetExceeded, DegreeTooLarge, DimMismatch, SpecMismatch
 from .jsonio import content_hash
 from .matrices import SquareMatrix, matrix_to_json
-from .rings import RingSpec, require_positive
+from .rings import DEFAULT_BUDGET, RingSpec, require_positive
 
 MAX_DEGREE = 8
 
@@ -39,6 +46,18 @@ MAX_DEGREE = 8
 def _require_degree(degree: int) -> None:
     if degree < 1 or degree > MAX_DEGREE:
         raise DegreeTooLarge(f"degree must be between 1 and {MAX_DEGREE}, got {degree}")
+
+
+def _recurrence_products(degree: int) -> int:
+    """The matrix products the subset recurrence makes for ``degree`` arguments."""
+    half = (degree + 1) // 2
+    return (sum(comb(degree, size) * size for size in range(2, half + 1))
+            + (comb(degree, half) if degree > half else 0))
+
+
+def _refuse_past_budget(work: int, what: str) -> None:
+    if work > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{what} takes {work} steps, past the budget {DEFAULT_BUDGET}")
 
 
 def standard_identity(mats: Sequence[SquareMatrix]) -> SquareMatrix:
@@ -54,33 +73,23 @@ def standard_identity(mats: Sequence[SquareMatrix]) -> SquareMatrix:
             raise SpecMismatch("all arguments must live over one ring")
         if mat.dim != first.dim:
             raise DimMismatch("all arguments must share one dimension")
-    ring = first.ring
-    matmul, half = ring.matmul(first.dim), (k + 1) // 2
+    ring, dim, half = first.ring, first.dim, (k + 1) // 2
+    acc, zeros = ring.accumulate(dim), ((ring.zero_payload(),) * dim,) * dim
     table = {(i,): mat.rows for i, mat in enumerate(mats)}
     for size in range(2, half + 1):
         for subset in combinations(range(k), size):
-            table[subset] = _signed_sum(ring, (
-                (pos % 2, matmul(mats[i].rows, table[subset[:pos] + subset[pos + 1:]]))
-                for pos, i in enumerate(subset)))
+            total = zeros
+            for pos, i in enumerate(subset):
+                total = acc(total, pos % 2, mats[i].rows, table[subset[:pos] + subset[pos + 1:]])
+            table[subset] = total
     everything = tuple(range(k))
     if k > half:  # the pos-th member i of H exceeds i - pos members of the rest
-        table[everything] = _signed_sum(ring, (
-            ((sum(part) - half * (half - 1) // 2) % 2,
-             matmul(table[part], table[tuple(j for j in everything if j not in part)]))
-            for part in combinations(everything, half)))
+        total = zeros
+        for part in combinations(everything, half):
+            total = acc(total, (sum(part) - half * (half - 1) // 2) % 2,
+                        table[part], table[tuple(j for j in everything if j not in part)])
+        table[everything] = total
     return SquareMatrix(ring, table[everything])
-
-
-def _signed_sum(ring, terms) -> tuple:
-    """Payload rows of the sum of ``(odd, rows)`` terms, the odd ones
-    subtracted; the first term is never odd."""
-    terms = iter(terms)
-    _, total = next(terms)
-    add, sub = ring.p_add, ring.p_sub
-    for odd, rows in terms:
-        op = sub if odd else add
-        total = tuple(tuple(map(op, ra, rb)) for ra, rb in zip(total, rows))
-    return total
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,6 +129,9 @@ def check_identity_on_samples(spec: RingSpec, dim: int, degree: int,
     stops at the first non-vanishing tuple, which becomes the witness."""
     require_positive(samples=samples, dim=dim, bound=bound)
     _require_degree(degree)
+    # one evaluation: its entry products, and the entries of its sampled arguments
+    _refuse_past_budget(_recurrence_products(degree) * dim ** 3 + degree * dim ** 2,
+                        f"one s_{degree} on {dim}-by-{dim} matrices")
     rng = random.Random(seed)
     witness = None
     for _ in range(samples):
@@ -150,6 +162,9 @@ def search_nonvanishing(spec: RingSpec, dim: int, degree: int) -> Optional[tuple
     first one on which the identity does not vanish, or None."""
     require_positive(dim=dim)
     _require_degree(degree)
+    # the tuples to try, or at degree 1 the dim^4 entries of the units themselves
+    _refuse_past_budget(dim ** (2 * max(degree, 2)),
+                        f"searching s_{degree} on {dim}-by-{dim} matrix units")
     units = matrix_units(spec, dim)
     for combo in product(units, repeat=degree):
         if not standard_identity(combo).is_zero:

@@ -21,7 +21,8 @@ straight-line code in one of three entry forms: plain ``+`` and ``*`` over
 the integers, the same with one ``% modulus`` per entry mod k, and
 ``p_add``/``p_mul`` calls for every other ring; above that, ``p_matmul``
 loops over ``p_dot``, as a kernel grows as dim^3; ``combination(dim)`` binds
-a certificate's C alike.  A fourth form, ``table``, serves :mod:`piregular.lab`
+a certificate's C alike, and ``accumulate(dim)`` a signed term ``c +- l*r`` of a
+standard identity.  A fourth form, ``table``, serves :mod:`piregular.lab`
 at every dimension (its budget keeps dim <= 20) on rows of element indices.
 Kernels are cached in the module on first use, never on a spec; a binding is
 a fresh ``partial`` of one and the spec.
@@ -85,7 +86,8 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
     return one() if result is None else result
 
 
-DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, n * dim, the size of a parsed power
+DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, n * dim, the size of a parsed power,
+# the steps of one sampled identity and the unit tuples of a search
 WORK_BUDGET = 1 << 18  # the term products made while parsing one text
 
 
@@ -164,6 +166,18 @@ class RingSpec:
     def p_combination(self, s, mats) -> tuple:
         """The sum of ``s[t]*mats[t]``, one ``p_dot`` of ``s`` per stack of entries."""
         return tuple([tuple([self.p_dot(s, stack) for stack in zip(*rows)]) for rows in zip(*mats)])
+
+    def accumulate(self, dim: int):
+        """:meth:`p_accumulate` bound like :meth:`matmul`: a kernel up to ``_KERNEL_CAP``."""
+        if dim <= _KERNEL_CAP:
+            return partial(_KERNELS[self.matmul_form, dim, "accumulate"], self)
+        return self.p_accumulate
+
+    def p_accumulate(self, c, negative, l, r) -> tuple:
+        """``c - l*r`` if ``negative``, else ``c + l*r``: one :meth:`p_matmul`, then
+        entrywise ``p_sub`` or ``p_add``."""
+        op = self.p_sub if negative else self.p_add
+        return tuple([tuple(map(op, rc, rp)) for rc, rp in zip(c, self.p_matmul(l, r))])
 
     def p_from_int(self, n: int) -> Payload:
         raise NotImplementedError
@@ -300,8 +314,12 @@ def _product_kernel(key):
     keeping the left factor on the left, so entries need not commute.  ``table``
     folds ``spec.add[x][y]`` over ``spec.mul[x][y]`` alike, on rows of element
     indices.  ``(form, m, "combination")`` writes ``l[0]*r[0] + ... + l[m-1]*r[m-1]``
-    alike, coefficient on the left.  Sources hold only integer indices and names."""
-    (form, m), combination = key[:2], key[2:] == ("combination",)
+    alike, coefficient on the left.  ``(form, m, "accumulate")`` gives
+    ``kernel(spec, c, negative, l, r)``, ``c - l*r`` if ``negative`` else ``c + l*r``:
+    ``c + s*(...)`` with ``s = -1`` or ``1``, one ``% k`` after it, or ``acc(c, ...)``
+    with ``acc`` bound to ``spec.p_sub`` or ``spec.p_add``; it has no ``table`` form.
+    Sources hold only integer indices and names."""
+    (form, m), kind = key[:2], key[2] if len(key) > 2 else "product"
     prelude = {"integer": "pass", "residue": "k = spec.modulus",
                "calls": "add, mul = spec.p_add, spec.p_mul",
                "table": "add, mul = spec.add, spec.mul"}[form]
@@ -312,20 +330,29 @@ def _product_kernel(key):
             "(" + " ".join(cell(i, j) + "," for j in range(m)) + ")," for i in range(m)) + ")"
 
     def entry(i, j) -> str:
-        pairs = ([(f"a{k}", f"b{k}_{i}_{j}") for k in range(m)] if combination
+        pairs = ([(f"a{k}", f"b{k}_{i}_{j}") for k in range(m)] if kind == "combination"
                  else [(f"a{i}_{k}", f"b{k}_{j}") for k in range(m)])
         if form in ("calls", "table"):
-            return reduce(partial(op.format, "add"), (op.format("mul", x, y) for x, y in pairs))
+            total = reduce(partial(op.format, "add"), (op.format("mul", x, y) for x, y in pairs))
+            return f"acc(c{i}_{j}, {total})" if kind == "accumulate" else total
         total = " + ".join(f"{x}*{y}" for x, y in pairs)
+        if kind == "accumulate":
+            total = f"c{i}_{j} + s*({total})"
         return f"({total}) % k" if form == "residue" else total
 
+    head, lines = "def kernel(spec, l, r):", (prelude,)
+    if kind == "accumulate":
+        sign = ("acc = spec.p_sub if negative else spec.p_add" if form == "calls"
+                else "s = -1 if negative else 1")
+        head = "def kernel(spec, c, negative, l, r):"
+        lines = (prelude, sign, square("c{}_{}".format) + " = c")
     left, right = ((" ".join(f"a{k}," for k in range(m)),
                     " ".join(square(f"b{k}_{{}}_{{}}".format) + "," for k in range(m)))
-                   if combination else (square("a{}_{}".format), square("b{}_{}".format)))
-    source = "\n    ".join(("def kernel(spec, l, r):", prelude, f"{left} = l", f"{right} = r",
+                   if kind == "combination" else (square("a{}_{}".format), square("b{}_{}".format)))
+    source = "\n    ".join((head, *lines, f"{left} = l", f"{right} = r",
                             "return " + square(entry)))
-    namespace, what = {}, "combination" if combination else "product"
-    exec(compile(source, f"<{m}x{m} {form} {what}>", "exec"), namespace)
+    namespace = {}
+    exec(compile(source, f"<{m}x{m} {form} {kind}>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -635,7 +662,7 @@ class _Table(dict):
         return value
 
 
-_KERNELS = _Table(_product_kernel)  # (form, dim[, "combination"]) -> kernel; filled on first use
+_KERNELS = _Table(_product_kernel)  # (form, dim[, kind]) -> kernel; filled on first use
 
 
 def _memo_ops(spec: "QuotientPoly") -> dict:

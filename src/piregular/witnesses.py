@@ -16,9 +16,10 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
 
 The pipeline is :func:`instance_rows` then :func:`certificate_rows` on payload
 rows, in a context made once per public call or scan that checks n >= 1 and
-n*dim <= DEFAULT_BUDGET and binds the product and I.  The instance check starts
-one table of powers of A that every later stage fills in place, so each power
-is computed once.  A failure raises.  The verifier makes a context and a table
+n*dim <= DEFAULT_BUDGET and binds the product; it builds I only when a table
+reads A^0, as a certificate's C does.  The instance check starts one table of
+powers of A that every later stage fills in place, so each power is computed
+once.  A failure raises.  The verifier makes a context and a table
 of its own (no power if N != n*dim) and checks p against one Berkowitz call on
 X; emitting trusts only this producer's certificates.
 """
@@ -50,28 +51,31 @@ from .rings import (
 
 
 class _Context:
-    """The bound product and I of one ring, dimension and n, and on a first certificate
-    what only certificates use; it pickles as its arguments.  Only a ``scan``, with
+    """The bound product of one ring, dimension and n, and on a first certificate what only
+    certificates use, I among it; it pickles as its arguments.  Only a ``scan``, with
     thousands of certificates, repays the compile of C's kernel (the saving of 45-70
     certificates); a public call certifies one and builds C by ``p_dot``."""
 
-    __slots__ = ("ring", "dim", "n", "scan", "mul", "ident", "_certifying")
+    __slots__ = ("ring", "dim", "n", "scan", "mul", "_certifying")
 
     def __init__(self, ring, dim: int, n: int, scan: bool = False):
         require_positive(PreconditionFailed, exponent=n)
         _check_exponent_budget(n, dim)
         self.ring, self.dim, self.n, self.scan, self.mul = ring, dim, n, scan, ring.matmul(dim)
-        zero, one = ring.zero_payload(), ring.one_payload()
-        self.ident = tuple([(zero,) * i + (one,) + (zero,) * (dim - 1 - i) for i in range(dim)])
         self._certifying = None
 
+    def identity(self) -> tuple:
+        """The rows of I, A^0 of a table that reads it; instances and verifications never do."""
+        zero, one, dim = self.ring.zero_payload(), self.ring.one_payload(), self.dim
+        return tuple([(zero,) * i + (one,) + (zero,) * (dim - 1 - i) for i in range(dim)])
+
     def certifying(self) -> tuple:
-        """(C's bound combination, p's N zeros, a certificate's exponents), made once."""
+        """(C's bound combination, I, p's N zeros, a certificate's other exponents), made once."""
         if self._certifying is None:
             ring, dim, n, big_n = self.ring, self.dim, self.n, self.n * self.dim
             combine = ring.combination(dim) if self.scan else ring.p_combination
-            self._certifying = (combine, (ring.zero_payload(),) * big_n,
-                                (*range(dim), big_n - n, big_n, big_n + 1))
+            self._certifying = (combine, self.identity(), (ring.zero_payload(),) * big_n,
+                                (*range(1, dim), big_n - n, big_n, big_n + 1))
         return self._certifying
 
     def __reduce__(self):
@@ -79,13 +83,13 @@ class _Context:
 
 
 class _Powers(dict):
-    """k -> rows of A^k, from A^0 = I and A^1 = ``a``, with the context ``ctx``
-    and its product ``mul``, the one product of every power and check on A."""
+    """k -> rows of A^k, from A^1 = ``a``, with the context ``ctx`` and its product
+    ``mul``, the one product of every power and check on A; A^0 is the context's I."""
 
     __slots__ = ("ctx", "a", "mul")
 
     def __init__(self, ctx: _Context, a):
-        self[0], self[1] = ctx.ident, a
+        self[1] = a
         self.ctx, self.a, self.mul = ctx, a, ctx.mul
 
     def fill(self, exponents) -> "_Powers":
@@ -94,7 +98,8 @@ class _Powers(dict):
         a, mul = self.a, self.mul
         for k in exponents:
             if k not in self:
-                self[k] = mul(self[k - 1], a) if k - 1 in self else binary_power(a, k, None, mul)
+                self[k] = (mul(self[k - 1], a) if k - 1 in self
+                           else binary_power(a, k, self.ctx.identity, mul))
         return self
 
 
@@ -244,8 +249,9 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
 def certificate_rows(x, powers, ax) -> tuple:
     """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
     ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
-    ctx, mul, (combine, zeros, exponents) = powers.ctx, powers.mul, powers.ctx.certifying()
+    ctx, mul, (combine, ident, zeros, exponents) = powers.ctx, powers.mul, powers.ctx.certifying()
     ring, n, big_n = ctx.ring, ctx.n, ctx.n * ctx.dim
+    powers[0] = ident
     powers.fill(exponents)
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
     chi = char_poly_rows(ring, x)

@@ -175,21 +175,25 @@ def naive_difference(lhs, rhs):
 def count_products(monkeypatch):
     """Count the matrix products over Z_k: each call of ``p_matmul`` (a
     SquareMatrix product is one) and each call of a product bound by
-    ``matmul(dim)``, as the witness pipeline, the verifier and the standard
-    identity make them on payload rows.  Above the kernel cap ``matmul(dim)``
-    is ``p_matmul`` itself, so its calls are counted once."""
+    ``matmul(dim)`` or a signed term bound by ``accumulate(dim)``, as the
+    witness pipeline, the verifier and the standard identity make them on
+    payload rows.  Above the kernel cap both bindings end in ``p_matmul``
+    itself, so their calls are counted once."""
     calls = []
-    plain_matmul, plain_bound = IntegersMod.p_matmul, IntegersMod.matmul
+    plain_matmul = IntegersMod.p_matmul
 
-    def bound(self, dim):
-        mul = plain_bound(self, dim)
-        if dim > _KERNEL_CAP:
-            return mul
-        return lambda a, b: calls.append(1) or mul(a, b)
+    def counted(plain):
+        def bound(self, dim):
+            op = plain(self, dim)
+            if dim > _KERNEL_CAP:
+                return op
+            return lambda *args: calls.append(1) or op(*args)
+        return bound
 
     monkeypatch.setattr(IntegersMod, "p_matmul",
                         lambda self, a, b: calls.append(1) or plain_matmul(self, a, b))
-    monkeypatch.setattr(IntegersMod, "matmul", bound)
+    monkeypatch.setattr(IntegersMod, "matmul", counted(IntegersMod.matmul))
+    monkeypatch.setattr(IntegersMod, "accumulate", counted(IntegersMod.accumulate))
     return calls
 
 

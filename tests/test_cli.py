@@ -537,6 +537,18 @@ def test_nf_of_a_large_power_is_fast(capsys):
     assert json.loads(capsys.readouterr().out)["kind"] == "normal-form"
 
 
+def test_an_identity_check_past_the_budget_exits_2_at_once(capsys):
+    # 2 * 100000^3 entry products for one s_2: refused before any matrix is drawn
+    start = time.perf_counter()
+    assert dispatch(["identity-check", "--ring", "zmod:2", "--dim", "100000",
+                     "--degree", "2", "--samples", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "past the budget" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_exit_code_matrix_subprocess():
     # one scripted sweep through all three exit codes via the real entrypoint
     table = [

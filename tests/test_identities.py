@@ -6,6 +6,7 @@ import pytest
 
 from piregular import (
     FREE,
+    BudgetExceeded,
     DegreeTooLarge,
     Integers,
     IntegersMod,
@@ -18,11 +19,12 @@ from piregular import (
     search_nonvanishing,
     standard_identity,
 )
-from piregular import identities
+from piregular import identities, rings
 
 from helpers import count_products, permutation_standard_identity, random_matrix
 
 Z = Integers()
+Z2 = IntegersMod(2)
 Z4 = IntegersMod(4)
 Z6 = IntegersMod(6)
 
@@ -83,10 +85,67 @@ def test_product_counts_follow_the_subset_recurrence(monkeypatch):
     rng = random.Random(9)
     tuples = {degree: [random_matrix(Z4, 3, rng) for _ in range(degree)] for degree in (4, 6, 8)}
     calls = count_products(monkeypatch)
-    for degree, most in ((4, 18), (6, 110), (8, 574)):
+    for degree, products in ((4, 18), (6, 110), (8, 574)):
         calls.clear()
         assert standard_identity(tuples[degree]).is_zero == (degree >= 6)
-        assert 0 < len(calls) <= most
+        assert len(calls) == products
+
+
+def test_one_identity_compiles_one_kernel_per_form_and_dim(monkeypatch):
+    rng = random.Random(10)
+    gens = [SquareMatrix.from_rows(FREE, [[FREE.gen(letter)]]) for letter in "abcdwx"]
+    cases = [(Z6, 2, 4), (Z, 3, 6), (parse_ring_spec("quot:zmod:3:t^2"), 2, 5), (Z4, 4, 8),
+             (FREE, 1, 6)]
+    for spec, dim, degree in cases:
+        compiled = []
+        monkeypatch.setattr(rings, "_KERNELS", rings._Table(
+            lambda key: compiled.append(key) or rings._product_kernel(key)))
+        standard_identity(gens if spec is FREE
+                          else [random_matrix(spec, dim, rng, 3) for _ in range(degree)])
+        assert compiled == [(spec.matmul_form, dim, "accumulate")], spec
+
+
+def test_the_recurrence_counts_its_products():
+    assert [identities._recurrence_products(k) for k in range(1, 9)] == [
+        0, 2, 9, 18, 60, 110, 322, 574]
+
+
+class Drawn(Exception):
+    """Raised in place of building matrices: the budget let the call through."""
+
+
+def refuse_to_draw(*args):
+    raise Drawn
+
+
+@pytest.mark.parametrize("dim, degree, refused", [
+    (4, 8, False),  # the largest size the suite and the benchmark evaluate
+    (12, 8, False),  # 574 * 12^3 entry products + 8 * 12^2 entries = 993024 <= 2^20
+    (13, 8, True),
+    (80, 2, False),  # 2 * 80^3 + 2 * 80^2 = 1036800
+    (81, 2, True),
+    (1024, 1, False),  # no product, 1024^2 entries: exactly the budget
+    (1025, 1, True),
+    (100000, 2, True),
+])
+def test_sampling_refuses_an_evaluation_past_the_budget(monkeypatch, dim, degree, refused):
+    monkeypatch.setattr(identities, "_sample_matrix", refuse_to_draw)
+    with pytest.raises(BudgetExceeded if refused else Drawn):
+        check_identity_on_samples(Z2, dim, degree, samples=1, seed=0)
+
+
+@pytest.mark.parametrize("dim, degree, refused", [
+    (2, 8, False),  # 4^8 tuples
+    (4, 5, False),  # 16^5 = 2^20: exactly the budget
+    (4, 6, True),
+    (32, 1, False),  # 32^2 units of 32^2 entries: exactly the budget
+    (33, 1, True),
+    (100000, 3, True),
+])
+def test_the_search_refuses_tuples_past_the_budget(monkeypatch, dim, degree, refused):
+    monkeypatch.setattr(identities, "matrix_units", refuse_to_draw)
+    with pytest.raises(BudgetExceeded if refused else Drawn):
+        search_nonvanishing(Z2, dim, degree)
 
 
 def test_antisymmetry():

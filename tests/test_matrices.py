@@ -447,6 +447,36 @@ def test_every_entry_form_and_the_loop_combine_like_the_oracle(kind, dim):
     assert SquareMatrix(ring, got) == SquareMatrix.from_rows(ring, expected)
 
 
+@pytest.mark.parametrize("negative", [False, True])
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_every_entry_form_and_the_loop_accumulate_like_the_oracle(kind, dim, negative):
+    # accumulate(dim) against c - l*r or c + l*r with the naive product
+    ring, _, c, l, r = kernel_matrices(kind, dim, seed=dim + 20)
+    term = naive_product(ring, l.entries, r.entries)
+    expected = (naive_difference if negative else naive_sum)(c.entries, term)
+    got = SquareMatrix(ring, ring.accumulate(dim)(c.rows, negative, l.rows, r.rows))
+    assert got == SquareMatrix.from_rows(ring, expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+def test_accumulate_keeps_the_left_factor_on_the_left(dim):
+    # l's letters come from "abcd" and r's from "xyz", so every word of l*r
+    # starts in "abcd", where a product with l on the right would start in "xyz"
+    rng = random.Random(dim)
+
+    def rows(letters):
+        return tuple(tuple(FREE.gen(rng.choice(letters)) for _ in range(dim)) for _ in range(dim))
+
+    c, l, r = rows("w"), rows("abcd"), rows("xyz")
+    for negative in (False, True):
+        got = FREE.accumulate(dim)(c, negative, l, r)
+        expected = (naive_difference if negative else naive_sum)(c, naive_product(FREE, l, r))
+        assert [list(row) for row in got] == expected
+        words = {word for row in got for entry in row for word in entry.terms()} - {"w"}
+        assert words and all(len(word) == 2 and word[0] in "abcd" for word in words)
+
+
 def check_against_oracles(case, exponent):
     ring, dim, a, b, c = case
     ea, eb = a.entries, b.entries

@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 import random
 import subprocess
@@ -457,9 +458,14 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     assert IntegersMod(7).p_matmul(rows, rows) == ((4, 1), (0, 1))
     assert IntegersMod(9).p_matmul(rows, rows) == ((4, 6), (1, 7))
     assert Integers().p_matmul(rows, rows) == ((67, 78), (91, 106))
-    # one kernel per form and dimension (and one combination) serves every modulus
+    # rows -+ rows^2, as a signed term of a standard identity
+    assert IntegersMod(7).accumulate(2)(rows, True, rows, rows) == ((1, 5), (0, 0))
+    assert IntegersMod(9).accumulate(2)(rows, True, rows, rows) == ((1, 0), (6, 1))
+    assert IntegersMod(9).accumulate(2)(rows, False, rows, rows) == ((0, 3), (8, 6))
+    # one kernel per form and dimension (and one of each other kind) serves every modulus
     assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
-               and kind in ([], ["combination"]) for form, dim, *kind in rings._KERNELS)
+               and kind in ([], ["combination"], ["accumulate"])
+               for form, dim, *kind in rings._KERNELS)
 
 
 @pytest.mark.parametrize("k", [2, 9, 12])
@@ -480,10 +486,31 @@ def test_table_kernels_return_payload_rows_like_every_form(k):
 @pytest.mark.parametrize("form", ["integer", "residue", "calls", "table"])
 def test_generated_kernels_reach_no_globals(form, dim):
     # the compiled source names only its own locals and these spec attributes,
-    # for a product and for a combination of dim matrices alike
-    for key in ((form, dim), (form, dim, "combination")):
+    # for a product, a combination of dim matrices and a signed term alike;
+    # index rows are never summed with a sign, so ``table`` has no signed term
+    kinds = ("combination",) if form == "table" else ("combination", "accumulate")
+    for key in ((form, dim), *((form, dim, kind) for kind in kinds)):
         code = rings._KERNELS[key].__code__
-        assert set(code.co_names) <= {"modulus", "p_add", "p_mul", "add", "mul"}
+        assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul"}
+
+
+def test_product_and_combination_sources_are_unchanged(monkeypatch):
+    # the product and combination kernels keep their sources byte for byte
+    # next to the signed-term kind: the sha256 of these 40, file names included
+    seen = []
+
+    def capture(source, filename, mode):
+        seen.append(f"{filename}\n{source}\n")
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(rings, "compile", capture, raising=False)
+    for form in ("integer", "residue", "calls", "table"):
+        for dim in (1, 2, 3, 4, 8):
+            for key in ((form, dim), (form, dim, "combination")):
+                rings._product_kernel(key)
+    assert len(seen) == 40
+    assert hashlib.sha256("".join(seen).encode()).hexdigest() == (
+        "429de98f73e8d86e615e2ead123ef292459d95b737676a9f4fc9d8a30f840900")
 
 
 def test_importing_the_package_compiles_no_kernel():

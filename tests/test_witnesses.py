@@ -173,7 +173,26 @@ def test_step_functions_run_over_the_free_algebra():
     assert RightWitnessInstance(a, 2, x).n == 2
     assert drazin_witness(a, x, 2) == a
     assert exponent_raise(a, x, 1, 3).shift == 2
+    assert exponent_raise(a, x, 2, 2).shift == 0
     assert azumaya_lower_left(a, x, a, 3, 1) == a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_only_a_zeroth_power_builds_the_identity(n, monkeypatch):
+    # I is built on demand: an instance and a verification never read A^0, a
+    # certificate's C does once per context, and exponent_raise at m = n reads x^0
+    built = []
+    identity = witnesses._Context.identity
+    monkeypatch.setattr(witnesses._Context, "identity",
+                        lambda ctx: built.append(ctx.dim) or identity(ctx))
+    a, x = mat(Z9, "[[1,3],[0,0]]"), mat(Z9, "[[4,0],[2,1]]")  # A idempotent, AX = A
+    inst = RightWitnessInstance(a, n, x)
+    assert built == [] and 0 not in inst._checked_rows[0]
+    cert = right_to_left_certificate(inst)
+    assert built == [2] and inst._checked_rows[0][0] == SquareMatrix.identity(Z9, 2).rows
+    assert verify_certificate(cert).ok and built == [2]
+    record = exponent_raise(a, x, n, n)
+    assert (record.n, record.m, record.shift) == (n, n, 0) and built == [2, 2]
 
 
 # -- full pipeline --------------------------------------------------------------
