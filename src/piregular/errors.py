@@ -31,8 +31,8 @@ class NotEnumerable(PiregularError):
 
 
 class BudgetExceeded(PiregularError):
-    """A scan, a table, an instance's n * dim, a parsed power's size, one
-    sampled standard identity's work or a search's tuples of matrix units
+    """A scan, a table, an instance's n * dim, a parsed power's size, the
+    work of a sampled standard identity's samples or a search's tuples of matrix units
     would exceed DEFAULT_BUDGET (2^20), the term products made parsing one text
     would exceed WORK_BUDGET (2^18), or a result holds an integer with more
     digits than CPython turns into text (``sys.get_int_max_str_digits()``,

@@ -22,9 +22,10 @@ bound per identity, a generated kernel that folds the sum into the product, on
 payload rows, so one identity compiles one kernel per ring form and dimension;
 one matrix is wrapped at the end.
 
-The sampled check refuses, with ``BudgetExceeded``, an evaluation whose entry
-products (the recurrence's products times dim^3) and sampled entries pass
-``DEFAULT_BUDGET``, and the search more than ``DEFAULT_BUDGET`` tuples of units.
+The sampled check refuses, with ``BudgetExceeded``, a run whose samples times
+one evaluation's entry products (the recurrence's products times dim^3) and
+sampled entries pass ``DEFAULT_BUDGET``, and the search more than
+``DEFAULT_BUDGET`` tuples of units.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, DegreeTooLarge, DimMismatch, SpecMismatch
 from .jsonio import content_hash
-from .matrices import SquareMatrix, matrix_to_json
+from .matrices import SquareMatrix, _require_commutative, matrix_to_json
 from .rings import DEFAULT_BUDGET, RingSpec, require_positive
 
 MAX_DEGREE = 8
@@ -127,11 +128,12 @@ def check_identity_on_samples(spec: RingSpec, dim: int, degree: int,
                               samples: int, seed: int, bound: int = 9) -> IdentityReport:
     """Sample tuples deterministically and evaluate the identity on each;
     stops at the first non-vanishing tuple, which becomes the witness."""
+    _require_commutative(spec, "sampled identity checks")  # the free algebra has no sampler
     require_positive(samples=samples, dim=dim, bound=bound)
     _require_degree(degree)
-    # one evaluation: its entry products, and the entries of its sampled arguments
-    _refuse_past_budget(_recurrence_products(degree) * dim ** 3 + degree * dim ** 2,
-                        f"one s_{degree} on {dim}-by-{dim} matrices")
+    # each evaluation: its entry products, and the entries of its sampled arguments
+    _refuse_past_budget(samples * (_recurrence_products(degree) * dim ** 3 + degree * dim ** 2),
+                        f"{samples} samples of s_{degree} on {dim}-by-{dim} matrices")
     rng = random.Random(seed)
     witness = None
     for _ in range(samples):

@@ -2,11 +2,11 @@
 
 A matrix holds rows of canonical payloads and does all of its arithmetic
 on them through the entry ring's payload methods (``p_add``, ``p_dot``,
-...).  A product is the ring's ``p_matmul`` or, for a run of products of one
-dimension, ``matmul(dim)`` bound once: a generated straight-line kernel up to
-dimension 8, a loop of ``p_dot`` calls above.  ``SquareMatrix.__mul__`` is
-the checked boundary wrapper of a one-off product, which matches ring and
-dimension and then makes one ``p_matmul`` call.  ``RingElem`` appears
+...).  A product is the ring's ``matmul(dim)``, bound once for a run of
+products of one dimension: a generated straight-line kernel up to dimension
+8, a loop of ``p_dot`` calls above.  ``SquareMatrix.__mul__`` is the checked
+boundary wrapper of a one-off product, which matches ring and dimension and
+then binds and calls ``matmul(dim)``.  ``RingElem`` appears
 only at the boundary, in ``entries`` and ``entry``.  Matrix arithmetic
 never assumes the entry ring is commutative, so the same type also carries
 matrices over the free algebra, whose payloads are the polynomials
@@ -129,7 +129,8 @@ class SquareMatrix:
         return SquareMatrix(self.ring, tuple(tuple(map(neg, row)) for row in self.rows))
 
     def __mul__(self, other):
-        return SquareMatrix(self.ring, self.ring.p_matmul(self.rows, self._match(other).rows))
+        rows = self._match(other).rows
+        return SquareMatrix(self.ring, self.ring.matmul(len(rows))(self.rows, rows))
 
     def __pow__(self, exponent: int):
         return binary_power(self, exponent, lambda: SquareMatrix.identity(self.ring, self.dim))
@@ -234,11 +235,13 @@ def right_evaluate_poly(f, mat: SquareMatrix) -> SquareMatrix:
         raise SpecMismatch("polynomial and matrix live over different rings")
     if f.dim != dim:
         raise DimMismatch(f"coefficient dimension {f.dim}, matrix dimension {dim}")
-    zero, result = mat.ring.zero_payload(), SquareMatrix.zeros(mat.ring, dim)
+    # Horner on payload rows: result = C_k + A*result, one bound multiply-accumulate per C_k
+    acc, zero = mat.ring.accumulate(dim), mat.ring.zero_payload()
+    result = ((zero,) * dim,) * dim
     for k in range(max(len(c) for row in f.rows for c in row) - 1, -1, -1):
-        result = mat * result + SquareMatrix(mat.ring, tuple(
-            tuple(c[k] if k < len(c) else zero for c in row) for row in f.rows))
-    return result
+        result = acc(tuple(tuple(c[k] if k < len(c) else zero for c in row) for row in f.rows),
+                     False, mat.rows, result)
+    return SquareMatrix(mat.ring, result)
 
 
 def parse_matrix_literal(spec: RingSpec, text: str) -> SquareMatrix:

@@ -13,19 +13,19 @@ values carrying a canonical payload, so structural equality is ring equality:
 Berkowitz) runs on bare payloads through the spec's ``p_*`` methods, and
 wraps a payload into a ``RingElem`` only when it is handed back to a caller.
 
-``RingSpec.p_matmul`` makes one product on payload rows, and
-``RingSpec.matmul(dim)`` binds the same product once for a run of products
-of one ring and dimension.  Up to dimension 8 both call a kernel generated
-for that dimension, with every ``l[i][k]*r[k][j]`` term written out as
-straight-line code in one of three entry forms: plain ``+`` and ``*`` over
-the integers, the same with one ``% modulus`` per entry mod k, and
-``p_add``/``p_mul`` calls for every other ring; above that, ``p_matmul``
-loops over ``p_dot``, as a kernel grows as dim^3; ``combination(dim)`` binds
-a certificate's C alike, and ``accumulate(dim)`` a signed term ``c +- l*r`` of a
-standard identity.  A fourth form, ``table``, serves :mod:`piregular.lab`
-at every dimension (its budget keeps dim <= 20) on rows of element indices.
-Kernels are cached in the module on first use, never on a spec; a binding is
-a fresh ``partial`` of one and the spec.
+Every matrix product on payload rows is a call of ``RingSpec.matmul(dim)``,
+bound once for a run of products of one ring and dimension.  Up to dimension
+8 it is a kernel generated for that dimension, with every ``l[i][k]*r[k][j]``
+term written out as straight-line code in one of three entry forms: plain
+``+`` and ``*`` over the integers, the same with one ``% modulus`` per entry
+mod k, and ``p_add``/``p_mul`` calls for every other ring; above that it is
+``p_matmul``, a loop over ``p_dot``, as a kernel grows as dim^3.
+``combination(dim)`` binds a certificate's C alike, and ``accumulate(dim)`` a
+signed term ``c +- l*r``.  A fourth form, ``table``, serves
+:mod:`piregular.lab` at every dimension (its budget keeps dim <= 20) on rows
+of element indices.  Kernels are cached in the module under ``(form, dim,
+kind)`` on first use, never on a spec; a binding is a fresh ``partial`` of
+one and the spec.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -87,7 +87,7 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
 
 
 DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, n * dim, the size of a parsed power,
-# the steps of one sampled identity and the unit tuples of a search
+# the steps of a sampled identity's samples and the unit tuples of a search
 WORK_BUDGET = 1 << 18  # the term products made while parsing one text
 
 
@@ -135,26 +135,18 @@ class RingSpec:
     matmul_form = "calls"  # how the generated product kernel combines entries
 
     def p_matmul(self, rows, other_rows) -> tuple:
-        """Payload rows of the product of two square matrices' payload rows,
-        for a one-off product.  Up to dimension ``_KERNEL_CAP`` it calls the
-        straight-line kernel of this ring's ``matmul_form``, compiled on the
-        first product of that form and dimension; above it, a loop of
-        ``p_dot`` calls, since the kernel's source grows as dim^3."""
-        if len(rows) <= _KERNEL_CAP:
-            return _KERNELS[self.matmul_form, len(rows)](self, rows, other_rows)
-        cols, dot, out = tuple(zip(*other_rows)), self.p_dot, []
-        for row in rows:
-            new = []
-            for col in cols:
-                new.append(dot(row, col))
-            out.append(tuple(new))
-        return tuple(out)
+        """Payload rows of the product of two square matrices' payload rows, one
+        ``p_dot`` per entry: :meth:`matmul` above ``_KERNEL_CAP``, since a kernel's
+        source grows as dim^3."""
+        cols, dot = tuple(zip(*other_rows)), self.p_dot
+        return tuple([tuple([dot(row, col) for col in cols]) for row in rows])
 
     def matmul(self, dim: int):
-        """The product of two ``dim``-by-``dim`` payload-row matrices, bound once: the
-        kernel :meth:`p_matmul` looks up per call, or ``p_matmul`` above ``_KERNEL_CAP``."""
+        """The product of two ``dim``-by-``dim`` payload-row matrices, bound once for a
+        run of products: the kernel of this ring's form and ``dim`` as a ``partial`` of
+        it and this spec, compiled on its first binding; :meth:`p_matmul` above ``_KERNEL_CAP``."""
         if dim <= _KERNEL_CAP:
-            return partial(_KERNELS[self.matmul_form, dim], self)
+            return partial(_KERNELS[self.matmul_form, dim, "product"], self)
         return self.p_matmul
 
     def combination(self, dim: int):
@@ -307,7 +299,7 @@ _KERNEL_CAP = 8  # largest dimension with a payload kernel: 3-9 ms to compile at
 
 def _product_kernel(key):
     """``kernel(spec, l, r)``, the product of the m-by-m matrices ``l`` and
-    ``r`` in entry form ``form``, for ``key = (form, m)``.  Every
+    ``r`` in entry form ``form``, for ``key = (form, m, "product")``.  Every
     ``l[i][k]*r[k][j]`` term is written out: ``integer`` sums the terms with
     ``+`` and ``*``, ``residue`` then takes one ``% spec.modulus`` per entry,
     and ``calls`` folds ``spec.p_add`` over ``spec.p_mul`` from the left,
@@ -319,7 +311,7 @@ def _product_kernel(key):
     ``c + s*(...)`` with ``s = -1`` or ``1``, one ``% k`` after it, or ``acc(c, ...)``
     with ``acc`` bound to ``spec.p_sub`` or ``spec.p_add``; it has no ``table`` form.
     Sources hold only integer indices and names."""
-    (form, m), kind = key[:2], key[2] if len(key) > 2 else "product"
+    form, m, kind = key
     prelude = {"integer": "pass", "residue": "k = spec.modulus",
                "calls": "add, mul = spec.p_add, spec.p_mul",
                "table": "add, mul = spec.add, spec.mul"}[form]
@@ -482,15 +474,9 @@ def _strip(base: RingSpec, coeffs: list) -> tuple:
 
 
 def _seq_add(base: RingSpec, a, b) -> tuple:
-    out = []
-    for i in range(max(len(a), len(b))):
-        if i >= len(a):
-            out.append(b[i])
-        elif i >= len(b):
-            out.append(a[i])
-        else:
-            out.append(base.p_add(a[i], b[i]))
-    return _strip(base, out)
+    if not a or not b:  # the other operand is already canonical
+        return a or b
+    return _strip(base, [*map(base.p_add, a, b), *(a[len(b):] or b[len(a):])])
 
 
 def _seq_neg(base: RingSpec, a) -> tuple:
@@ -662,7 +648,7 @@ class _Table(dict):
         return value
 
 
-_KERNELS = _Table(_product_kernel)  # (form, dim[, kind]) -> kernel; filled on first use
+_KERNELS = _Table(_product_kernel)  # (form, dim, kind) -> kernel; filled on first use
 
 
 def _memo_ops(spec: "QuotientPoly") -> dict:

@@ -173,12 +173,12 @@ def naive_difference(lhs, rhs):
 
 
 def count_products(monkeypatch):
-    """Count the matrix products over Z_k: each call of ``p_matmul`` (a
-    SquareMatrix product is one) and each call of a product bound by
-    ``matmul(dim)`` or a signed term bound by ``accumulate(dim)``, as the
-    witness pipeline, the verifier and the standard identity make them on
-    payload rows.  Above the kernel cap both bindings end in ``p_matmul``
-    itself, so their calls are counted once."""
+    """Count the matrix products over Z_k: each call of a product bound by
+    ``matmul(dim)`` (a SquareMatrix product is one) or a signed term bound by
+    ``accumulate(dim)``, as the witness pipeline, the verifier and the
+    standard identity make them on payload rows.  Above the kernel cap both
+    bindings end in the loop ``p_matmul``, which is counted instead, so
+    their calls are counted once."""
     calls = []
     plain_matmul = IntegersMod.p_matmul
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from datetime import timedelta
 from unittest import mock
 
 import pytest
@@ -376,7 +377,7 @@ def mutated_certificate(draw):
     return doc, False
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=timedelta(seconds=1))
 @given(mutated_certificate())
 def test_verify_cert_gives_no_false_verdict_on_a_mutated_certificate(case):
     # exit 0 exactly when a naive oracle confirms all seven identities, exit 1
@@ -549,6 +550,18 @@ def test_an_identity_check_past_the_budget_exits_2_at_once(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_an_identity_check_with_samples_past_the_budget_exits_2_at_once(capsys):
+    # s_4 vanishes on M_2(Z_2), so every one of 10^9 samples would be evaluated
+    start = time.perf_counter()
+    assert dispatch(["identity-check", "--ring", "zmod:2", "--dim", "2",
+                     "--degree", "4", "--samples", "1000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "past the budget" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_exit_code_matrix_subprocess():
     # one scripted sweep through all three exit codes via the real entrypoint
     table = [
@@ -603,7 +616,7 @@ def sized_argv(draw):
     return argv, bad is not None
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=timedelta(seconds=1))
 @given(sized_argv())
 def test_drawn_argument_vectors_keep_the_exit_code_contract(case):
     argv, out_of_range = case

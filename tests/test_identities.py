@@ -118,20 +118,26 @@ def refuse_to_draw(*args):
     raise Drawn
 
 
-@pytest.mark.parametrize("dim, degree, refused", [
-    (4, 8, False),  # the largest size the suite and the benchmark evaluate
-    (12, 8, False),  # 574 * 12^3 entry products + 8 * 12^2 entries = 993024 <= 2^20
-    (13, 8, True),
-    (80, 2, False),  # 2 * 80^3 + 2 * 80^2 = 1036800
-    (81, 2, True),
-    (1024, 1, False),  # no product, 1024^2 entries: exactly the budget
-    (1025, 1, True),
-    (100000, 2, True),
+@pytest.mark.parametrize("dim, degree, samples, refused", [
+    (4, 8, 20, False),  # the largest run the suite makes: 20 * 36864 steps = 737280
+    (4, 8, 28, False),  # 28 * (574 * 4^3 entry products + 8 * 4^2 entries) = 1032192
+    (4, 8, 29, True),
+    (2, 4, 200, False),  # the benchmark's z6 report: 200 * 160 = 32000
+    (2, 4, 10 ** 9, True),
+    (12, 8, 1, False),  # 574 * 12^3 entry products + 8 * 12^2 entries = 993024 <= 2^20
+    (13, 8, 1, True),
+    (80, 2, 1, False),  # 2 * 80^3 + 2 * 80^2 = 1036800
+    (81, 2, 1, True),
+    (1024, 1, 1, False),  # no product, 1024^2 entries: exactly the budget
+    (1025, 1, 1, True),
+    (100000, 2, 1, True),
 ])
-def test_sampling_refuses_an_evaluation_past_the_budget(monkeypatch, dim, degree, refused):
+def test_sampling_refuses_an_evaluation_past_the_budget(monkeypatch, dim, degree, samples,
+                                                        refused):
+    # the budget bounds every sample's evaluation together, before any is drawn
     monkeypatch.setattr(identities, "_sample_matrix", refuse_to_draw)
     with pytest.raises(BudgetExceeded if refused else Drawn):
-        check_identity_on_samples(Z2, dim, degree, samples=1, seed=0)
+        check_identity_on_samples(Z2, dim, degree, samples=samples, seed=0)
 
 
 @pytest.mark.parametrize("dim, degree, refused", [

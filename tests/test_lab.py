@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 
 from piregular import (
+    FREE,
     BudgetExceeded,
     Integers,
     InternalViolation,
@@ -18,6 +19,7 @@ from piregular import (
     RingSpec,
     SquareMatrix,
     canonical_dumps,
+    check_identity_on_samples,
     classify_all,
     cp_report,
     left_witness_search,
@@ -404,9 +406,9 @@ def test_scans_compute_each_power_once(monkeypatch):
     # one power ladder per classified matrix, and one (A^n, A^(n+1)) pair
     # per scanned matrix shared by both search directions
     calls = []
-    plain_mul = lab._Engine.mat_mul
-    monkeypatch.setattr(lab._Engine, "mat_mul",
-                        lambda self, lhs, rhs: calls.append(1) or plain_mul(self, lhs, rhs))
+    engine = lab._engine(Z4, 2)  # the scans below run on this cached engine
+    plain_mul = engine.mat_mul
+    monkeypatch.setattr(engine, "mat_mul", lambda lhs, rhs: calls.append(1) or plain_mul(lhs, rhs))
     assert sum(1 for _ in classify_all(Z4, 2)) == 256
     assert 0 < len(calls) <= 2048
     for scan in (lambda: cp_report(4, 2, 1, workers=1),
@@ -540,4 +542,18 @@ def test_engines_refuse_noncommutative_rings(monkeypatch):
                   lambda: transpose_closure_check(stub, 2, 1)):
         with pytest.raises(NonCommutativeRing):
             build()
+    assert lab._ENGINES == {}
+
+
+def test_the_free_algebra_is_refused_before_any_size(monkeypatch):
+    # it has no cardinality and no sampler: each call refuses it up front, exit 2
+    monkeypatch.setattr(lab, "_ENGINES", {})
+    a = SquareMatrix.from_rows(FREE, [[FREE.gen("a"), 0], [0, 1]])
+    for call in (lambda: right_witness_search(a, 1), lambda: left_witness_search(a, 1),
+                 lambda: power_sequence_index(a), lambda: classify_all(FREE, 2),
+                 lambda: transpose_closure_check(FREE, 2, 1),
+                 lambda: check_identity_on_samples(FREE, 2, 4, samples=1, seed=0)):
+        with pytest.raises(NonCommutativeRing) as caught:
+            call()
+        assert caught.value.exit_code == 2
     assert lab._ENGINES == {}

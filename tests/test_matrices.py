@@ -39,6 +39,7 @@ from helpers import (
     naive_sum,
     random_matrix,
 )
+from piregular import rings
 from piregular.rings import sample_element
 
 Z = Integers()
@@ -92,6 +93,26 @@ def test_powers_use_the_fewest_binary_products(monkeypatch, exponent, products):
         assert base ** exponent == expected
         monkeypatch.undo()
         assert len(calls) == products, cls
+
+
+def counted_binder(monkeypatch, name, calls):
+    """Patch ``RingSpec.<name>`` so every call of the op it binds appends its arguments."""
+    plain = getattr(RingSpec, name)
+
+    def bind(self, dim):
+        op = plain(self, dim)
+        return lambda *args: calls.append(args) or op(*args)
+    monkeypatch.setattr(RingSpec, name, bind)
+
+
+@pytest.mark.parametrize("dim", [2, 9])
+def test_a_matrix_product_is_one_call_of_the_bound_product(monkeypatch, dim):
+    # below the kernel cap and above it, a * b binds matmul(dim) and calls it once
+    a = SquareMatrix.identity(Z4, dim)
+    calls = []
+    counted_binder(monkeypatch, "matmul", calls)
+    assert a * a == a
+    assert calls == [(a.rows, a.rows)]
 
 
 def test_positive_powers_build_no_identity(monkeypatch):
@@ -352,6 +373,20 @@ def test_right_evaluate_puts_powers_on_the_left():
     assert value != cmat * amat
 
 
+def test_right_evaluation_is_one_multiply_accumulate_per_coefficient(monkeypatch):
+    # Horner on payload rows: C_k + A*result for k = 3, 2, 1, 0, with A on the left
+    a = mat(Z4, "[[2,1],[0,1]]")
+    coeffs = [mat(Z4, "[[1,2],[3,0]]"), SquareMatrix.zeros(Z4, 2), mat(Z4, "[[0,1],[1,1]]"),
+              SquareMatrix.identity(Z4, 2)]
+    expected = coeffs[0] + a * coeffs[1] + a ** 2 * coeffs[2] + a ** 3 * coeffs[3]
+    calls = []
+    counted_binder(monkeypatch, "accumulate", calls)
+    monkeypatch.setattr(RingSpec, "matmul", None)  # and no product of its own
+    assert right_evaluate_poly(matrix_polynomial(coeffs), a) == expected
+    assert [(negative, l) for _, negative, l, _ in calls] == [(False, a.rows)] * 4
+    assert [c for c, *_ in calls] == [c.rows for c in reversed(coeffs)]
+
+
 def test_determinant_refuses_noncommutative_entries():
     a_gen = FREE.gen("a")
     m = SquareMatrix.from_rows(FREE, [[a_gen, a_gen], [a_gen, a_gen]])
@@ -457,6 +492,16 @@ def test_every_entry_form_and_the_loop_accumulate_like_the_oracle(kind, dim, neg
     expected = (naive_difference if negative else naive_sum)(c.entries, term)
     got = SquareMatrix(ring, ring.accumulate(dim)(c.rows, negative, l.rows, r.rows))
     assert got == SquareMatrix.from_rows(ring, expected)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_the_product_loop_matches_the_bound_kernel_of_every_form(kind):
+    # p_matmul, the p_dot loop matmul(dim) returns above the cap, against the
+    # kernel matmul(dim) binds at every dimension up to it
+    for dim in range(1, rings._KERNEL_CAP + 2):
+        ring, _, a, b, _ = kernel_matrices(kind, dim, seed=dim + 40)
+        assert ring.matmul(dim)(a.rows, b.rows) == ring.p_matmul(a.rows, b.rows), dim
+    assert ring.matmul(dim) == ring.p_matmul
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 9])

@@ -106,6 +106,15 @@ def test_poly_strips_trailing_zeros():
     assert spec.element([0, 0]).is_zero
 
 
+def test_a_sum_with_zero_returns_the_other_operand_itself():
+    # a canonical operand is neither rebuilt nor stripped again
+    b = (1, 0, 3)
+    assert _seq_add(Z, (), b) is b
+    assert _seq_add(Z, b, ()) is b
+    assert _seq_add(Z, (), ()) == ()
+    assert _seq_add(Z, b, (-1, 0, -3)) == ()
+
+
 @pytest.mark.parametrize("token, variable", [
     ("int", "x"), ("quot:zmod:3:t^2", "x"), ("poly:int:x", "y"),
     ("poly:poly:zmod:2:x:y", "z"), ("quot:poly:int:y:x^2+1", "z"),
@@ -462,16 +471,16 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     assert IntegersMod(7).accumulate(2)(rows, True, rows, rows) == ((1, 5), (0, 0))
     assert IntegersMod(9).accumulate(2)(rows, True, rows, rows) == ((1, 0), (6, 1))
     assert IntegersMod(9).accumulate(2)(rows, False, rows, rows) == ((0, 3), (8, 6))
-    # one kernel per form and dimension (and one of each other kind) serves every modulus
+    # one kernel per form, dimension and kind serves every modulus
     assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
-               and kind in ([], ["combination"], ["accumulate"])
-               for form, dim, *kind in rings._KERNELS)
+               and kind in ("product", "combination", "accumulate")
+               for form, dim, kind in rings._KERNELS)
 
 
 @pytest.mark.parametrize("k", [2, 9, 12])
 def test_table_kernels_return_payload_rows_like_every_form(k):
     # over zmod:k the element indices are the residues, so the engine's
-    # table kernel and p_matmul must agree on the very same rows
+    # bound table kernel and the p_dot loop must agree on the very same rows
     rng = random.Random(k)
     spec = IntegersMod(k)
     for dim in (1, 2, 3, 4):
@@ -479,7 +488,7 @@ def test_table_kernels_return_payload_rows_like_every_form(k):
         for _ in range(5):
             l, r = (tuple(tuple(rng.randrange(k) for _ in range(dim)) for _ in range(dim))
                     for _ in range(2))
-            assert rings._KERNELS["table", dim](engine, l, r) == spec.p_matmul(l, r)
+            assert engine.mat_mul(l, r) == spec.p_matmul(l, r)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 9])
@@ -488,8 +497,8 @@ def test_generated_kernels_reach_no_globals(form, dim):
     # the compiled source names only its own locals and these spec attributes,
     # for a product, a combination of dim matrices and a signed term alike;
     # index rows are never summed with a sign, so ``table`` has no signed term
-    kinds = ("combination",) if form == "table" else ("combination", "accumulate")
-    for key in ((form, dim), *((form, dim, kind) for kind in kinds)):
+    kinds = ("product", "combination") + (() if form == "table" else ("accumulate",))
+    for key in ((form, dim, kind) for kind in kinds):
         code = rings._KERNELS[key].__code__
         assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul"}
 
@@ -506,7 +515,7 @@ def test_product_and_combination_sources_are_unchanged(monkeypatch):
     monkeypatch.setattr(rings, "compile", capture, raising=False)
     for form in ("integer", "residue", "calls", "table"):
         for dim in (1, 2, 3, 4, 8):
-            for key in ((form, dim), (form, dim, "combination")):
+            for key in ((form, dim, "product"), (form, dim, "combination")):
                 rings._product_kernel(key)
     assert len(seen) == 40
     assert hashlib.sha256("".join(seen).encode()).hexdigest() == (
