@@ -212,7 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     instance.add_argument("--n", type=int, required=True, help="exponent; n * dim <= 2^20")
     instance.add_argument("--A", required=True,
                           help="matrix literal [[...],[...]]; (...) groups; each power's size "
-                               "<= 2^20, the whole literal's term products <= 2^18")
+                               "<= 2^20, the whole literal's term products <= 2^18 and "
+                               "coefficient slots <= 2^22")
     instance.add_argument("--X", required=True, help="right witness literal")
 
     p = sub.add_parser("right-to-left", parents=[instance],
@@ -265,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="normal form of a free-algebra expression modulo the stock rules")
     p.add_argument("--expr", required=True,
                    help="expression; each power's size <= 2^20, the whole text's term "
-                        "products <= 2^18")
+                        "products <= 2^18 and terms summed or multiplied <= 2^22")
     p.add_argument("--strategy", choices=("leftmost", "rightmost"), default="leftmost")
     p.set_defaults(handler=_cmd_nf)
 

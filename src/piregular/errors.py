@@ -34,9 +34,10 @@ class BudgetExceeded(PiregularError):
     """A scan, a table, an instance's n * dim, a parsed power's size, the
     work of a sampled standard identity's samples or a search's tuples of matrix units
     would exceed DEFAULT_BUDGET (2^20), the term products made parsing one text
-    would exceed WORK_BUDGET (2^18), or a result holds an integer with more
-    digits than CPython turns into text (``sys.get_int_max_str_digits()``,
-    4300 by default)."""
+    would exceed WORK_BUDGET (2^18), the dense coefficient slots its sums,
+    products and negations walk would exceed SLOT_BUDGET (2^22), or a result
+    holds an integer with more digits than CPython turns into text
+    (``sys.get_int_max_str_digits()``, 4300 by default)."""
 
     @classmethod
     def digits(cls) -> "BudgetExceeded":

@@ -484,6 +484,8 @@ class _NCParser(_ExpressionParser):
     def terms(self, value: NCPolynomial) -> int:
         return len(value)
 
+    slots = terms  # a sum walks the terms of a sparse polynomial, and only those
+
     def power_size(self, value: NCPolynomial, exponent: int) -> int:
         """The term count raised to the exponent (capped where it must pass
         the budget), or the exponent times the longest word and coefficient

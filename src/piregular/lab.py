@@ -11,16 +11,20 @@ a pool; :func:`cp_report` and the transpose check share one such function
 and one fold.  The report certifies each right witness on payload rows with
 the row functions of :mod:`piregular.witnesses`, and no wrapper objects.
 
-There is one witness search: the first X in row-major order with T = B X.
+The right search finds the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
 those constraints are independent, so per-column lexicographic minima give
 exactly the witness a full scan over whole matrices would find first.
-The solutions for one B form a column map, built row by row from shared
-prefix sums, memoized per B as an ``array``; distinct powers are few.  A
-right witness solves A^n = A^(n+1) X.  A left witness, A^n = Y A^(n+1), is
-the transpose of that search on the transposes, as (Y B)^T = B^T Y^T over a
-commutative ring; the rows of Y are scanned in the same lexicographic order,
-so the tie-breaks agree, and the memoized tables are shared.
+The solutions for one B form a column map, built from the codes of B v for
+every v, which share each row's sums over v's leading entries, memoized per
+B as an ``array``; distinct powers are few.  A
+right witness solves A^n = A^(n+1) X.  A left witness, A^n = Y A^(n+1),
+needs row i of Y to solve B^T y = (row i of T) over a commutative ring, so
+the left search reads T's rows against the column map of B^T, found through
+a second memo per B that holds the same maps; the rows of Y are scanned in
+the same lexicographic order, so the tie-breaks agree.  Both searches and the
+codes are straight-line kernels generated per dimension next to the ``table``
+product.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from .witnesses import _Context, certificate_rows, instance_rows
 def _size(spec: RingSpec, exponent: int, what: str) -> int:
     """q^exponent for a ring of q elements, or BudgetExceeded if that is more
     than DEFAULT_BUDGET; NotEnumerable if infinite.  A non-commutative ring is
-    refused first: the left search runs transposed, and the free algebra has no size."""
+    refused first: the left search reads transposed column maps, and the free
+    algebra has no size."""
     _require_commutative(spec, "witness searches")
     q = spec.cardinality()
     # q >= 2, so q^exponent > the budget once exponent reaches its bit length
@@ -58,8 +63,11 @@ class _Engine:
     as tuples of rows of indices into ``payloads`` and multiplied by the
     ``table`` kernel, bound once, over the ``add``/``mul`` tables.  The
     payloads of ``zmod:k`` are 0..k-1, so there index rows are payload rows.
-    The ring must be commutative: the left search runs as the transposed
-    right search, and :func:`_size` refuses any other.
+    ``solve(T, B)`` and ``solve_left(T, B)``, the first X with T = B X and the
+    first Y with T = Y B, or None, are the ``table`` solve kernels bound alike;
+    they read ``col_maps``, B's column map, and ``left_maps``, B^T's.  The ring
+    must be commutative: the left search rests on (Y B)^T = B^T Y^T, and
+    :func:`_size` refuses any other.
     """
 
     def __init__(self, spec: RingSpec, m: int):
@@ -71,19 +79,21 @@ class _Engine:
         self.add = [[index[spec.p_add(a, b)] for b in payloads] for a in payloads]
         self.mul = [[index[spec.p_mul(a, b)] for b in payloads] for a in payloads]
         zero, one = index[spec.zero_payload()], index[spec.one_payload()]
-        self.vectors = list(product(range(self.q), repeat=m))
+        self.indices = range(self.q)
+        self.vectors = list(product(self.indices, repeat=m))
         self.ident = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
-        self._col_maps = {}
+        self._codes = partial(_KERNELS["table", m, "codes"], self)
+        self.col_maps = _Memo(self._col_map)  # base -> its column map
+        self.left_maps = _Memo(lambda base: self.col_maps[tuple(zip(*base))])  # of base^T
         self.mat_mul = partial(_KERNELS["table", m, "product"], self)
+        self.solve = partial(_KERNELS["table", m, "solve"], self)
+        self.solve_left = partial(_KERNELS["table", m, "solve_left"], self)
         self._plain = payloads == list(range(self.q))  # index rows are payload rows
 
     # -- index-matrix arithmetic ----------------------------------------------
 
     def mat_pow(self, mat, exponent: int):
         return binary_power(mat, exponent, lambda: self.ident, self.mat_mul)
-
-    def transpose(self, mat):
-        return tuple(zip(*mat))
 
     def from_square(self, mat: SquareMatrix):
         index = self.index.__getitem__
@@ -120,50 +130,27 @@ class _Engine:
 
     def _col_map(self, mat):
         """For each achievable column target of v -> mat*v, the first v in
-        lexicographic order; -1 marks unreachable targets.  Row i of mat*v
-        over all v grows one coordinate k at a time (prefix sum plus each
-        mat[i][k]*a); a backward pass leaves the first v per code.  The map is an
-        ``array``, 2 or 4 bytes a slot: as lists, the maps of one ``certify-mix``
-        benchmark job took its peak RSS from 27.8-28.1 to 33.4-34.8 MiB."""
-        cached = self._col_maps.get(mat)
-        if cached is not None:
-            return cached
-        m, q, add, mul = self.m, self.q, self.add, self.mul
-        codes = None
-        for row in mat:
-            vals = mul[row[0]]
-            for entry in row[1:]:
-                mul_row = mul[entry]
-                vals = [add[x][p] for x in vals for p in mul_row]
-            codes = vals if codes is None else [c * q + v for c, v in zip(codes, vals)]
-        table = array("h" if q ** m <= 32768 else "i", [-1]) * (q ** m)
+        lexicographic order; -1 marks unreachable targets.  The ``codes`` kernel
+        gives the target of every v, each row's sums over v's first entries shared
+        by the vectors that begin alike; a backward pass leaves the first v per code.
+        The map is an ``array``, 2 or 4 bytes a slot: as lists, the maps of one
+        ``certify-mix`` benchmark job took its peak RSS from 27.8-28.1 to 33.4-34.8 MiB."""
+        codes = self._codes(mat)
+        table = array("h" if len(codes) <= 32768 else "i", [-1]) * len(codes)
         for vcode in range(len(codes) - 1, -1, -1):
             table[codes[vcode]] = vcode
-        self._col_maps[mat] = table
         return table
 
-    def solve(self, target, base, transposed=False):
-        """First X in row-major enumeration order with target = base X (X^T
-        if ``transposed``), or None.  Column constraints are independent, so
-        per-column lex minima assemble exactly that first X, whose transpose
-        has them as its rows."""
-        q = self.q
-        table = self._col_map(base)
-        chosen = []
-        for column in zip(*target):
-            code = 0
-            for t in column:
-                code = code * q + t
-            vcode = table[code]
-            if vcode < 0:
-                return None
-            chosen.append(self.vectors[vcode])
-        return tuple(chosen) if transposed else tuple(zip(*chosen))
 
-    def solve_left(self, target, base):
-        """First Y in row-major enumeration order with target = Y base: the
-        transpose of :meth:`solve` on the transposes."""
-        return self.solve(self.transpose(target), self.transpose(base), transposed=True)
+class _Memo(dict):
+    """A missing key is computed by ``compute`` and kept."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 _ENGINES: dict = {}

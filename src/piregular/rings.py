@@ -23,7 +23,8 @@ mod k, and ``p_add``/``p_mul`` calls for every other ring; above that it is
 ``combination(dim)`` binds a certificate's C alike, and ``accumulate(dim)`` a
 signed term ``c +- l*r``.  A fourth form, ``table``, serves
 :mod:`piregular.lab` at every dimension (its budget keeps dim <= 20) on rows
-of element indices.  Kernels are cached in the module under ``(form, dim,
+of element indices, with the engine's right and left witness searches and
+the column codes they read as three more kinds.  Kernels are cached in the module under ``(form, dim,
 kind)`` on first use, never on a spec; a binding is a fresh ``partial`` of
 one and the spec.
 
@@ -35,9 +36,10 @@ expressions of :mod:`piregular.freealg`.  Whitespace only separates tokens,
 and a run of ASCII digits is the only integer.  Parentheses group; a name is
 the generator of the tower layer with that letter, so no tower reuses one.
 ``BudgetExceeded`` refuses a power whose size would pass ``DEFAULT_BUDGET``,
-and the product that would take a text's term products (about the square of
-the result's size for a dense polynomial) past ``WORK_BUDGET``, before either
-is computed.
+the product that would take a text's term products (about the square of
+the result's size for a dense polynomial) past ``WORK_BUDGET``, and the sum,
+product or negation that would take the dense coefficient slots its operations
+walk past ``SLOT_BUDGET``, before any of them is computed.
 
 A finite quotient ring of at most 256 elements computes each sum, product,
 literal and parse once and then reads it from a table of at most
@@ -89,6 +91,9 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
 DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, n * dim, the size of a parsed power,
 # the steps of a sampled identity's samples and the unit tuples of a search
 WORK_BUDGET = 1 << 18  # the term products made while parsing one text
+SLOT_BUDGET = 1 << 22  # the dense coefficient slots its sums, products and negations walk:
+# 0.2-0.5 s at the 50-115 ns a slot they cost on a 2-core machine, while the largest
+# power within DEFAULT_BUDGET, such as t^500000 over poly:int:t, walks under 1.6 million
 
 
 def require_positive(error=InvalidBound, /, **values) -> None:
@@ -310,16 +315,19 @@ def _product_kernel(key):
     ``kernel(spec, c, negative, l, r)``, ``c - l*r`` if ``negative`` else ``c + l*r``:
     ``c + s*(...)`` with ``s = -1`` or ``1``, one ``% k`` after it, or ``acc(c, ...)``
     with ``acc`` bound to ``spec.p_sub`` or ``spec.p_add``; it has no ``table`` form.
-    Sources hold only integer indices and names."""
+    ``("table", m, "solve")``, ``("table", m, "solve_left")`` and ``("table", m,
+    "codes")`` serve the searches of :mod:`piregular.lab`, see :func:`_solve_source`
+    and :func:`_codes_source`.  Sources hold only integer indices and names."""
     form, m, kind = key
+    if kind in ("solve", "solve_left", "codes"):
+        source = _codes_source(m) if kind == "codes" else _solve_source(m, kind)
+        return _compile(source, f"<{m}x{m} {form} {kind}>")
     prelude = {"integer": "pass", "residue": "k = spec.modulus",
                "calls": "add, mul = spec.p_add, spec.p_mul",
                "table": "add, mul = spec.add, spec.mul"}[form]
     op = "{}[{}][{}]" if form == "table" else "{}({}, {})"
 
-    def square(cell) -> str:
-        return "(" + " ".join(
-            "(" + " ".join(cell(i, j) + "," for j in range(m)) + ")," for i in range(m)) + ")"
+    square = partial(_square, m)
 
     def entry(i, j) -> str:
         pairs = ([(f"a{k}", f"b{k}_{i}_{j}") for k in range(m)] if kind == "combination"
@@ -343,8 +351,57 @@ def _product_kernel(key):
                    if kind == "combination" else (square("a{}_{}".format), square("b{}_{}".format)))
     source = "\n    ".join((head, *lines, f"{left} = l", f"{right} = r",
                             "return " + square(entry)))
+    return _compile(source, f"<{m}x{m} {form} {kind}>")
+
+
+def _square(m: int, cell) -> str:
+    return "(" + " ".join(
+        "(" + " ".join(cell(i, j) + "," for j in range(m)) + ")," for i in range(m)) + ")"
+
+
+def _solve_source(m: int, kind: str) -> str:
+    """``kernel(engine, l, r)``: the first X in row-major order with ``l = r X``
+    (``solve``), or the first Y with ``l = Y r`` (``solve_left``), or None, on an
+    engine's rows of element indices.  Column j of ``l`` (row j for ``solve_left``)
+    is coded base ``q``, first entry most significant, and looked up in the column
+    map of ``r`` (of ``r``'s transpose), whose -1 marks an unreachable target; the
+    chosen ``vectors`` are X's columns, or Y's rows as they stand."""
+    right = kind == "solve"
+    lines = ["def kernel(spec, l, r):", "q, vectors = spec.q, spec.vectors",
+             _square(m, "a{}_{}".format) + " = l",
+             f"codes = spec.{'col_maps' if right else 'left_maps'}[r]"]
+    for j in range(m):
+        cells = (f"a{i}_{j}" if right else f"a{j}_{i}" for i in range(m))
+        lines += [f"v{j} = codes[{reduce('({})*q + {}'.format, cells)}]",
+                  f"if v{j} < 0: return None"]
+    if not right:
+        return "\n    ".join((*lines, "return (" + " ".join(f"vectors[v{j}]," for j in range(m)) + ")"))
+    lines += ["(" + " ".join(f"x{i}_{j}," for i in range(m)) + f") = vectors[v{j}]" for j in range(m)]
+    return "\n    ".join((*lines, "return " + _square(m, "x{}_{}".format)))
+
+
+def _codes_source(m: int) -> str:
+    """``kernel(engine, r)``: the code of ``r v``, base ``q`` with its first entry
+    most significant, for every index vector ``v`` in lexicographic order.  One
+    comprehension runs over the entries of ``v``, binding each row's sum up to
+    entry k once for all the vectors that share those first k entries."""
+    def prefix(i, k):
+        return f"m{i}_0[x0]" if k == 0 else f"add[p{i}_{k - 1}][m{i}_{k}[x{k}]]"
+    loops = []
+    for k in range(m - 1):
+        loops += [f"for x{k} in indices", "for " + " ".join(f"p{i}_{k}," for i in range(m))
+                  + " in ((" + " ".join(prefix(i, k) + "," for i in range(m)) + "),)"]
+    code = reduce("({})*q + {}".format, (prefix(i, m - 1) for i in range(m)))
+    return "\n    ".join((
+        "def kernel(spec, r):", "q, indices, add, mul = spec.q, spec.indices, spec.add, spec.mul",
+        _square(m, "a{}_{}".format) + " = r",
+        *(f"m{i}_{k} = mul[a{i}_{k}]" for i in range(m) for k in range(m)),
+        "return [" + " ".join((code, *loops, f"for x{m - 1} in indices")) + "]"))
+
+
+def _compile(source: str, filename: str):
     namespace = {}
-    exec(compile(source, f"<{m}x{m} {form} {kind}>", "exec"), namespace)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -824,17 +881,31 @@ def _terms(payload) -> int:
     return (1 if len(nonzero) == 1 else len(payload)) * max(map(_terms, nonzero))
 
 
+def _slots(payload) -> int:
+    """The slots of an element's dense coefficient tuples down a tower of
+    polynomial rings, one at least: a zero coefficient takes one, a nonzero
+    one its own slots."""
+    if not payload or not isinstance(payload, tuple):
+        return 1
+    if not isinstance(payload[-1], tuple):  # the leading coefficient is nonzero
+        return len(payload)
+    nonzero = list(filter(None, payload))
+    return len(payload) - len(nonzero) + sum(map(_slots, nonzero))
+
+
 class _ExpressionParser:
     """Recursive descent over signed sums of products of powers, where
     juxtaposition multiplies and parentheses group; a subclass reads one
-    ``atom`` of ``spec`` and counts its ``terms``.  One parser reads one
-    text, and every product it makes is charged to its ``work``."""
+    ``atom`` of ``spec`` and counts its ``terms`` and ``slots``.  One parser
+    reads one text: every product it makes is charged to its ``work``, and
+    every sum, product and negation to its ``built``."""
 
     def __init__(self, spec, tokens: list):
         self.spec = spec
         self.tokens = tokens
         self.pos = 0
         self.work = 0
+        self.built = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -862,7 +933,18 @@ class _ExpressionParser:
         self.work += self.terms(lhs) * self.terms(rhs)
         if self.work > WORK_BUDGET:
             raise BudgetExceeded(f"this text's term products exceed the work budget {WORK_BUDGET}")
+        self.charge(lhs, rhs)
         return lhs * rhs
+
+    def charge(self, *operands):
+        """Charge the slots of ``operands`` to ``built``: a sum, product or
+        negation walks them and builds at most as many, even where a sparse
+        power has one term, so the operation that would take the text past
+        SLOT_BUDGET is refused before it runs."""
+        self.built += sum(map(self.slots, operands))
+        if self.built > SLOT_BUDGET:
+            raise BudgetExceeded(
+                f"this text's coefficient slots exceed the work budget {SLOT_BUDGET}")
 
     def expression(self):
         negate = False
@@ -870,10 +952,12 @@ class _ExpressionParser:
             negate = self.take()[0] == "-"
         value = self.term()
         if negate:
+            self.charge(value)
             value = -value
         while self.peek()[0] in "+-":
             op = self.take()[0]
             rhs = self.term()
+            self.charge(value, rhs)
             value = value - rhs if op == "-" else value + rhs
         return value
 
@@ -912,6 +996,9 @@ class _ExpressionParser:
     def terms(self, value) -> int:
         raise NotImplementedError
 
+    def slots(self, value) -> int:
+        raise NotImplementedError
+
     def power_size(self, value, exponent: int) -> int:
         raise NotImplementedError
 
@@ -940,6 +1027,9 @@ class _LiteralParser(_ExpressionParser):
 
     def terms(self, value: RingElem) -> int:
         return _terms(value.payload)
+
+    def slots(self, value: RingElem) -> int:
+        return _slots(value.payload)
 
     def power_size(self, value: RingElem, exponent: int) -> int:
         return exponent * _weight(self.spec, value.payload)

@@ -225,6 +225,30 @@ def naive_col_map(spec, base):
     return table
 
 
+def reference_solve(engine, target, base, transposed=False):
+    """The engine's right search as a loop over the target's columns, as it
+    stood before the solves were generated: the first X in row-major order
+    with target = base X (X^T if ``transposed``), or None."""
+    q = engine.q
+    table = engine.col_maps[base]
+    chosen = []
+    for column in zip(*target):
+        code = 0
+        for t in column:
+            code = code * q + t
+        vcode = table[code]
+        if vcode < 0:
+            return None
+        chosen.append(engine.vectors[vcode])
+    return tuple(chosen) if transposed else tuple(zip(*chosen))
+
+
+def reference_solve_left(engine, target, base):
+    """The first Y in row-major order with target = Y base, or None: the
+    transpose of :func:`reference_solve` on the transposes."""
+    return reference_solve(engine, tuple(zip(*target)), tuple(zip(*base)), transposed=True)
+
+
 def naive_normal_form(poly, system, strategy="leftmost"):
     """(normal form, rewrite steps) of ``poly`` under ``system``, re-sorting
     every term in deglex order on every step to find the largest reducible

@@ -96,6 +96,9 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
         ["nf", "--expr", "(a+b+c+d)^10"],
         # a product of powers that each fit the work budget is charged to the same account
         ["nf", "--expr", "(a+b+c+d)^5 (a+b+c+d)^5"],
+        # one-term powers whose sums walk more dense coefficient slots than the budget
+        ["right-to-left", "--ring", "poly:int:t", "--dim", "1", "--n", "1",
+         "--A", "[[" + "+".join(["t^500000"] * 100) + "]]", "--X", "[[0]]"],
     ]
     for argv in cases:
         start = time.perf_counter()

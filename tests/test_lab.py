@@ -3,6 +3,7 @@ import multiprocessing
 import random
 import re
 from functools import partial
+from itertools import product
 
 import pytest
 
@@ -40,6 +41,8 @@ from helpers import (
     naive_product,
     naive_right_witness,
     random_matrix,
+    reference_solve,
+    reference_solve_left,
 )
 
 Z4 = IntegersMod(4)
@@ -216,11 +219,15 @@ def test_classify_walks_lazily(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("spec, m", [(Z4, 2), (DUAL_Z2, 2), (Z2, 3)])
+@pytest.mark.parametrize("spec, m", [(Z4, 2), (DUAL_Z2, 2), (Z2, 3), (Z5, 1), (Z2, 4),
+                                     (IntegersMod(3), 4)])
 def test_column_maps_match_the_enumeration_oracle(spec, m):
-    # every base, unreachable targets (-1) included
+    # every base, unreachable targets (-1) included; 100 drawn bases past 5000
     engine = lab._Engine(spec, m)
-    for base in all_matrices(spec, m):
+    rng = random.Random(m)
+    bases = (all_matrices(spec, m) if engine.q ** (m * m) <= 5000
+             else (random_matrix(spec, m, rng) for _ in range(100)))
+    for base in bases:
         assert list(engine._col_map(engine.from_square(base))) == naive_col_map(spec, base)
 
 
@@ -240,6 +247,66 @@ def test_column_maps_switch_typecode_at_the_short_limit(token, slots, typecode):
         assert list(table) == naive_col_map(spec, base)
 
 
+def solves_agree(engine, a, n):
+    """Both generated solves on A^n and A^(n+1) against the loop they replace;
+    returns the right witness, or None."""
+    low, high = engine.power_pair(a, n)
+    x = engine.solve(low, high)
+    assert x == reference_solve(engine, low, high)
+    assert engine.solve_left(low, high) == reference_solve_left(engine, low, high)
+    return x
+
+
+@pytest.mark.parametrize("token, m", [("zmod:6", 2), ("quot:zmod:3:t^2", 2), ("zmod:2", 3)])
+def test_generated_solves_match_the_loop_on_every_matrix(token, m):
+    engine = lab._Engine(parse_ring_spec(token), m)
+    found = 0
+    for a in product(engine.vectors, repeat=m):
+        for n in (1, 2):
+            found += solves_agree(engine, a, n) is not None
+    assert 0 < found < 2 * engine.q ** (m * m)  # both outcomes are reached
+
+
+@pytest.mark.parametrize("token, m", [("zmod:6", 1), ("quot:zmod:3:t^2", 1), ("zmod:2", 4),
+                                      ("zmod:3", 4)])
+def test_generated_solves_match_the_loop_on_a_sample(token, m):
+    engine = lab._Engine(parse_ring_spec(token), m)
+    rng = random.Random(m)
+    for _ in range(300):
+        a = tuple(tuple(rng.randrange(engine.q) for _ in range(m)) for _ in range(m))
+        for n in (1, 2):
+            solves_agree(engine, a, n)
+
+
+@pytest.mark.parametrize("spec, m", [(IntegersMod(6), 2), (DUAL_Z2, 2), (Z2, 3)])
+def test_generated_solves_match_the_naive_witnesses(spec, m):
+    engine = lab._engine(spec, m)
+    rng = random.Random(m)
+    for _ in range(6):
+        a = random_matrix(spec, m, rng)
+        low, high = engine.power_pair(engine.from_square(a), 1)
+        for solve, naive in ((engine.solve, naive_right_witness),
+                             (engine.solve_left, naive_left_witness)):
+            found = solve(low, high)
+            assert (found and engine.to_square(found)) == naive(a, 1)
+
+
+def test_a_second_left_solve_on_a_base_builds_no_map(monkeypatch):
+    engine = lab._Engine(Z4, 2)
+    built = []
+    plain = engine.col_maps.compute
+    monkeypatch.setattr(engine.col_maps, "compute", lambda base: built.append(base) or plain(base))
+    base = ((1, 2), (3, 0))
+    engine.solve_left(((1, 0), (0, 1)), base)
+    assert built == [((1, 3), (2, 0))]  # the transpose's map, built once
+    engine.solve_left(((2, 1), (0, 3)), base)
+    engine.solve(((2, 1), (0, 3)), ((1, 3), (2, 0)))  # the right search shares it
+    assert len(built) == 1
+    # a symmetric base's left map is its own column map
+    symmetric = ((1, 2), (2, 3))
+    assert engine.left_maps[symmetric] is engine.col_maps[symmetric] and len(built) == 2
+
+
 @pytest.mark.parametrize("token, m", [
     *((token, m) for token in ("zmod:9", "quot:zmod:3:t^2") for m in (1, 2, 3, 4)),
     # above rings._KERNEL_CAP no payload kernel exists, only the table kernel
@@ -257,14 +324,15 @@ def test_engine_product_matches_the_naive_product(token, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_engine_transpose_matches_square_matrix(m):
-    # m = 1 is the identity: a transpose must stay a matrix of rows, not an entry.
+    # the left search reads the column map of the base's transpose, the very map
+    # the right search keeps for it; m = 1 is the identity: a transpose must stay
+    # a matrix of rows, not an entry.
     engine = lab._Engine(Z5, m)
     rng = random.Random(m)
     for _ in range(20):
         a = random_matrix(Z5, m, rng)
         flat = engine.from_square(a)
-        assert engine.transpose(flat) == engine.from_square(a.transpose())
-        assert engine.to_square(engine.transpose(flat)) == a.transpose()
+        assert engine.left_maps[flat] is engine.col_maps[engine.from_square(a.transpose())]
 
 
 # -- the agreement report -------------------------------------------------------------
@@ -443,9 +511,10 @@ IDENTITY_JSON = [[1, 0], [0, 1]]
 
 def test_a_one_sided_matrix_reaches_both_reports_and_the_exit_code(monkeypatch, capsys):
     from piregular.cli import dispatch
-    plain_solve_left = lab._Engine.solve_left
-    monkeypatch.setattr(lab._Engine, "solve_left", lambda self, target, base: (
-        None if target == self.ident else plain_solve_left(self, target, base)))
+    engine = lab._engine(Z4, 2)  # the scans below run on this cached engine
+    plain_solve_left = engine.solve_left
+    monkeypatch.setattr(engine, "solve_left", lambda target, base: (
+        None if target == engine.ident else plain_solve_left(target, base)))
     report = cp_report(4, 2, 1, workers=1)
     assert (report.counts["right_only"], report.counts["left_only"]) == (1, 0)
     assert report.counterexamples == [{"A": IDENTITY_JSON, "right": True, "left": False}]
@@ -477,14 +546,15 @@ def test_a_certificate_failure_reaches_the_report(monkeypatch):
 
 
 def test_a_failed_instance_check_reaches_the_report(monkeypatch):
-    plain_solve = lab._Engine.solve
+    engine = lab._engine(Z4, 2)  # the scan below runs on this cached engine
+    plain_solve = engine.solve
 
-    def solve(self, target, base, transposed=False):
-        if target == base == self.ident and not transposed:
+    def solve(target, base):
+        if target == base == engine.ident:
             return ((0, 0), (0, 0))  # A^2 X = 0, not A = I
-        return plain_solve(self, target, base, transposed)
+        return plain_solve(target, base)
 
-    monkeypatch.setattr(lab._Engine, "solve", solve)
+    monkeypatch.setattr(engine, "solve", solve)
     report = cp_report(4, 2, 1, workers=1)
     assert [failure["A"] for failure in report.pipeline_failures] == [IDENTITY_JSON]
     assert report.pipeline_failures[0]["reason"].startswith(

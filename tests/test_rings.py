@@ -473,7 +473,7 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     assert IntegersMod(9).accumulate(2)(rows, False, rows, rows) == ((0, 3), (8, 6))
     # one kernel per form, dimension and kind serves every modulus
     assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
-               and kind in ("product", "combination", "accumulate")
+               and kind in ("product", "combination", "accumulate", "solve", "solve_left", "codes")
                for form, dim, kind in rings._KERNELS)
 
 
@@ -496,11 +496,14 @@ def test_table_kernels_return_payload_rows_like_every_form(k):
 def test_generated_kernels_reach_no_globals(form, dim):
     # the compiled source names only its own locals and these spec attributes,
     # for a product, a combination of dim matrices and a signed term alike;
-    # index rows are never summed with a sign, so ``table`` has no signed term
-    kinds = ("product", "combination") + (() if form == "table" else ("accumulate",))
+    # index rows are never summed with a sign, so ``table`` has no signed term,
+    # and only ``table`` has the engine's two solves and its column codes
+    kinds = ("product", "combination") + (
+        ("solve", "solve_left", "codes") if form == "table" else ("accumulate",))
     for key in ((form, dim, kind) for kind in kinds):
         code = rings._KERNELS[key].__code__
-        assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul"}
+        assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul",
+                                      "q", "indices", "vectors", "col_maps", "left_maps"}
 
 
 def test_product_and_combination_sources_are_unchanged(monkeypatch):
@@ -568,6 +571,41 @@ def test_powers_past_the_work_budget_are_refused(token, literal, refused):
             parse_element(spec, literal)
     else:
         parse_element(spec, literal)
+
+
+@pytest.mark.parametrize("token, literal, refused", [
+    # one term each, but every sum and product walks the dense coefficient tuples
+    ("poly:int:t", "t^500000+t^500000", False),
+    pytest.param("poly:int:t", "+".join(["t^500000"] * 100), True, id="100 summands"),
+    ("poly:int:t", "-t^500000-t^500000-t^500000", True),
+    # a constant of the outer layer counts the slots of its inner tuple
+    ("poly:poly:int:t:u", "t^500000-t^500000+t^500000", True),
+])
+def test_sparse_powers_past_the_slot_budget_are_refused(token, literal, refused):
+    spec = parse_ring_spec(token)
+    if refused:
+        with pytest.raises(BudgetExceeded, match="slots exceed the work budget"):
+            parse_element(spec, literal)
+    else:
+        parse_element(spec, literal)
+
+
+def test_slot_account_is_the_sum_of_the_operands_walked(monkeypatch):
+    assert [rings._slots(p) for p in (0, 5, (), (0, 0, 7), ((), (0, 1)), ((), (), (3,)))] == [
+        1, 1, 1, 3, 3, 3]
+    walked, parsers = [], []
+    slots = rings._slots
+    for name in ("__add__", "__sub__", "__mul__"):
+        plain = getattr(rings.RingElem, name)
+        monkeypatch.setattr(rings.RingElem, name, lambda a, b, plain=plain: walked.append(
+            slots(a.payload) + slots(b.payload)) or plain(a, b))
+    plain_neg, finish = rings.RingElem.__neg__, rings._ExpressionParser.finish
+    monkeypatch.setattr(rings.RingElem, "__neg__",
+                        lambda a: walked.append(slots(a.payload)) or plain_neg(a))
+    monkeypatch.setattr(rings._ExpressionParser, "finish",
+                        lambda parser, value: parsers.append(parser) or finish(parser, value))
+    parse_element(parse_ring_spec("poly:poly:int:t:u"), "-(1+t)^3 u^2 + t^5 - u(t^2 + 3)")
+    assert len(walked) > 5 and [parser.built for parser in parsers] == [sum(walked)]
 
 
 def test_a_quotient_modulus_is_read_within_the_budget():
