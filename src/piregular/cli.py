@@ -54,21 +54,23 @@ def _emit_payload(args, payload: dict) -> None:
     _write_document(args, canonical_dumps(payload))
 
 
-def _parse_matrix_arg(spec, dim, text, label):
-    try:
-        mat = parse_matrix_literal(spec, text)
-    except ParseError as exc:
-        raise ParseError(f"in {label}: {exc}") from exc
-    if mat.dim != dim:
-        raise DimMismatch(f"{label} is {mat.dim}x{mat.dim}, --dim says {dim}")
-    return mat
+def _instance_args(args) -> list:
+    """[A, X] from ``--A`` and ``--X`` over ``--ring``, each ``--dim`` square, with ``--n`` >= 1."""
+    require_positive(n=args.n)
+    spec = parse_ring_spec(args.ring)
+    mats = []
+    for label, text in (("--A", args.A), ("--X", args.X)):
+        try:
+            mats.append(parse_matrix_literal(spec, text))
+        except ParseError as exc:
+            raise ParseError(f"in {label}: {exc}") from exc
+        if mats[-1].dim != args.dim:
+            raise DimMismatch(f"{label} is {mats[-1].dim}x{mats[-1].dim}, --dim says {args.dim}")
+    return mats
 
 
 def _cmd_right_to_left(args) -> int:
-    require_positive(n=args.n)
-    spec = parse_ring_spec(args.ring)
-    a = _parse_matrix_arg(spec, args.dim, args.A, "--A")
-    x = _parse_matrix_arg(spec, args.dim, args.X, "--X")
+    a, x = _instance_args(args)
     instance = RightWitnessInstance(a, args.n, x)
     cert = right_to_left_certificate(instance)
     _write_document(args, emit_certificate(cert))
@@ -80,7 +82,7 @@ def _cmd_verify_cert(args) -> int:
     raw = sys.stdin.read() if args.path == "-" else Path(args.path).read_text()
     try:
         data = json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or an int over sys.get_int_max_str_digits()
+    except (ValueError, RecursionError) as exc:  # not JSON, an int too long for int(), too deep
         raise MalformedPayload(f"certificate is not valid JSON: {exc}") from exc
     cert = certificate_from_json(data)
     verdict = verify_certificate(cert)
@@ -98,14 +100,11 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_drazin(args) -> int:
-    require_positive(n=args.n)
-    spec = parse_ring_spec(args.ring)
-    a = _parse_matrix_arg(spec, args.dim, args.A, "--A")
-    x = _parse_matrix_arg(spec, args.dim, args.X, "--X")
+    a, x = _instance_args(args)
     w = drazin_witness(a, x, args.n)
     _emit_payload(args, {
         "kind": "drazin",
-        "ring": spec.token(),
+        "ring": a.ring.token(),
         "dim": args.dim,
         "n": args.n,
         "w": matrix_to_json(w),
@@ -117,8 +116,7 @@ def _cmd_drazin(args) -> int:
 def _cmd_cp_verify(args) -> int:
     report = lab.cp_report(args.k, args.dim, args.n, workers=args.workers)
     payload = report.to_json_payload()
-    payload["content_hash"] = content_hash(report.to_json_payload())
-    _emit_payload(args, payload)
+    _emit_payload(args, {**payload, "content_hash": content_hash(payload)})
     _say(f"{report.total} matrices over zmod:{args.k} at n = {args.n}: "
          f"{len(report.counterexamples)} one-sided, "
          f"{len(report.pipeline_failures)} pipeline failures, "
@@ -162,8 +160,7 @@ def _cmd_identity_check(args) -> int:
                                        samples=args.samples, seed=args.seed,
                                        bound=args.bound)
     payload = report.to_json_payload()
-    payload["content_hash"] = report.hash()
-    _emit_payload(args, payload)
+    _emit_payload(args, {**payload, "content_hash": content_hash(payload)})
     if report.all_vanish:
         _say(f"s_{args.degree} vanished on all {args.samples} sampled tuples")
         return 0

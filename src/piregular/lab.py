@@ -78,10 +78,8 @@ class _Engine:
         self.index = index = {p: i for i, p in enumerate(payloads)}
         self.add = [[index[spec.p_add(a, b)] for b in payloads] for a in payloads]
         self.mul = [[index[spec.p_mul(a, b)] for b in payloads] for a in payloads]
-        zero, one = index[spec.zero_payload()], index[spec.one_payload()]
         self.indices = range(self.q)
         self.vectors = list(product(self.indices, repeat=m))
-        self.ident = tuple(tuple(one if i == j else zero for j in range(m)) for i in range(m))
         self._codes = partial(_KERNELS["table", m, "codes"], self)
         self.col_maps = _Memo(self._col_map)  # base -> its column map
         self.left_maps = _Memo(lambda base: self.col_maps[tuple(zip(*base))])  # of base^T
@@ -91,9 +89,6 @@ class _Engine:
         self._plain = payloads == list(range(self.q))  # index rows are payload rows
 
     # -- index-matrix arithmetic ----------------------------------------------
-
-    def mat_pow(self, mat, exponent: int):
-        return binary_power(mat, exponent, lambda: self.ident, self.mat_mul)
 
     def from_square(self, mat: SquareMatrix):
         index = self.index.__getitem__
@@ -122,8 +117,8 @@ class _Engine:
         return powers, seen[power]
 
     def power_pair(self, mat, n: int):
-        """(A^n, A^(n+1))."""
-        low = self.mat_pow(mat, n)
+        """(A^n, A^(n+1)) for n >= 1."""
+        low = binary_power(mat, n, None, self.mat_mul)
         return low, self.mat_mul(low, mat)
 
     # -- the witness search ---------------------------------------------------

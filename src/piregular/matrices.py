@@ -48,11 +48,6 @@ from .rings import (
 )
 
 
-def _require_dim(dim: int) -> None:
-    if dim < 1:
-        raise DimMismatch(f"matrices must have dimension >= 1, got {dim}")
-
-
 @dataclass(frozen=True, slots=True)
 class SquareMatrix:
     """An m-by-m matrix with entries from a single ring.
@@ -71,7 +66,7 @@ class SquareMatrix:
     def from_rows(ring, rows) -> "SquareMatrix":
         rows = list(rows)
         dim = len(rows)
-        _require_dim(dim)
+        require_positive(DimMismatch, dim=dim)
         coerced = []
         for row in rows:
             row = list(row)
@@ -82,14 +77,14 @@ class SquareMatrix:
 
     @staticmethod
     def identity(ring, dim: int) -> "SquareMatrix":
-        _require_dim(dim)
+        require_positive(DimMismatch, dim=dim)
         one, zero = ring.one_payload(), ring.zero_payload()
         return SquareMatrix(ring, tuple(
             tuple(one if i == j else zero for j in range(dim)) for i in range(dim)))
 
     @staticmethod
     def zeros(ring, dim: int) -> "SquareMatrix":
-        _require_dim(dim)
+        require_positive(DimMismatch, dim=dim)
         zero = ring.zero_payload()
         return SquareMatrix(ring, tuple(tuple(zero for _ in range(dim)) for _ in range(dim)))
 

@@ -35,11 +35,12 @@ matrix literals of :mod:`piregular.matrices` and the free-algebra
 expressions of :mod:`piregular.freealg`.  Whitespace only separates tokens,
 and a run of ASCII digits is the only integer.  Parentheses group; a name is
 the generator of the tower layer with that letter, so no tower reuses one.
-``BudgetExceeded`` refuses a power whose size would pass ``DEFAULT_BUDGET``,
-the product that would take a text's term products (about the square of
-the result's size for a dense polynomial) past ``WORK_BUDGET``, and the sum,
-product or negation that would take the dense coefficient slots its operations
-walk past ``SLOT_BUDGET``, before any of them is computed.
+A text nested past ``NESTING_LIMIT`` is a ``ParseError``.  ``BudgetExceeded``
+refuses a power whose size would pass ``DEFAULT_BUDGET``, the product that
+would take a text's term products (about the square of the result's size for
+a dense polynomial) past ``WORK_BUDGET``, and the sum, product or negation
+that would take the dense coefficient slots its operations walk past
+``SLOT_BUDGET``, before any of them is computed.
 
 A finite quotient ring of at most 256 elements computes each sum, product,
 literal and parse once and then reads it from a table of at most
@@ -90,6 +91,7 @@ def binary_power(base, exponent: int, one, mul=operator.mul):
 
 DEFAULT_BUDGET = 1 << 20  # matrices per scan, table entries, n * dim, the size of a parsed power,
 # the steps of a sampled identity's samples and the unit tuples of a search
+NESTING_LIMIT = 100  # open parentheses and tower layers in one text, far below the recursion limit
 WORK_BUDGET = 1 << 18  # the term products made while parsing one text
 SLOT_BUDGET = 1 << 22  # the dense coefficient slots its sums, products and negations walk:
 # 0.2-0.5 s at the 50-115 ns a slot they cost on a 2-core machine, while the largest
@@ -906,6 +908,7 @@ class _ExpressionParser:
         self.pos = 0
         self.work = 0
         self.built = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -945,6 +948,15 @@ class _ExpressionParser:
         if self.built > SLOT_BUDGET:
             raise BudgetExceeded(
                 f"this text's coefficient slots exceed the work budget {SLOT_BUDGET}")
+
+    def nested(self, read):
+        """``read()`` one level deeper; the level past NESTING_LIMIT is refused."""
+        if self.depth == NESTING_LIMIT:
+            raise ParseError(f"this text nests deeper than {NESTING_LIMIT} levels")
+        self.depth += 1
+        value = read()
+        self.depth -= 1
+        return value
 
     def expression(self):
         negate = False
@@ -986,7 +998,7 @@ class _ExpressionParser:
         if self.peek()[0] != "(":
             return self.atom()
         self.take()
-        value = self.expression()
+        value = self.nested(self.expression)
         self.take(")")
         return value
 
@@ -1049,7 +1061,7 @@ class _LiteralParser(_ExpressionParser):
             if modulus < 2:
                 raise ParseError(f"modulus must be >= 2, got {modulus}")
             return IntegersMod(modulus)
-        base = self.ring_spec()
+        base = self.nested(self.ring_spec)
         self.take(":")
         if head == "poly":
             var = self.take("name")[1]

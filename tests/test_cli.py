@@ -17,6 +17,7 @@ from piregular import (cli, emit_certificate, errors, integer_instance, lab, par
 from piregular.cli import dispatch
 from piregular.identities import MAX_DEGREE
 from piregular.jsonio import hash_lines
+from piregular.rings import NESTING_LIMIT
 
 from helpers import naive_certificate_identities
 from test_acceptance import GOLDEN
@@ -60,6 +61,8 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
     long_cert.write_text(
         '{"ring":"int","dim":1,"n":1,"N":1,"A":[[' + LONG + ']],"X":[[1]],"p_coeffs":[-1,1],'
         '"C":[[1]],"w":[[1]],"Y":[[1]],"verified":true,"identities":[]}')
+    deep_cert = tmp_path / "deep.json"
+    deep_cert.write_text("[" * 993 + "]" * 993)
     cases = [
         ["right-to-left", "--ring", "zmod:seven", "--dim", "2", "--n", "1",
          "--A", "[[1,0],[0,1]]", "--X", "[[1,0],[0,1]]"],
@@ -99,12 +102,26 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
         # one-term powers whose sums walk more dense coefficient slots than the budget
         ["right-to-left", "--ring", "poly:int:t", "--dim", "1", "--n", "1",
          "--A", "[[" + "+".join(["t^500000"] * 100) + "]]", "--X", "[[0]]"],
+        # nesting that would pass the interpreter's recursion limit
+        ["nf", "--expr", "(" * 246 + "a" + ")" * 246],
+        ["right-to-left", "--ring", "int", "--dim", "1", "--n", "1",
+         "--A", "[[" + "(" * 246 + "1" + ")" * 246 + "]]", "--X", "[[1]]"],
+        ["classify", "--ring", "poly:" * 1200 + "int" + ":t" * 1200, "--dim", "1"],
+        ["verify-cert", "--path", str(deep_cert)],
     ]
     for argv in cases:
         start = time.perf_counter()
         assert dispatch(argv) == 2, argv
         assert time.perf_counter() - start < 1, argv
         assert capsys.readouterr().out == "", argv
+
+
+def test_a_text_nested_to_the_limit_parses(capsys):
+    expr = "(" * NESTING_LIMIT + "a" + ")" * NESTING_LIMIT
+    assert dispatch(["nf", "--expr", expr]) == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"] == "a"
+    assert dispatch(["nf", "--expr", "(" + expr + ")"]) == 2
+    assert "nests deeper than" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

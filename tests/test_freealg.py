@@ -63,6 +63,16 @@ def test_distributivity_and_scalars():
     assert (a + b) * w == a * w + b * w
     assert 2 * a == a + a
     assert a * Fraction(1, 2) + a * Fraction(1, 2) == a
+    assert 2 + a == a + 2 == NCPolynomial({"": 2, "a": 1})
+    assert 2 - a == NCPolynomial({"": 2, "a": -1})
+    assert Fraction(1, 2) - a == -(a - Fraction(1, 2))
+    assert NCPolynomial({"": 3}) == 3
+    assert (a * b).coefficient("ab") == 1 and a.coefficient("ab") == 0
+    assert repr(2 * a - b) == "NCPolynomial('2*a - b')"
+    assert hash(a + b) == hash(b + a)
+    for bad in (lambda: a + "x", lambda: "x" - a, lambda: a * 1.5):
+        with pytest.raises(TypeError):
+            bad()
 
 
 @given(words, words, words)

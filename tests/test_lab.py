@@ -455,19 +455,20 @@ def test_transpose_closure_rejects_non_positive_sizes(m, n):
         transpose_closure_check(Z2, m, n)
 
 
-@pytest.mark.parametrize("exponent, products",
-                         [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+@pytest.mark.parametrize("exponent, products", [(1, 1), (2, 2), (3, 3), (4, 3), (5, 4)])
 def test_engine_power_uses_the_fewest_binary_products(exponent, products):
+    # binary powering for A^n, then one product for A^(n+1)
     engine = lab._Engine(Z5, 2)
     a = mat("[[1,2],[3,4]]", Z5)
     flat = engine.from_square(a)
     plain_mul = engine.mat_mul
     calls = []
     engine.mat_mul = lambda lhs, rhs: calls.append(1) or plain_mul(lhs, rhs)
-    assert engine.to_square(engine.mat_pow(flat, exponent)) == a ** exponent
+    low, high = engine.power_pair(flat, exponent)
+    assert (engine.to_square(low), engine.to_square(high)) == (a ** exponent, a ** (exponent + 1))
     assert len(calls) == products
     with pytest.raises(ValueError):
-        engine.mat_pow(flat, -1)
+        engine.power_pair(flat, -1)
 
 
 def test_scans_compute_each_power_once(monkeypatch):
@@ -513,8 +514,9 @@ def test_a_one_sided_matrix_reaches_both_reports_and_the_exit_code(monkeypatch, 
     from piregular.cli import dispatch
     engine = lab._engine(Z4, 2)  # the scans below run on this cached engine
     plain_solve_left = engine.solve_left
+    identity = engine.from_square(SquareMatrix.identity(Z4, 2))
     monkeypatch.setattr(engine, "solve_left", lambda target, base: (
-        None if target == engine.ident else plain_solve_left(target, base)))
+        None if target == identity else plain_solve_left(target, base)))
     report = cp_report(4, 2, 1, workers=1)
     assert (report.counts["right_only"], report.counts["left_only"]) == (1, 0)
     assert report.counterexamples == [{"A": IDENTITY_JSON, "right": True, "left": False}]
@@ -548,9 +550,10 @@ def test_a_certificate_failure_reaches_the_report(monkeypatch):
 def test_a_failed_instance_check_reaches_the_report(monkeypatch):
     engine = lab._engine(Z4, 2)  # the scan below runs on this cached engine
     plain_solve = engine.solve
+    identity = engine.from_square(SquareMatrix.identity(Z4, 2))
 
     def solve(target, base):
-        if target == base == engine.ident:
+        if target == base == identity:
             return ((0, 0), (0, 0))  # A^2 X = 0, not A = I
         return plain_solve(target, base)
 

@@ -156,7 +156,7 @@ def test_shape_and_spec_mismatches():
         a * mat(Z4, "[[1,2],[3,4]]")
     with pytest.raises(DimMismatch):
         SquareMatrix.from_rows(Z, [[1, 2], [3]])
-    for dim in (0, -1):
+    for dim in (True, 0, -1):
         with pytest.raises(DimMismatch):
             SquareMatrix.identity(Z, dim)
         with pytest.raises(DimMismatch):
