@@ -484,7 +484,9 @@ class _NCParser(_ExpressionParser):
     def terms(self, value: NCPolynomial) -> int:
         return len(value)
 
-    slots = terms  # a sum walks the terms of a sparse polynomial, and only those
+    # a sum walks the terms of a sparse polynomial, and only those; a product
+    # walks the right factor's terms once for each term of the left
+    slots = live = terms
 
     def power_size(self, value: NCPolynomial, exponent: int) -> int:
         """The term count raised to the exponent (capped where it must pass

@@ -24,7 +24,9 @@ one matrix is wrapped at the end.
 
 The sampled check refuses, with ``BudgetExceeded``, a run whose samples times
 one evaluation's entry products (the recurrence's products times dim^3) and
-sampled entries pass ``DEFAULT_BUDGET``, and the search more than
+sampled entries pass ``DEFAULT_BUDGET``, each product charged the square of
+the coefficient slots a sampled entry can hold and each entry those slots, so
+a polynomial tower is charged for its dense entries; and the search more than
 ``DEFAULT_BUDGET`` tuples of units.
 """
 
@@ -39,14 +41,27 @@ from typing import Optional, Sequence
 from .errors import BudgetExceeded, DegreeTooLarge, DimMismatch, SpecMismatch
 from .jsonio import content_hash
 from .matrices import SquareMatrix, _require_commutative, matrix_to_json
-from .rings import DEFAULT_BUDGET, RingSpec, require_positive
+from .rings import DEFAULT_BUDGET, PolyOver, QuotientPoly, RingSpec, require_positive
 
 MAX_DEGREE = 8
 
 
 def _require_degree(degree: int) -> None:
-    if degree < 1 or degree > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree must be between 1 and {MAX_DEGREE}, got {degree}")
+    """A degree is an integer from 1 to MAX_DEGREE; a bool or a float is none."""
+    if isinstance(degree, bool) or not isinstance(degree, int) or not 1 <= degree <= MAX_DEGREE:
+        raise DegreeTooLarge(f"degree must be an integer between 1 and {MAX_DEGREE}, "
+                             f"got {degree!r}")
+
+
+def _entry_slots(spec: RingSpec, bound: int) -> int:
+    """The most coefficient slots of one sampled entry: ``bound + 1`` for each
+    ``poly`` layer, the modulus degree for each ``quot`` layer, 1 over ``int``
+    and ``zmod``."""
+    slots = 1
+    while isinstance(spec, PolyOver):
+        slots *= len(spec.modulus) - 1 if isinstance(spec, QuotientPoly) else bound + 1
+        spec = spec.base
+    return slots
 
 
 def _recurrence_products(degree: int) -> int:
@@ -131,8 +146,11 @@ def check_identity_on_samples(spec: RingSpec, dim: int, degree: int,
     _require_commutative(spec, "sampled identity checks")  # the free algebra has no sampler
     require_positive(samples=samples, dim=dim, bound=bound)
     _require_degree(degree)
-    # each evaluation: its entry products, and the entries of its sampled arguments
-    _refuse_past_budget(samples * (_recurrence_products(degree) * dim ** 3 + degree * dim ** 2),
+    # each evaluation: its entry products, and the entries of its sampled arguments,
+    # each product charged the square of an entry's slots and each entry its slots
+    slots = _entry_slots(spec, bound)
+    _refuse_past_budget(samples * (_recurrence_products(degree) * dim ** 3 * slots ** 2
+                                   + degree * dim ** 2 * slots),
                         f"{samples} samples of s_{degree} on {dim}-by-{dim} matrices")
     rng = random.Random(seed)
     witness = None

@@ -40,7 +40,8 @@ from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
 from .matrices import SquareMatrix, _require_commutative, matrix_to_json
-from .rings import DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, binary_power, require_positive
+from .rings import (DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, _Memo, binary_power,
+                    require_positive)
 from .witnesses import _Context, certificate_rows, instance_rows
 
 
@@ -135,17 +136,6 @@ class _Engine:
         for vcode in range(len(codes) - 1, -1, -1):
             table[codes[vcode]] = vcode
         return table
-
-
-class _Memo(dict):
-    """A missing key is computed by ``compute`` and kept."""
-
-    def __init__(self, compute):
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
 
 
 _ENGINES: dict = {}

@@ -40,13 +40,17 @@ refuses a power whose size would pass ``DEFAULT_BUDGET``, the product that
 would take a text's term products (about the square of the result's size for
 a dense polynomial) past ``WORK_BUDGET``, and the sum, product or negation
 that would take the dense coefficient slots its operations walk past
-``SLOT_BUDGET``, before any of them is computed.
+``SLOT_BUDGET``, before any of them is computed.  A product walks the right
+factor's slots once for each nonzero entry at the bottom of the left one.
 
-A finite quotient ring of at most 256 elements computes each sum, product,
-literal and parse once and then reads it from a table of at most
-``_MEMO_CAP`` entries.  Equal specs share the tables through a registry keyed
-by ``(base, variable, modulus)``, which only grows; a pickled spec carries
-none.  Larger and infinite quotient rings compute every result afresh.
+A finite quotient ring whose pairs number at most ``_MEMO_CAP`` (256
+elements) computes each sum, product and spelling once and keeps it in a
+``_Memo``, which holds at most one entry per pair or element.  A literal
+that ``show_payload`` spelled is read back from a table of those texts; any
+other text is parsed and not kept.  Equal specs share the tables through a
+registry keyed by ``(base, variable, modulus)``, which only grows; a pickled
+spec carries none.  Larger and infinite quotient rings compute every result
+afresh.
 """
 
 from __future__ import annotations
@@ -688,45 +692,46 @@ def poly_ring(spec: RingSpec) -> PolyOver:
     return PolyOver(spec, variable)
 
 
-_MEMO_CAP = 1 << 16  # entries per table; a ring is memoized only if all its pairs fit
+_MEMO_CAP = 1 << 16  # most pairs of a quotient ring whose ops are memoized
 _TABLES: dict = {}  # (base, variable, modulus) -> the memoized ops equal specs share
 
 
-class _Table(dict):
-    """A missing key is computed and kept while there are under _MEMO_CAP entries."""
+class _Memo(dict):
+    """A missing key is computed by ``compute`` and kept."""
 
     def __init__(self, compute):
         self.compute = compute
 
     def __missing__(self, key):
-        return self.keep(key, self.compute(key))
-
-    def keep(self, key, value):
-        if len(self) < _MEMO_CAP:
-            self[key] = value
+        value = self[key] = self.compute(key)
         return value
 
 
-_KERNELS = _Table(_product_kernel)  # (form, dim, kind) -> kernel; filled on first use
+_KERNELS = _Memo(_product_kernel)  # (form, dim, kind) -> kernel; filled on first use
 
 
 def _memo_ops(spec: "QuotientPoly") -> dict:
     """Table-backed payload ops of a small finite quotient ring; the literal
-    table memoizes the parser, and ``show_payload`` seeds it."""
+    table holds only the texts ``show_payload`` spelled."""
     base, mod, var = spec.base, spec.modulus, spec.variable
-    add = _Table(lambda pair: _seq_add(base, *pair))
-    mul = _Table(lambda pair: _monic_rem(base, _seq_mul(base, *pair), mod))
-    literal = _Table(lambda value: RingSpec.payload_from_json(spec, value))
+    add = _Memo(lambda pair: _seq_add(base, *pair))
+    mul = _Memo(lambda pair: _monic_rem(base, _seq_mul(base, *pair), mod))
+    literal = {}
 
     def spell(payload):
         text = _poly_payload_str(base, payload, var)
-        literal.keep(text, payload)
+        literal[text] = payload
         return text
 
-    show = _Table(spell)
+    def payload_from_json(value):
+        try:
+            return literal[value]
+        except (KeyError, TypeError):
+            return RingSpec.payload_from_json(spec, value)
+
+    show = _Memo(spell)
     return dict(p_add=lambda a, b: add[a, b], p_mul=lambda a, b: mul[a, b],
-                show_payload=show.__getitem__, payload_from_json=lambda value: (
-                    literal[value] if isinstance(value, str) else literal.compute(value)))
+                show_payload=show.__getitem__, payload_from_json=payload_from_json)
 
 
 @dataclass(frozen=True)
@@ -895,12 +900,23 @@ def _slots(payload) -> int:
     return len(payload) - len(nonzero) + sum(map(_slots, nonzero))
 
 
+def _live(payload) -> int:
+    """The nonzero entries at the bottom of an element's coefficient tuples,
+    one at least: a product walks the other factor's slots once for each."""
+    if not payload or not isinstance(payload, tuple):
+        return 1
+    if not isinstance(payload[-1], tuple):
+        return len(payload) - payload.count(0)
+    return sum(map(_live, filter(None, payload)))
+
+
 class _ExpressionParser:
     """Recursive descent over signed sums of products of powers, where
     juxtaposition multiplies and parentheses group; a subclass reads one
     ``atom`` of ``spec`` and counts its ``terms`` and ``slots``.  One parser
     reads one text: every product it makes is charged to its ``work``, and
-    every sum, product and negation to its ``built``."""
+    every sum, product and negation to its ``built``; ``live`` counts the
+    entries of a left factor that each walk the right factor's slots."""
 
     def __init__(self, spec, tokens: list):
         self.spec = spec
@@ -930,21 +946,21 @@ class _ExpressionParser:
         return self.finish(self.expression())
 
     def product(self, lhs, rhs):
-        """lhs * rhs, charged the product of their term counts; the product
-        that would take the text's work past WORK_BUDGET is refused before
-        it runs."""
+        """lhs * rhs, charged the product of their term counts as work and
+        ``slots(lhs) + live(lhs) * slots(rhs)`` as slots; the product that
+        would take the text past either budget is refused before it runs."""
         self.work += self.terms(lhs) * self.terms(rhs)
         if self.work > WORK_BUDGET:
             raise BudgetExceeded(f"this text's term products exceed the work budget {WORK_BUDGET}")
-        self.charge(lhs, rhs)
+        self.charge(self.slots(lhs) + self.live(lhs) * self.slots(rhs))
         return lhs * rhs
 
-    def charge(self, *operands):
-        """Charge the slots of ``operands`` to ``built``: a sum, product or
-        negation walks them and builds at most as many, even where a sparse
-        power has one term, so the operation that would take the text past
-        SLOT_BUDGET is refused before it runs."""
-        self.built += sum(map(self.slots, operands))
+    def charge(self, slots: int):
+        """Charge ``slots`` to ``built``: a sum or negation walks its operands'
+        slots and builds at most as many, even where a sparse power has one
+        term, so the operation that would take the text past SLOT_BUDGET is
+        refused before it runs."""
+        self.built += slots
         if self.built > SLOT_BUDGET:
             raise BudgetExceeded(
                 f"this text's coefficient slots exceed the work budget {SLOT_BUDGET}")
@@ -964,12 +980,12 @@ class _ExpressionParser:
             negate = self.take()[0] == "-"
         value = self.term()
         if negate:
-            self.charge(value)
+            self.charge(self.slots(value))
             value = -value
         while self.peek()[0] in "+-":
             op = self.take()[0]
             rhs = self.term()
-            self.charge(value, rhs)
+            self.charge(self.slots(value) + self.slots(rhs))
             value = value - rhs if op == "-" else value + rhs
         return value
 
@@ -1011,6 +1027,9 @@ class _ExpressionParser:
     def slots(self, value) -> int:
         raise NotImplementedError
 
+    def live(self, value) -> int:
+        raise NotImplementedError
+
     def power_size(self, value, exponent: int) -> int:
         raise NotImplementedError
 
@@ -1042,6 +1061,9 @@ class _LiteralParser(_ExpressionParser):
 
     def slots(self, value: RingElem) -> int:
         return _slots(value.payload)
+
+    def live(self, value: RingElem) -> int:
+        return _live(value.payload)
 
     def power_size(self, value: RingElem, exponent: int) -> int:
         return exponent * _weight(self.spec, value.payload)

@@ -102,6 +102,9 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
         # one-term powers whose sums walk more dense coefficient slots than the budget
         ["right-to-left", "--ring", "poly:int:t", "--dim", "1", "--n", "1",
          "--A", "[[" + "+".join(["t^500000"] * 100) + "]]", "--X", "[[0]]"],
+        # a dense factor times a long sparse one walks the sparse one's slots per term
+        ["right-to-left", "--ring", "poly:int:t", "--dim", "1", "--n", "1",
+         "--A", "[[(1+t)^500*t^500000]]", "--X", "[[0]]"],
         # nesting that would pass the interpreter's recursion limit
         ["nf", "--expr", "(" * 246 + "a" + ")" * 246],
         ["right-to-left", "--ring", "int", "--dim", "1", "--n", "1",
@@ -559,15 +562,20 @@ def test_nf_of_a_large_power_is_fast(capsys):
 
 
 def test_an_identity_check_past_the_budget_exits_2_at_once(capsys):
-    # 2 * 100000^3 entry products for one s_2: refused before any matrix is drawn
-    start = time.perf_counter()
-    assert dispatch(["identity-check", "--ring", "zmod:2", "--dim", "100000",
-                     "--degree", "2", "--samples", "1"]) == 2
-    assert time.perf_counter() - start < 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "past the budget" in captured.err
-    assert "Traceback" not in captured.err
+    for argv in (
+        # 2 * 100000^3 entry products for one s_2: refused before any matrix is drawn
+        ["--ring", "zmod:2", "--dim", "100000", "--degree", "2"],
+        # an entry of a polynomial tower holds (bound + 1) slots per layer, 100 and 1000
+        ["--ring", "poly:poly:int:a:b", "--dim", "2", "--degree", "4"],
+        ["--ring", "poly:poly:poly:int:a:b:c", "--dim", "2", "--degree", "4"],
+    ):
+        start = time.perf_counter()
+        assert dispatch(["identity-check", *argv, "--samples", "1"]) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert "past the budget" in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_an_identity_check_with_samples_past_the_budget_exits_2_at_once(capsys):

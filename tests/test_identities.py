@@ -98,7 +98,7 @@ def test_one_identity_compiles_one_kernel_per_form_and_dim(monkeypatch):
              (FREE, 1, 6)]
     for spec, dim, degree in cases:
         compiled = []
-        monkeypatch.setattr(rings, "_KERNELS", rings._Table(
+        monkeypatch.setattr(rings, "_KERNELS", rings._Memo(
             lambda key: compiled.append(key) or rings._product_kernel(key)))
         standard_identity(gens if spec is FREE
                           else [random_matrix(spec, dim, rng, 3) for _ in range(degree)])
@@ -138,6 +138,20 @@ def test_sampling_refuses_an_evaluation_past_the_budget(monkeypatch, dim, degree
     monkeypatch.setattr(identities, "_sample_matrix", refuse_to_draw)
     with pytest.raises(BudgetExceeded if refused else Drawn):
         check_identity_on_samples(Z2, dim, degree, samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("token, samples, refused", [
+    ("poly:int:a", 72, False),  # 72 * (18 * 2^3 * 10^2 + 4 * 2^2 * 10) = 1048320
+    ("poly:int:a", 73, True),
+    ("quot:poly:int:a:t^2", 18, False),  # 2 * 10 slots: 18 * 57920 = 1042560
+    ("quot:poly:int:a:t^2", 19, True),
+    ("poly:poly:int:a:b", 1, True),  # 18 * 2^3 * 100^2 + 4 * 2^2 * 100 = 1441600
+])
+def test_sampling_charges_each_entry_for_its_coefficient_slots(monkeypatch, token, samples,
+                                                               refused):
+    monkeypatch.setattr(identities, "_sample_matrix", refuse_to_draw)
+    with pytest.raises(BudgetExceeded if refused else Drawn):
+        check_identity_on_samples(parse_ring_spec(token), 2, 4, samples=samples, seed=0)
 
 
 @pytest.mark.parametrize("dim, degree, refused", [
@@ -209,9 +223,14 @@ def test_degree_and_spec_guards(monkeypatch):
         standard_identity([])
     # the sampled check refuses a bad degree before drawing any matrix
     monkeypatch.setattr(identities, "_sample_matrix", None)
-    for degree in (-1, 0, 9):
+    for degree in (-1, 0, 9, True, 2.0):
         with pytest.raises(DegreeTooLarge, match=f"got {degree}$"):
             check_identity_on_samples(Z, 2, degree, samples=5, seed=0)
+    # a bool or a float is no degree, and the search refuses it before any unit is built
+    monkeypatch.setattr(identities, "matrix_units", None)
+    for degree in (True, 2.0):
+        with pytest.raises(DegreeTooLarge, match=f"got {degree}$"):
+            search_nonvanishing(Z6, 2, degree)
 
 
 def test_search_finds_s3_witness_quickly():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import pickle
 import random
 import subprocess
@@ -422,20 +423,30 @@ def test_only_rings_whose_pairs_fit_a_table_are_memoized(token, memoized, fresh_
     assert bool(rings._TABLES) == memoized
 
 
-def test_no_table_grows_past_the_cap(monkeypatch, fresh_tables):
+def test_the_literal_table_holds_only_spelled_texts(monkeypatch, fresh_tables):
     spec = QuotientPoly(IntegersMod(3), "t", (0, 0, 1))
-    monkeypatch.setattr(rings, "_MEMO_CAP", 10)
-    table = rings._Table(lambda key: 2 * key)
-    assert [table[k] for k in range(25)] == [2 * k for k in range(25)]
-    assert len(table) == 10 and table.keep(99, 7) == 7 and 99 not in table
+    parses = []
+    parse = _LiteralParser.parse
+    monkeypatch.setattr(_LiteralParser, "parse",
+                        lambda self: parses.append(1) or parse(self))
+    literal = inspect.getclosurevars(spec.payload_from_json).nonlocals["literal"]
+    for _ in range(2):
+        assert spec.payload_from_json("t+1") == (1, 1)
+    assert len(parses) == 2 and not literal
     for a in spec.payloads():
+        assert spec.payload_from_json(spec.show_payload(a)) == a
+        assert spec.payload_from_json("0+" + spec.show_payload(a)) == a
+        assert len(literal) <= spec.cardinality()
+    assert len(literal) == spec.cardinality() == 9 and len(parses) == 11
+    assert set(literal) == {spec.show_payload(a) for a in spec.payloads()}
+    monkeypatch.setattr(_LiteralParser, "parse", _forbidden)
+    for a in spec.payloads():  # canonical texts are still read without parsing
         assert spec.payload_from_json(spec.show_payload(a)) == a
         for b in spec.payloads():
             assert spec.p_add(a, b) == _seq_add(spec.base, a, b)
             assert spec.p_mul(a, b) == _monic_rem(spec.base, _seq_mul(spec.base, a, b),
                                                   spec.modulus)
     assert len(spec.show_payload.__self__) == 9
-    assert [len(cell.cell_contents) for cell in spec.p_mul.__closure__] == [10]
 
 
 def test_specs_pickle_without_their_tables(fresh_tables):
@@ -580,6 +591,10 @@ def test_powers_past_the_work_budget_are_refused(token, literal, refused):
     ("poly:int:t", "-t^500000-t^500000-t^500000", True),
     # a constant of the outer layer counts the slots of its inner tuple
     ("poly:poly:int:t:u", "t^500000-t^500000+t^500000", True),
+    # a product walks the right factor's slots once for each live entry of the left
+    ("poly:int:t", "t^500000*(1+t)^500", False),
+    ("poly:int:t", "(1+t)^500*t^500000", True),
+    ("poly:poly:int:t:u", "(t+u)^500", True),
 ])
 def test_sparse_powers_past_the_slot_budget_are_refused(token, literal, refused):
     spec = parse_ring_spec(token)
@@ -593,12 +608,16 @@ def test_sparse_powers_past_the_slot_budget_are_refused(token, literal, refused)
 def test_slot_account_is_the_sum_of_the_operands_walked(monkeypatch):
     assert [rings._slots(p) for p in (0, 5, (), (0, 0, 7), ((), (0, 1)), ((), (), (3,)))] == [
         1, 1, 1, 3, 3, 3]
+    assert [rings._live(p) for p in (0, 5, (), (0, 0, 7), ((), (0, 1)), ((1, 2), (), (3,)))] == [
+        1, 1, 1, 1, 1, 3]
     walked, parsers = [], []
-    slots = rings._slots
-    for name in ("__add__", "__sub__", "__mul__"):
+    slots, live = rings._slots, rings._live
+    # a product walks the right factor's slots once per live entry of the left
+    for name, times in (("__add__", lambda a: 1), ("__sub__", lambda a: 1), ("__mul__", live)):
         plain = getattr(rings.RingElem, name)
-        monkeypatch.setattr(rings.RingElem, name, lambda a, b, plain=plain: walked.append(
-            slots(a.payload) + slots(b.payload)) or plain(a, b))
+        monkeypatch.setattr(rings.RingElem, name, lambda a, b, plain=plain, times=times:
+                            walked.append(slots(a.payload) + times(a.payload) * slots(b.payload))
+                            or plain(a, b))
     plain_neg, finish = rings.RingElem.__neg__, rings._ExpressionParser.finish
     monkeypatch.setattr(rings.RingElem, "__neg__",
                         lambda a: walked.append(slots(a.payload)) or plain_neg(a))
