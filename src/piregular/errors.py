@@ -37,7 +37,8 @@ class BudgetExceeded(PiregularError):
     units would exceed DEFAULT_BUDGET (2^20), the term products made parsing one text
     would exceed WORK_BUDGET (2^18), the dense coefficient slots its sums,
     products and negations walk would exceed SLOT_BUDGET (2^22), a product
-    walking the right factor's slots once per nonzero entry of the left, or a result
+    walking the right factor's slots once per nonzero entry of the left and a
+    slot costing one per polynomial layer of the ring, or a result
     holds an integer with more digits than CPython turns into text
     (``sys.get_int_max_str_digits()``, 4300 by default)."""
 

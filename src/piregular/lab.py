@@ -8,8 +8,10 @@ exhaustive scan runs through one driver, :func:`_scan`: it checks every size
 against the budget before an engine is built, then streams one per-matrix
 function over each matrix in row-major order, on one process or in chunks on
 a pool; :func:`cp_report` and the transpose check share one such function
-and one fold.  The report certifies each right witness on payload rows with
-the row functions of :mod:`piregular.witnesses`, and no wrapper objects.
+and one fold.  The report certifies each right witness on payload rows with one
+call of its certificate context's generated kernel, and no wrapper objects; a
+certificate the kernel fails is rerun by the row functions of
+:mod:`piregular.witnesses`, which name the failure.
 
 The right search finds the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
@@ -338,21 +340,29 @@ _OUTCOMES = {sides: (*sides, None, None) for sides in _KINDS}  # shared: pickled
 def _sides(n: int, ctx: Optional[_Context], engine: _Engine, mat) -> tuple:
     """(right, left, A, failure): whether A has a right and a left witness
     at n; A as JSON if it has just one, else None; the failure of the certificate
-    built on payload rows from its right witness in ``ctx``, unless it is None."""
+    built on payload rows from its right witness by ``ctx``'s kernel, unless it is None."""
     low, high = engine.power_pair(mat, n)
     x = engine.solve(low, high)
     right, left = x is not None, engine.solve_left(low, high) is not None
     failure = None
     if ctx is not None and right:
         a, x = engine.payload_rows(mat), engine.payload_rows(x)
-        try:
-            certificate_rows(x, *instance_rows(ctx, a, x))
-        except PiregularError as exc:
+        if not ctx.certify(a, x)[3]:
             failure = {"A": matrix_to_json(engine.to_square(mat)),
-                       "reason": f"{type(exc).__name__}: {exc}"}
+                       "reason": _step_failure(ctx, a, x)}
     if right == left and failure is None:
         return _OUTCOMES[right, left]
     return right, left, matrix_to_json(engine.to_square(mat)) if right != left else None, failure
+
+
+def _step_failure(ctx: _Context, a, x) -> str:
+    """Why the step path fails the certificate the kernel failed, in its own words; if it
+    passes, the disagreement is an InternalViolation, never silent."""
+    try:
+        certificate_rows(x, *instance_rows(ctx, a, x))
+    except PiregularError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "InternalViolation: the certificate kernel fails a certificate the step path passes"
 
 
 def _agreement(spec: RingSpec, m: int, n: int, certify: bool, workers: int = 1) -> tuple:

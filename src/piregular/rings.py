@@ -20,13 +20,14 @@ term written out as straight-line code in one of three entry forms: plain
 ``+`` and ``*`` over the integers, the same with one ``% modulus`` per entry
 mod k, and ``p_add``/``p_mul`` calls for every other ring; above that it is
 ``p_matmul``, a loop over ``p_dot``, as a kernel grows as dim^3.
-``combination(dim)`` binds a certificate's C alike, and ``accumulate(dim)`` a
-signed term ``c +- l*r``.  A fourth form, ``table``, serves
-:mod:`piregular.lab` at every dimension (its budget keeps dim <= 20) on rows
-of element indices, with the engine's right and left witness searches and
-the column codes they read as three more kinds.  Kernels are cached in the module under ``(form, dim,
-kind)`` on first use, never on a spec; a binding is a fresh ``partial`` of
-one and the spec.
+``accumulate(dim)`` binds a signed term ``c +- l*r`` alike.  A fourth form,
+``table``, serves :mod:`piregular.lab` at every dimension (its budget keeps
+dim <= 20) on rows of element indices, with the engine's right and left
+witness searches and the column codes they read as three more kinds; a scan's
+whole certificate over ``zmod:k`` is one more ``residue`` kernel per dimension
+and exponent.  Kernels are cached in the module under ``(form, dim, kind)`` on
+first use, never on a spec; a binding is a fresh ``partial`` of one and the
+spec.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -60,7 +61,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import product, takewhile
+from itertools import count, product, takewhile
 from string import ascii_letters, digits
 from typing import Any, Optional
 
@@ -159,12 +160,6 @@ class RingSpec:
         if dim <= _KERNEL_CAP:
             return partial(_KERNELS[self.matmul_form, dim, "product"], self)
         return self.p_matmul
-
-    def combination(self, dim: int):
-        """:meth:`p_combination` bound like :meth:`matmul`: a kernel up to ``_KERNEL_CAP``."""
-        if dim <= _KERNEL_CAP:
-            return partial(_KERNELS[self.matmul_form, dim, "combination"], self)
-        return self.p_combination
 
     def p_combination(self, s, mats) -> tuple:
         """The sum of ``s[t]*mats[t]``, one ``p_dot`` of ``s`` per stack of entries."""
@@ -316,35 +311,30 @@ def _product_kernel(key):
     and ``calls`` folds ``spec.p_add`` over ``spec.p_mul`` from the left,
     keeping the left factor on the left, so entries need not commute.  ``table``
     folds ``spec.add[x][y]`` over ``spec.mul[x][y]`` alike, on rows of element
-    indices.  ``(form, m, "combination")`` writes ``l[0]*r[0] + ... + l[m-1]*r[m-1]``
-    alike, coefficient on the left.  ``(form, m, "accumulate")`` gives
+    indices.  ``(form, m, "accumulate")`` gives
     ``kernel(spec, c, negative, l, r)``, ``c - l*r`` if ``negative`` else ``c + l*r``:
     ``c + s*(...)`` with ``s = -1`` or ``1``, one ``% k`` after it, or ``acc(c, ...)``
     with ``acc`` bound to ``spec.p_sub`` or ``spec.p_add``; it has no ``table`` form.
     ``("table", m, "solve")``, ``("table", m, "solve_left")`` and ``("table", m,
     "codes")`` serve the searches of :mod:`piregular.lab`, see :func:`_solve_source`
-    and :func:`_codes_source`.  Sources hold only integer indices and names."""
+    and :func:`_codes_source`, and ``("residue", m, ("certificate", n))`` its
+    certificates, see :func:`_certificate_source`.  Sources hold only integer
+    indices and names."""
     form, m, kind = key
     if kind in ("solve", "solve_left", "codes"):
         source = _codes_source(m) if kind == "codes" else _solve_source(m, kind)
         return _compile(source, f"<{m}x{m} {form} {kind}>")
+    if isinstance(kind, tuple):  # ("certificate", n), over the residue form only
+        n = kind[1]
+        return _compile(_certificate_source(m, n), f"<{m}x{m} {form} certificate n={n}>")
     prelude = {"integer": "pass", "residue": "k = spec.modulus",
                "calls": "add, mul = spec.p_add, spec.p_mul",
                "table": "add, mul = spec.add, spec.mul"}[form]
-    op = "{}[{}][{}]" if form == "table" else "{}({}, {})"
-
     square = partial(_square, m)
 
     def entry(i, j) -> str:
-        pairs = ([(f"a{k}", f"b{k}_{i}_{j}") for k in range(m)] if kind == "combination"
-                 else [(f"a{i}_{k}", f"b{k}_{j}") for k in range(m)])
-        if form in ("calls", "table"):
-            total = reduce(partial(op.format, "add"), (op.format("mul", x, y) for x, y in pairs))
-            return f"acc(c{i}_{j}, {total})" if kind == "accumulate" else total
-        total = " + ".join(f"{x}*{y}" for x, y in pairs)
-        if kind == "accumulate":
-            total = f"c{i}_{j} + s*({total})"
-        return f"({total}) % k" if form == "residue" else total
+        return _entry(form, [(f"a{i}_{k}", f"b{k}_{j}") for k in range(m)],
+                      f"c{i}_{j}" if kind == "accumulate" else None)
 
     head, lines = "def kernel(spec, l, r):", (prelude,)
     if kind == "accumulate":
@@ -352,12 +342,23 @@ def _product_kernel(key):
                 else "s = -1 if negative else 1")
         head = "def kernel(spec, c, negative, l, r):"
         lines = (prelude, sign, square("c{}_{}".format) + " = c")
-    left, right = ((" ".join(f"a{k}," for k in range(m)),
-                    " ".join(square(f"b{k}_{{}}_{{}}".format) + "," for k in range(m)))
-                   if kind == "combination" else (square("a{}_{}".format), square("b{}_{}".format)))
-    source = "\n    ".join((head, *lines, f"{left} = l", f"{right} = r",
-                            "return " + square(entry)))
+    source = "\n    ".join((head, *lines, square("a{}_{}".format) + " = l",
+                            square("b{}_{}".format) + " = r", "return " + square(entry)))
     return _compile(source, f"<{m}x{m} {form} {kind}>")
+
+
+def _entry(form: str, pairs, acc=None) -> str:
+    """The source of one product entry in entry form ``form``, the sum of the
+    products of the named ``(left, right)`` cells in ``pairs``; with ``acc``,
+    the name of a cell of ``c``, the signed term ``c +- l*r``."""
+    if form in ("calls", "table"):
+        op = "{}[{}][{}]" if form == "table" else "{}({}, {})"
+        total = reduce(partial(op.format, "add"), (op.format("mul", x, y) for x, y in pairs))
+        return total if acc is None else f"acc({acc}, {total})"
+    total = " + ".join(f"{x}*{y}" for x, y in pairs)
+    if acc is not None:
+        total = f"{acc} + s*({total})"
+    return f"({total}) % k" if form == "residue" else total
 
 
 def _square(m: int, cell) -> str:
@@ -403,6 +404,66 @@ def _codes_source(m: int) -> str:
         _square(m, "a{}_{}".format) + " = r",
         *(f"m{i}_{k} = mul[a{i}_{k}]" for i in range(m) for k in range(m)),
         "return [" + " ".join((code, *loops, f"for x{m - 1} in indices")) + "]"))
+
+
+def _certificate_source(m: int, n: int) -> str:
+    """``kernel(spec, char_poly, a, x)``: a scan's whole certificate for the
+    m-by-m payload rows ``a`` and ``x`` over ``zmod:k`` at exponent ``n``, in
+    straight-line code.  It checks A^n = A^(n+1) X, then builds, with N = n*m
+    and q = (1, s1, ..., sm) the reversed ``char_poly(spec, x)``,
+    C = -(s1 I + s2 A + ... + sm A^(m-1)), w = A^N C^(N+1) and
+    Y = w^(N-n+1) A^(N-n), and evaluates the identities that can fail:
+    ``raised_right_witness``, ``commuting_witness``, ``raised_left_witness`` and
+    ``left_witness`` (``right_witness`` is the instance check).
+    ``exponent_is_n_times_dim`` and ``char_poly_factor_shape`` hold by
+    construction.  It returns ``(C, w, Y, True)``, or ``ok = False`` in the last
+    place when an identity fails, and ``(None, None, None, False)`` when the
+    instance does not hold.  Every product is written out with the ``residue``
+    entry of :func:`_product_kernel`, and the products and their order are those
+    of :mod:`piregular.witnesses`: each power of A one product from a held
+    A^(e-1), else a :func:`binary_power` chain, and C^(N+1) and w^(N-n+1) by
+    :func:`binary_power`."""
+    big = n * m
+    lines = ["def kernel(spec, char_poly, a, x):", "k = spec.modulus",
+             _square(m, "a_{}_{}".format) + " = a", _square(m, "x_{}_{}".format) + " = x"]
+    held, made = {1: "a"}, count()
+
+    def identity() -> str:  # A^0, read only as A^(N-n) when m = 1
+        lines.extend(f"i_{i}_{j} = {int(i == j)}" for i in range(m) for j in range(m))
+        return "i"
+
+    def mul(left: str, right: str) -> str:
+        name = f"p{next(made)}"
+        lines.extend(f"{name}_{i}_{j} = " + _entry("residue", [
+            (f"{left}_{i}_{t}", f"{right}_{t}_{j}") for t in range(m)])
+            for i in range(m) for j in range(m))
+        return name
+
+    def power(e: int) -> str:
+        if e not in held:
+            held[e] = (mul(held[e - 1], "a") if e - 1 in held
+                       else binary_power("a", e, identity, mul))
+        return held[e]
+
+    def equal(left: str, right: str) -> str:
+        return " and ".join(f"{left}_{i}_{j} == {right}_{i}_{j}"
+                            for i in range(m) for j in range(m))
+
+    a_n, a_n1 = power(n), power(n + 1)
+    lines.append(f"if not ({equal(a_n, mul(a_n1, 'x'))}): return None, None, None, False")
+    for e in (*range(1, m), big - n, big, big + 1):
+        power(e)
+    lines.append(" ".join(f"s{t}," for t in range(m, 0, -1)) + " _ = char_poly(spec, x).payload")
+    lines.extend(f"c_{i}_{j} = -(" + " + ".join(["s1"] * (i == j) + [
+        f"s{t + 1}*{held[t]}_{i}_{j}" for t in range(1, m)]) + ") % k"
+        for i in range(m) for j in range(m))
+    w = mul(power(big), binary_power("c", big + 1, None, mul))
+    y = mul(binary_power(w, big - n + 1, None, mul), power(big - n))
+    checks = (equal(power(big), mul(power(big + 1), "c")), equal(mul("a", w), mul(w, "a")),
+              equal(power(big), mul(w, power(big + 1))), equal(a_n, mul(y, a_n1)))
+    rows = (_square(m, f"{name}_{{}}_{{}}".format) for name in ("c", w, y))
+    return "\n    ".join((*lines, "return " + ", ".join(rows) + ", "
+                            + " and ".join(f"({check})" for check in checks)))
 
 
 def _compile(source: str, filename: str):
@@ -959,8 +1020,10 @@ class _ExpressionParser:
         """Charge ``slots`` to ``built``: a sum or negation walks its operands'
         slots and builds at most as many, even where a sparse power has one
         term, so the operation that would take the text past SLOT_BUDGET is
-        refused before it runs."""
-        self.built += slots
+        refused before it runs.  A slot costs one per polynomial layer of the
+        ring, one at least: each layer adds its own ``p_add``/``p_mul`` calls
+        and tuples around the slots at the bottom."""
+        self.built += slots * max(1, len(_variables(self.spec)))
         if self.built > SLOT_BUDGET:
             raise BudgetExceeded(
                 f"this text's coefficient slots exceed the work budget {SLOT_BUDGET}")

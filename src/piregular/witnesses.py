@@ -19,14 +19,17 @@ rows, in a context made once per public call or scan that checks n >= 1 and
 n*dim <= DEFAULT_BUDGET and binds the product; it builds I only when a table
 reads A^0, as a certificate's C does.  The instance check starts one table of
 powers of A that every later stage fills in place, so each power is computed
-once.  A failure raises.  The verifier makes a context and a table
-of its own (no power if N != n*dim) and checks p against one Berkowitz call on
-X; emitting trusts only this producer's certificates.
+once.  A failure raises.  A scan runs the same steps as one generated kernel
+per dimension and n, bound by its context, and reruns these functions only to
+name a failure.  The verifier makes a context and a table of its own (no
+power if N != n*dim) and checks p against one Berkowitz call on X; emitting
+trusts only this producer's certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .errors import (
     BudgetExceeded,
@@ -42,6 +45,7 @@ from .matrices import determinant as det_poly_matrix  # noqa: F401  (perfbench w
 from .rings import (
     DEFAULT_BUDGET,
     RingElem,
+    _KERNELS,
     _strip,
     binary_power,
     parse_ring_spec,
@@ -52,19 +56,21 @@ from .rings import (
 
 class _Context:
     """The bound product of one ring, dimension and n, and on a first certificate what only
-    certificates use, I among it; it pickles as its arguments.  Only a ``scan``, with
-    thousands of certificates, repays the compile of C's kernel: 0.07-0.64 ms against
-    0.3-11 us saved per C at dims 2-4, the saving of 40-75 certificates of one form and
-    dimension per process, over 300 for 2x2 ``poly`` (timeit, 2-core machine).  A public
-    call certifies one and builds C by ``p_dot``; a ``certify-mix`` job makes 3-90 per
-    form and dimension."""
+    certificates use, I among it; it pickles as its arguments.  A ``scan`` context, over
+    ``zmod:k``, also binds ``certify(a, x)``: the generated certificate kernel of its
+    dimension and n (``rings._certificate_source``), which returns ``(C, w, Y, ok)`` from
+    one :func:`char_poly_rows` call and makes no bound product.  It is compiled once per
+    process and pays off over thousands of certificates; a public call, which certifies
+    one, and the verifier keep the step path."""
 
-    __slots__ = ("ring", "dim", "n", "scan", "mul", "_certifying")
+    __slots__ = ("ring", "dim", "n", "mul", "certify", "_certifying")
 
     def __init__(self, ring, dim: int, n: int, scan: bool = False):
         require_positive(PreconditionFailed, exponent=n)
         _check_exponent_budget(n, dim)
-        self.ring, self.dim, self.n, self.scan, self.mul = ring, dim, n, scan, ring.matmul(dim)
+        self.ring, self.dim, self.n, self.mul = ring, dim, n, ring.matmul(dim)
+        self.certify = (partial(_KERNELS["residue", dim, ("certificate", n)], ring, char_poly_rows)
+                        if scan else None)
         self._certifying = None
 
     def identity(self) -> tuple:
@@ -73,16 +79,15 @@ class _Context:
         return tuple([(zero,) * i + (one,) + (zero,) * (dim - 1 - i) for i in range(dim)])
 
     def certifying(self) -> tuple:
-        """(C's bound combination, I, p's N zeros, a certificate's other exponents), made once."""
+        """(I, p's N zeros, a certificate's other exponents), made once."""
         if self._certifying is None:
-            ring, dim, n, big_n = self.ring, self.dim, self.n, self.n * self.dim
-            combine = ring.combination(dim) if self.scan else ring.p_combination
-            self._certifying = (combine, self.identity(), (ring.zero_payload(),) * big_n,
-                                (*range(1, dim), big_n - n, big_n, big_n + 1))
+            ring, n, big_n = self.ring, self.n, self.n * self.dim
+            self._certifying = (self.identity(), (ring.zero_payload(),) * big_n,
+                                (*range(1, self.dim), big_n - n, big_n, big_n + 1))
         return self._certifying
 
     def __reduce__(self):
-        return _Context, (self.ring, self.dim, self.n, self.scan)
+        return _Context, (self.ring, self.dim, self.n, self.certify is not None)
 
 
 class _Powers(dict):
@@ -252,7 +257,7 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
 def certificate_rows(x, powers, ax) -> tuple:
     """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
     ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
-    ctx, mul, (combine, ident, zeros, exponents) = powers.ctx, powers.mul, powers.ctx.certifying()
+    ctx, mul, (ident, zeros, exponents) = powers.ctx, powers.mul, powers.ctx.certifying()
     ring, n, big_n = ctx.ring, ctx.n, ctx.n * ctx.dim
     powers[0] = ident
     powers.fill(exponents)
@@ -261,7 +266,7 @@ def certificate_rows(x, powers, ax) -> tuple:
     q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
     p = chi.spec.wrap(zeros + _strip(ring, list(q)))  # q(0) = 1: already canonical
     # C = -(s1 I + s2 A + ... + sm A^(m-1)), one combination of A^0, ..., A^(m-1)
-    c = combine(tuple(map(ring.p_neg, q[1:])), [powers[k] for k in range(ctx.dim)])
+    c = ring.p_combination(tuple(map(ring.p_neg, q[1:])), [powers[k] for k in range(ctx.dim)])
     w = _commuting_witness(mul, powers[big_n], c, big_n)
     y = _lowered_left_witness(mul, w, powers[big_n - n], big_n, n)
     return p, c, big_n, w, y, _require(_certificate_checks(

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piregular import (cli, emit_certificate, errors, integer_instance, lab, parse_ring_spec,
-                       poly_ring, right_to_left_certificate, sampled_finite_instance, witnesses)
+from piregular import (SquareMatrix, cli, emit_certificate, errors, integer_instance, lab,
+                       parse_ring_spec, poly_ring, right_to_left_certificate,
+                       sampled_finite_instance, witnesses)
 from piregular.cli import dispatch
 from piregular.identities import MAX_DEGREE
 from piregular.jsonio import hash_lines
@@ -105,6 +106,9 @@ def test_exit_2_on_parse_errors(tmp_path, capsys):
         # a dense factor times a long sparse one walks the sparse one's slots per term
         ["right-to-left", "--ring", "poly:int:t", "--dim", "1", "--n", "1",
          "--A", "[[(1+t)^500*t^500000]]", "--X", "[[0]]"],
+        # a slot of a two-layer tower is charged twice
+        ["right-to-left", "--ring", "poly:poly:int:t:u", "--dim", "1", "--n", "1",
+         "--A", "[[(t+u)^500]]", "--X", "[[0]]"],
         # nesting that would pass the interpreter's recursion limit
         ["nf", "--expr", "(" * 246 + "a" + ")" * 246],
         ["right-to-left", "--ring", "int", "--dim", "1", "--n", "1",
@@ -349,30 +353,57 @@ def test_verify_cert_rejects_wrongly_shaped_lists(field, value, tmp_path, capsys
     assert "Traceback" not in captured.err
 
 
-CERT_RINGS = ["zmod:12", "quot:zmod:3:t^2", "int"]
-RING_TOKENS = CERT_RINGS + ["zmod:5", "quot:zmod:2:t^2"]  # a quot ring reads string literals
+CERT_RINGS = ["zmod:12", "quot:zmod:3:t^2", "int", "poly:int:t"]
+RING_TOKENS = CERT_RINGS + ["zmod:5", "quot:zmod:2:t^2"]  # poly and quot rings read string literals
 WRONG_TYPES = [None, 1.5, {}, "x"]  # wrong for every field and every entry
+UNPARSABLE = ["1+", "t^^2", "(1+t", "2 3)", "t^"]  # no literal of any ring, nor a ring spec
+HUGE = [10 ** 300 + 1, -(2 ** 1000)]  # an entry of every ring, an exponent or dim past the budget
+TOO_LONG = "<a 5001-digit integer>"  # written into the document text as LONG
 SEEDS = st.integers(0, 99)
+
+
+def poly_instance(dim: int, seed: int):
+    """An integer instance over poly:int:t, conjugated by the shear I + t E_01 so that
+    its entries are polynomials: the witness identity carries over."""
+    nil_dim = seed % (dim + 1)
+    inst, spec = integer_instance(nil_dim, dim - nil_dim, seed), parse_ring_spec("poly:int:t")
+    t = spec.gen()
+    p, p_inv = (SquareMatrix.from_rows(spec, [[off if (i, j) == (0, 1) else int(i == j)
+                                                for j in range(dim)] for i in range(dim)])
+                for off in (t, -t))
+
+    def conjugate(mat):
+        return p * SquareMatrix.from_rows(spec, mat.rows) * p_inv
+
+    return witnesses.RightWitnessInstance(conjugate(inst.A), inst.n, conjugate(inst.X))
+
+
+def _strings(token: str) -> bool:
+    return not parse_ring_spec(token).atomic_literals
 
 
 @st.composite
 def mutated_certificate(draw):
-    """A valid certificate document from ``generators`` with one mutation:
-    an entry of a matrix or of p_coeffs, n, N or dim moved by one, two matrix
-    fields swapped, another ring token, a stored flag flipped, or a field of
-    the wrong type; and whether the document is now malformed (a wrong type,
-    an exponent below 1, matrices of another dim, or entries that are not
-    literals of the new ring)."""
-    token, dim, seed = draw(st.sampled_from(CERT_RINGS)), draw(st.integers(1, 2)), draw(SEEDS)
+    """A valid certificate document from ``generators`` (or :func:`poly_instance`) at
+    dim 1-3 with one mutation: an entry of a matrix or of p_coeffs, n, N or dim moved
+    by one, two matrix fields swapped, another ring token, a stored flag flipped, an
+    identities entry dropped or duplicated, a field of the wrong type, a huge integer
+    or an unparsable literal; and whether the document is now malformed (a wrong
+    type, an exponent below 1 or past the budget, matrices of another dim, an integer
+    too long to read, or entries that are not literals of the new ring)."""
+    token, dim, seed = draw(st.sampled_from(CERT_RINGS)), draw(st.integers(1, 3)), draw(SEEDS)
     spec = parse_ring_spec(token)
     if token == "int":
         nil_dim = draw(st.integers(0, dim))
         inst = integer_instance(nil_dim, dim - nil_dim, seed)
+    elif token == "poly:int:t":
+        inst = poly_instance(dim, seed)
     else:
         inst = sampled_finite_instance(spec, dim, seed)
     doc = json.loads(emit_certificate(right_to_left_certificate(inst)))
     kind = draw(st.sampled_from(["A", "X", "C", "w", "Y", "p_coeffs", "n", "N", "dim",
-                                 "swap", "ring", "verified", "holds", "type"]))
+                                 "swap", "ring", "verified", "holds", "drop", "duplicate",
+                                 "type", "huge", "unparsable"]))
     if kind in ("n", "N", "dim"):
         doc[kind] += draw(st.sampled_from([-1, 1]))
         return doc, doc[kind] < 1 or kind == "dim"
@@ -382,20 +413,46 @@ def mutated_certificate(draw):
         doc[first], doc[second] = doc[second], doc[first]
     elif kind == "ring":
         doc["ring"] = draw(st.sampled_from([other for other in RING_TOKENS if other != token]))
-        return doc, doc["ring"].startswith("quot") != token.startswith("quot")  # strings
+        return doc, _strings(doc["ring"]) != _strings(token)
     elif kind == "verified":
         doc["verified"] = not doc["verified"]
     elif kind == "holds":
         item = draw(st.sampled_from(doc["identities"]))
         item["holds"] = not item["holds"]
+    elif kind in ("drop", "duplicate"):  # the verifier recomputes them all and reads none
+        place = draw(st.integers(0, len(doc["identities"]) - 1))
+        item = doc["identities"].pop(place)
+        if kind == "duplicate":
+            doc["identities"][place:place] = [item, dict(item)]
     elif kind == "type":
         doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(WRONG_TYPES))
         return doc, True
     else:
-        rng, wrong = random.Random(draw(SEEDS)), draw(st.integers(0, 3)) == 0  # one in four
-        row = doc[kind] if kind == "p_coeffs" else doc[kind][draw(st.integers(0, dim - 1))]
-        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(WRONG_TYPES)) if wrong \
-            else spec.payload_to_json(spec.sample_payload(rng, 3))
+        def put(field, value):  # into one entry of a matrix field or of p_coeffs
+            row = doc[field] if field == "p_coeffs" else doc[field][draw(st.integers(0, dim - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = value
+
+        entries = ["A", "X", "C", "w", "Y", "p_coeffs"]
+        if kind == "unparsable":
+            field = draw(st.sampled_from(entries + ["ring"]))
+            value = draw(st.sampled_from(UNPARSABLE))
+            if field == "ring":
+                doc["ring"] = value
+            else:
+                put(field, value)
+            return doc, True
+        if kind == "huge":
+            field = draw(st.sampled_from(entries + ["n", "N", "dim"]))
+            value = draw(st.sampled_from(HUGE + [TOO_LONG]))
+            if field in ("n", "N", "dim"):
+                doc[field] = value if value == TOO_LONG else abs(value)
+                # a huge N alone is only a wrong exponent: the verifier computes no power
+                return doc, field != "N" or value == TOO_LONG
+            put(field, value if value == TOO_LONG else spec.payload_to_json(spec.p_from_int(value)))
+            return doc, value == TOO_LONG
+        wrong = draw(st.integers(0, 3)) == 0  # one in four
+        put(kind, draw(st.sampled_from(WRONG_TYPES)) if wrong
+            else spec.payload_to_json(spec.sample_payload(random.Random(draw(SEEDS)), 3)))
         return doc, wrong
     return doc, False
 
@@ -407,21 +464,23 @@ def test_verify_cert_gives_no_false_verdict_on_a_mutated_certificate(case):
     # naming what fails, else exit 2; never a traceback
     doc, malformed = case
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), \
+    text = json.dumps(doc).replace(json.dumps(TOO_LONG), LONG)
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dispatch(["verify-cert", "--path", "-"])
     assert "Traceback" not in err.getvalue()
     if malformed:
         assert (code, out.getvalue()) == (2, ""), err.getvalue()
         return
+    if doc["N"] != doc["n"] * doc["dim"]:  # the verifier computes no power, so it
+        # fails every identity needing one, and says why
+        assert code == 1 and "exponent_is_n_times_dim" in err.getvalue(), err.getvalue()
+        return
     failing = {name for name, holds in naive_certificate_identities(doc).items() if not holds}
     assert code == (1 if failing else 0), err.getvalue()
     if code == 1:
         named = set(err.getvalue().split("certificate FAILED: ", 1)[1].strip().split(", "))
-        if doc["N"] == doc["n"] * doc["dim"]:
-            assert named == failing
-        else:  # the verifier computes no power, so it fails every identity needing one
-            assert "exponent_is_n_times_dim" in failing & named
+        assert named == failing
 
 
 RTL_1X1 = ["right-to-left", "--ring", "zmod:4", "--dim", "1", "--n", "1",

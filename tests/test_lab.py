@@ -1,7 +1,9 @@
 import json
 import multiprocessing
+import os
 import random
 import re
+import time
 from functools import partial
 from itertools import product
 
@@ -30,7 +32,7 @@ from piregular import (
     right_witness_search,
     transpose_closure_check,
 )
-from piregular import lab
+from piregular import lab, rings, witnesses
 from piregular.rings import DEFAULT_BUDGET
 
 from helpers import (
@@ -48,6 +50,8 @@ from helpers import (
 Z4 = IntegersMod(4)
 Z2 = IntegersMod(2)
 Z5 = IntegersMod(5)
+Z9 = IntegersMod(9)
+CERTIFICATE_2X2 = ("residue", 2, ("certificate", 1))  # the scan kernel's key at dim 2, n = 1
 DUAL_Z2 = parse_ring_spec("quot:zmod:2:t^2")
 
 
@@ -530,6 +534,8 @@ def test_a_one_sided_matrix_reaches_both_reports_and_the_exit_code(monkeypatch, 
 
 
 def test_a_certificate_failure_reaches_the_report(monkeypatch):
+    # the kernel fails the identity's certificate, so the step path reruns it and
+    # its certificate_rows names the failure
     plain_certificate = lab.certificate_rows
     identity = SquareMatrix.identity(Z4, 2)
 
@@ -538,6 +544,9 @@ def test_a_certificate_failure_reaches_the_report(monkeypatch):
             raise InternalViolation("boom")
         return plain_certificate(x, powers, ax)
 
+    kernel = rings._KERNELS[CERTIFICATE_2X2]
+    monkeypatch.setitem(rings._KERNELS, CERTIFICATE_2X2, lambda spec, chi, a, x: (
+        *kernel(spec, chi, a, x)[:3], a != identity.rows))
     monkeypatch.setattr(lab, "certificate_rows", certificate)
     report = cp_report(4, 2, 1, workers=1)
     assert report.pipeline_failures == [
@@ -571,12 +580,100 @@ def test_a_failed_instance_check_reaches_the_report(monkeypatch):
 
 @pytest.mark.parametrize("k, m, n, per_certificate", [(4, 2, 1, 13), (4, 2, 2, 17), (2, 3, 1, 15)])
 def test_scan_certificates_make_the_public_paths_products(monkeypatch, k, m, n, per_certificate):
-    # The same products as RightWitnessInstance plus right_to_left_certificate
-    # (13 for a 2x2 n = 1 instance), and none of a verification on top.
+    # A passing certificate is one kernel call and makes no bound product.  A
+    # certificate the kernel fails is rerun by the step path, with the products of
+    # RightWitnessInstance plus right_to_left_certificate (13 for a 2x2 n = 1
+    # instance) and none of a verification on top; here the step path passes
+    # each, so the scan records each disagreement.
     calls = count_products(monkeypatch)
     report = cp_report(k, m, n, workers=1)
-    assert report.ok and report.pipeline_checked > 0
+    assert report.ok and report.pipeline_checked > 0 and calls == []
+    key = ("residue", m, ("certificate", n))
+    kernel = rings._KERNELS[key]
+    monkeypatch.setitem(rings._KERNELS, key, lambda *args: (*kernel(*args)[:3], False))
+    report = cp_report(k, m, n, workers=1)
     assert len(calls) == per_certificate * report.pipeline_checked
+    assert len(report.pipeline_failures) == report.pipeline_checked
+    assert {failure["reason"] for failure in report.pipeline_failures} == {
+        "InternalViolation: the certificate kernel fails a certificate the step path passes"}
+
+
+class _Solving:
+    """An engine whose right search returns ``x`` whatever it is asked."""
+
+    def __init__(self, engine, x):
+        self.engine, self.x = engine, x
+
+    def __getattr__(self, name):
+        return getattr(self.engine, name)
+
+    def solve(self, low, high):
+        return self.x
+
+
+@pytest.mark.parametrize("k, m", [(4, 2), (6, 2), (9, 2), (2, 3), (12, 1)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_certificate_kernel_agrees_with_the_step_path(k, m, n):
+    # every matrix with a right witness: the kernel's C, w, Y and verdict are the
+    # step path's; the witness with one entry moved by 1, where that breaks
+    # A^n = A^(n+1) X, fails in the kernel and the scan names it as the step path does
+    spec = IntegersMod(k)
+    ctx, engine = witnesses._Context(spec, m, n, scan=True), lab._engine(spec, m)
+    broken = 0
+    for number, a in enumerate(product(engine.vectors, repeat=m)):
+        low, high = engine.power_pair(a, n)
+        x = engine.solve(low, high)
+        if x is None:
+            continue
+        _, c, _, w, y, _ = witnesses.certificate_rows(x, *witnesses.instance_rows(ctx, a, x))
+        assert ctx.certify(a, x) == (c, w, y, True)
+        moved = divmod(number % (m * m), m)  # a different entry from matrix to matrix
+        x = tuple(tuple((e + ((i, j) == moved)) % k for j, e in enumerate(row))
+                  for i, row in enumerate(x))
+        if low == spec.p_matmul(high, x):
+            continue
+        broken += 1
+        assert ctx.certify(a, x) == (None, None, None, False)
+        failure = lab._sides(n, ctx, _Solving(engine, x), a)[3]
+        assert failure["reason"] == (
+            f"PreconditionFailed: A^{n} != A^{n + 1}*X: not a right witness instance")
+    assert broken > 0
+
+
+def test_the_scan_kernel_is_compiled_once_before_the_pool_forks(monkeypatch, tmp_path):
+    # every kernel a scan binds is compiled in the parent, so the forked workers
+    # inherit them and compile none: each compile is logged with its process id
+    log, plain = tmp_path / "compiles", rings._compile
+
+    def logged(source, filename):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {filename}\n")
+        return plain(source, filename)
+
+    monkeypatch.setattr(rings, "_compile", logged)
+    kernels = rings._Memo(rings._product_kernel)  # a cold cache, so that the parent compiles
+    for module in (rings, lab, witnesses):
+        monkeypatch.setattr(module, "_KERNELS", kernels)
+    monkeypatch.setattr(lab, "_ENGINES", {})
+    witnesses._Context(Z9, 2, 1, scan=True)
+    assert CERTIFICATE_2X2 in rings._KERNELS
+    rings._KERNELS.clear()
+    monkeypatch.setattr(lab, "_pool_size", lambda workers, total: workers)  # a pool on any machine
+    report = cp_report(9, 2, 1, workers=2)
+    assert report.ok and report.workers == 2
+    compiles = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert {pid for pid, _ in compiles} == {str(os.getpid())}
+    assert "<2x2 residue certificate n=1>" in {name for _, name in compiles[1:]}
+
+
+def test_the_largest_admitted_exponent_keeps_the_kernel_small():
+    # the kernel's power chains are log2(n * dim) products deep, so even the largest
+    # n the budget admits compiles and scans M_2(Z_2) at once
+    n = DEFAULT_BUDGET // 2
+    start = time.perf_counter()
+    report = cp_report(2, 2, n)
+    assert time.perf_counter() - start < 2.0
+    assert report.ok and report.pipeline_checked == 16
 
 
 @pytest.mark.parametrize("token", ["zmod:9", "quot:zmod:3:t^2", "zmod:2"])

@@ -469,8 +469,8 @@ def test_every_entry_form_and_the_loop_match_the_oracles(kind, dim):
 
 @pytest.mark.parametrize("dim", KERNEL_DIMS)
 @pytest.mark.parametrize("kind", [kind for kind in KERNEL_KINDS if kind != "free"])
-def test_every_entry_form_and_the_loop_combine_like_the_oracle(kind, dim):
-    # combination(dim) against s_0 M_0 + ... + s_(dim-1) M_(dim-1), summed
+def test_the_combination_loop_combines_like_the_oracle_in_every_ring(kind, dim):
+    # p_combination against s_0 M_0 + ... + s_(dim-1) M_(dim-1), summed
     # entrywise from ring.zero() with the entries' own operators
     ring = kernel_matrices(kind, dim, seed=dim)[0]
     rng, bound = random.Random(dim), None if ring.is_finite else 4
@@ -478,7 +478,7 @@ def test_every_entry_form_and_the_loop_combine_like_the_oracle(kind, dim):
     mats = [random_matrix(ring, dim, rng, bound) for _ in range(dim)]
     expected = [[sum((c * m.entries[i][j] for c, m in zip(s, mats)), ring.zero())
                  for j in range(dim)] for i in range(dim)]
-    got = ring.combination(dim)(tuple(c.payload for c in s), [m.rows for m in mats])
+    got = ring.p_combination(tuple(c.payload for c in s), [m.rows for m in mats])
     assert SquareMatrix(ring, got) == SquareMatrix.from_rows(ring, expected)
 
 

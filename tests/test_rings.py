@@ -482,9 +482,11 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     assert IntegersMod(7).accumulate(2)(rows, True, rows, rows) == ((1, 5), (0, 0))
     assert IntegersMod(9).accumulate(2)(rows, True, rows, rows) == ((1, 0), (6, 1))
     assert IntegersMod(9).accumulate(2)(rows, False, rows, rows) == ((0, 3), (8, 6))
-    # one kernel per form, dimension and kind serves every modulus
+    # one kernel per form, dimension and kind serves every modulus; a scan's
+    # certificate kernel is one per exponent too
     assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
-               and kind in ("product", "combination", "accumulate", "solve", "solve_left", "codes")
+               and (kind in ("product", "accumulate", "solve", "solve_left", "codes")
+                    or form == "residue" and kind[0] == "certificate" and type(kind[1]) is int)
                for form, dim, kind in rings._KERNELS)
 
 
@@ -506,20 +508,25 @@ def test_table_kernels_return_payload_rows_like_every_form(k):
 @pytest.mark.parametrize("form", ["integer", "residue", "calls", "table"])
 def test_generated_kernels_reach_no_globals(form, dim):
     # the compiled source names only its own locals and these spec attributes,
-    # for a product, a combination of dim matrices and a signed term alike;
-    # index rows are never summed with a sign, so ``table`` has no signed term,
-    # and only ``table`` has the engine's two solves and its column codes
-    kinds = ("product", "combination") + (
+    # for a product and a signed term alike; index rows are never summed with a
+    # sign, so ``table`` has no signed term, and only ``table`` has the engine's
+    # two solves and its column codes; a scan's certificate kernel, over
+    # ``residue`` only, reads the payload of the char poly it is passed
+    kinds = ("product",) + (
         ("solve", "solve_left", "codes") if form == "table" else ("accumulate",))
+    if form == "residue" and dim < rings._KERNEL_CAP:
+        kinds += (("certificate", 1), ("certificate", 3))
     for key in ((form, dim, kind) for kind in kinds):
         code = rings._KERNELS[key].__code__
         assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul",
-                                      "q", "indices", "vectors", "col_maps", "left_maps"}
+                                      "q", "indices", "vectors", "col_maps", "left_maps",
+                                      "payload"}
 
 
-def test_product_and_combination_sources_are_unchanged(monkeypatch):
-    # the product and combination kernels keep their sources byte for byte
-    # next to the signed-term kind: the sha256 of these 40, file names included
+def test_product_sources_are_unchanged(monkeypatch):
+    # the product kernels keep their sources byte for byte next to the other
+    # kinds: the sha256 of these 20, file names included, as first pinned when
+    # the certificate kernel came to share their entry expression
     seen = []
 
     def capture(source, filename, mode):
@@ -529,11 +536,10 @@ def test_product_and_combination_sources_are_unchanged(monkeypatch):
     monkeypatch.setattr(rings, "compile", capture, raising=False)
     for form in ("integer", "residue", "calls", "table"):
         for dim in (1, 2, 3, 4, 8):
-            for key in ((form, dim, "product"), (form, dim, "combination")):
-                rings._product_kernel(key)
-    assert len(seen) == 40
+            rings._product_kernel((form, dim, "product"))
+    assert len(seen) == 20
     assert hashlib.sha256("".join(seen).encode()).hexdigest() == (
-        "429de98f73e8d86e615e2ead123ef292459d95b737676a9f4fc9d8a30f840900")
+        "7e833d126e8c4bd52d797e01554b4ac77a59bfb66c7dba7ea7d88c9e0358a3ff")
 
 
 def test_importing_the_package_compiles_no_kernel():
@@ -595,6 +601,9 @@ def test_powers_past_the_work_budget_are_refused(token, literal, refused):
     ("poly:int:t", "t^500000*(1+t)^500", False),
     ("poly:int:t", "(1+t)^500*t^500000", True),
     ("poly:poly:int:t:u", "(t+u)^500", True),
+    # a tower's slot is charged once per polynomial layer
+    ("poly:poly:int:t:u", "(t+u)^300", True),
+    ("poly:poly:int:t:u", "(t+u)^200", False),
 ])
 def test_sparse_powers_past_the_slot_budget_are_refused(token, literal, refused):
     spec = parse_ring_spec(token)
@@ -624,7 +633,8 @@ def test_slot_account_is_the_sum_of_the_operands_walked(monkeypatch):
     monkeypatch.setattr(rings._ExpressionParser, "finish",
                         lambda parser, value: parsers.append(parser) or finish(parser, value))
     parse_element(parse_ring_spec("poly:poly:int:t:u"), "-(1+t)^3 u^2 + t^5 - u(t^2 + 3)")
-    assert len(walked) > 5 and [parser.built for parser in parsers] == [sum(walked)]
+    # a slot of this two-layer tower is charged once per layer
+    assert len(walked) > 5 and [parser.built for parser in parsers] == [2 * sum(walked)]
 
 
 def test_a_quotient_modulus_is_read_within_the_budget():
