@@ -27,7 +27,7 @@ witness searches and the column codes they read as three more kinds; a scan's
 whole certificate over ``zmod:k`` is one more ``residue`` kernel per dimension
 and exponent.  Kernels are cached in the module under ``(form, dim, kind)`` on
 first use, never on a spec; a binding is a fresh ``partial`` of one and the
-spec.
+spec, and a scan that binds its certificate kernel drops the other ones.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -349,13 +349,15 @@ def _product_kernel(key):
 
 def _entry(form: str, pairs, acc=None) -> str:
     """The source of one product entry in entry form ``form``, the sum of the
-    products of the named ``(left, right)`` cells in ``pairs``; with ``acc``,
-    the name of a cell of ``c``, the signed term ``c +- l*r``."""
+    products of the named ``(left, right)`` cells in ``pairs``, where a bare
+    name is a term of its own; with ``acc``, the name of a cell of ``c``, the
+    signed term ``c +- l*r``."""
     if form in ("calls", "table"):
         op = "{}[{}][{}]" if form == "table" else "{}({}, {})"
-        total = reduce(partial(op.format, "add"), (op.format("mul", x, y) for x, y in pairs))
+        total = reduce(partial(op.format, "add"), (
+            term if isinstance(term, str) else op.format("mul", *term) for term in pairs))
         return total if acc is None else f"acc({acc}, {total})"
-    total = " + ".join(f"{x}*{y}" for x, y in pairs)
+    total = " + ".join(term if isinstance(term, str) else "{}*{}".format(*term) for term in pairs)
     if acc is not None:
         total = f"{acc} + s*({total})"
     return f"({total}) % k" if form == "residue" else total
@@ -406,11 +408,41 @@ def _codes_source(m: int) -> str:
         "return [" + " ".join((code, *loops, f"for x{m - 1} in indices")) + "]"))
 
 
+def _char_poly_lines(m: int) -> list:
+    """Lines that set ``s1``, ..., ``sm`` in ``[0, k)``, where q = (1, s1, ..., sm)
+    is the characteristic polynomial of the m-by-m cells ``x_i_j`` read backwards,
+    by the recurrence of :func:`piregular.matrices.char_poly_rows`: the closed
+    form of the leading 1x1 or 2x2 block, then one Toeplitz step per larger
+    leading block.  The step that adds corner c, with row R and column C
+    against the old c-by-c block M, reads t1 = -x_c_c and t(r+2) = -R M^r C,
+    each M^r C one product vector ``v`` from the last, and rewrites s(c+1),
+    ..., s1 in place from the top: si + ti + t(i-1) s1 + ... + t1 s(i-1), with
+    no si for i = c+1.  Every sum is one ``residue`` entry with one ``% k``."""
+    if m == 1:
+        return ["s1 = -" + _entry("residue", ["x_0_0"])]
+    lines = ["s1 = -" + _entry("residue", ["x_0_0", "x_1_1"]),
+             "s2 = " + _entry("residue", [("x_0_0", "x_1_1"), ("-x_0_1", "x_1_0")])]
+    for c in range(2, m):
+        vec = [f"x_{i}_{c}" for i in range(c)]
+        lines.append("t1 = -" + _entry("residue", [f"x_{c}_{c}"]))
+        for r in range(c):
+            if r:
+                lines.extend(f"v{r}_{i} = " + _entry("residue", [
+                    (f"x_{i}_{j}", vec[j]) for j in range(c)]) for i in range(c))
+                vec = [f"v{r}_{i}" for i in range(c)]
+            lines.append(f"t{r + 2} = -" + _entry("residue", [
+                (f"x_{c}_{j}", vec[j]) for j in range(c)]))
+        lines.extend(f"s{i} = " + _entry("residue", [f"s{i}"] * (i <= c) + [f"t{i}"] + [
+            (f"t{i - j}", f"s{j}") for j in range(1, i)]) for i in range(c + 1, 0, -1))
+    return lines
+
+
 def _certificate_source(m: int, n: int) -> str:
-    """``kernel(spec, char_poly, a, x)``: a scan's whole certificate for the
-    m-by-m payload rows ``a`` and ``x`` over ``zmod:k`` at exponent ``n``, in
-    straight-line code.  It checks A^n = A^(n+1) X, then builds, with N = n*m
-    and q = (1, s1, ..., sm) the reversed ``char_poly(spec, x)``,
+    """``kernel(spec, a, x)``: a scan's whole certificate for the m-by-m
+    payload rows ``a`` and ``x`` over ``zmod:k`` at exponent ``n``, in
+    straight-line code that calls no function.  It checks A^n = A^(n+1) X,
+    then builds, with N = n*m and q = (1, s1, ..., sm) the reversed
+    characteristic polynomial of X written out by :func:`_char_poly_lines`,
     C = -(s1 I + s2 A + ... + sm A^(m-1)), w = A^N C^(N+1) and
     Y = w^(N-n+1) A^(N-n), and evaluates the identities that can fail:
     ``raised_right_witness``, ``commuting_witness``, ``raised_left_witness`` and
@@ -424,7 +456,7 @@ def _certificate_source(m: int, n: int) -> str:
     A^(e-1), else a :func:`binary_power` chain, and C^(N+1) and w^(N-n+1) by
     :func:`binary_power`."""
     big = n * m
-    lines = ["def kernel(spec, char_poly, a, x):", "k = spec.modulus",
+    lines = ["def kernel(spec, a, x):", "k = spec.modulus",
              _square(m, "a_{}_{}".format) + " = a", _square(m, "x_{}_{}".format) + " = x"]
     held, made = {1: "a"}, count()
 
@@ -453,7 +485,7 @@ def _certificate_source(m: int, n: int) -> str:
     lines.append(f"if not ({equal(a_n, mul(a_n1, 'x'))}): return None, None, None, False")
     for e in (*range(1, m), big - n, big, big + 1):
         power(e)
-    lines.append(" ".join(f"s{t}," for t in range(m, 0, -1)) + " _ = char_poly(spec, x).payload")
+    lines.extend(_char_poly_lines(m))
     lines.extend(f"c_{i}_{j} = -(" + " + ".join(["s1"] * (i == j) + [
         f"s{t + 1}*{held[t]}_{i}_{j}" for t in range(1, m)]) + ") % k"
         for i in range(m) for j in range(m))

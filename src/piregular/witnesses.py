@@ -58,10 +58,12 @@ class _Context:
     """The bound product of one ring, dimension and n, and on a first certificate what only
     certificates use, I among it; it pickles as its arguments.  A ``scan`` context, over
     ``zmod:k``, also binds ``certify(a, x)``: the generated certificate kernel of its
-    dimension and n (``rings._certificate_source``), which returns ``(C, w, Y, ok)`` from
-    one :func:`char_poly_rows` call and makes no bound product.  It is compiled once per
-    process and pays off over thousands of certificates; a public call, which certifies
-    one, and the verifier keep the step path."""
+    dimension and n (``rings._certificate_source``), which returns ``(C, w, Y, ok)`` in
+    straight-line code, Berkowitz for q included, and calls no function.  It is compiled
+    once per process and pays off over thousands of certificates; binding it drops every
+    other certificate kernel from ``rings._KERNELS``, so a process that scans many
+    exponents keeps one.  A public call, which certifies one, and the verifier keep the
+    step path."""
 
     __slots__ = ("ring", "dim", "n", "mul", "certify", "_certifying")
 
@@ -69,8 +71,12 @@ class _Context:
         require_positive(PreconditionFailed, exponent=n)
         _check_exponent_budget(n, dim)
         self.ring, self.dim, self.n, self.mul = ring, dim, n, ring.matmul(dim)
-        self.certify = (partial(_KERNELS["residue", dim, ("certificate", n)], ring, char_poly_rows)
-                        if scan else None)
+        self.certify = None
+        if scan:  # the live contexts keep their own kernels through their partials
+            key = ("residue", dim, ("certificate", n))
+            for other in [other for other in _KERNELS if isinstance(other[2], tuple) and other != key]:
+                del _KERNELS[other]
+            self.certify = partial(_KERNELS[key], ring)
         self._certifying = None
 
     def identity(self) -> tuple:

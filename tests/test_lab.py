@@ -545,8 +545,8 @@ def test_a_certificate_failure_reaches_the_report(monkeypatch):
         return plain_certificate(x, powers, ax)
 
     kernel = rings._KERNELS[CERTIFICATE_2X2]
-    monkeypatch.setitem(rings._KERNELS, CERTIFICATE_2X2, lambda spec, chi, a, x: (
-        *kernel(spec, chi, a, x)[:3], a != identity.rows))
+    monkeypatch.setitem(rings._KERNELS, CERTIFICATE_2X2, lambda spec, a, x: (
+        *kernel(spec, a, x)[:3], a != identity.rows))
     monkeypatch.setattr(lab, "certificate_rows", certificate)
     report = cp_report(4, 2, 1, workers=1)
     assert report.pipeline_failures == [
@@ -611,16 +611,20 @@ class _Solving:
         return self.x
 
 
-@pytest.mark.parametrize("k, m", [(4, 2), (6, 2), (9, 2), (2, 3), (12, 1)])
+@pytest.mark.parametrize("k, m", [(4, 2), (6, 2), (9, 2), (2, 3), (12, 1), (2, 4)])
 @pytest.mark.parametrize("n", [1, 2])
 def test_the_certificate_kernel_agrees_with_the_step_path(k, m, n):
-    # every matrix with a right witness: the kernel's C, w, Y and verdict are the
-    # step path's; the witness with one entry moved by 1, where that breaks
-    # A^n = A^(n+1) X, fails in the kernel and the scan names it as the step path does
+    # every matrix with a right witness, or 500 seeded ones past 6561 matrices: the
+    # kernel's C (so its generated q), w, Y and verdict are the step path's; the
+    # witness with one entry moved by 1, where that breaks A^n = A^(n+1) X, fails in
+    # the kernel and the scan names it as the step path does
     spec = IntegersMod(k)
     ctx, engine = witnesses._Context(spec, m, n, scan=True), lab._engine(spec, m)
+    matrices = list(product(engine.vectors, repeat=m))
+    if len(matrices) > 6561:
+        matrices = random.Random(f"{k}/{m}/{n}").sample(matrices, 500)
     broken = 0
-    for number, a in enumerate(product(engine.vectors, repeat=m)):
+    for number, a in enumerate(matrices):
         low, high = engine.power_pair(a, n)
         x = engine.solve(low, high)
         if x is None:
@@ -664,6 +668,20 @@ def test_the_scan_kernel_is_compiled_once_before_the_pool_forks(monkeypatch, tmp
     compiles = [line.split(" ", 1) for line in log.read_text().splitlines()]
     assert {pid for pid, _ in compiles} == {str(os.getpid())}
     assert "<2x2 residue certificate n=1>" in {name for _, name in compiles[1:]}
+
+
+def test_a_process_keeps_one_certificate_kernel_whatever_it_scans():
+    # binding a scan's kernel drops every other certificate kernel by key, so a loop
+    # over exponents keeps the last one; a live context keeps its own through its partial
+    live = witnesses._Context(Z4, 2, 1, scan=True)
+    for n in range(1, 51):
+        assert cp_report(2, 2, n).ok
+    assert cp_report(2, 1, 3).ok
+    assert [key for key in rings._KERNELS if isinstance(key[2], tuple)] == [
+        ("residue", 1, ("certificate", 3))]
+    a = ((1, 2), (0, 1))  # A^2 = I over Z_4, so X = A
+    _, c, _, w, y, _ = witnesses.certificate_rows(a, *witnesses.instance_rows(live, a, a))
+    assert live.certify(a, a) == (c, w, y, True)
 
 
 def test_the_largest_admitted_exponent_keeps_the_kernel_small():

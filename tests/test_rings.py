@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import inspect
 import pickle
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from piregular import (
     sample_element,
 )
 from piregular import lab, rings
+from piregular.matrices import char_poly_rows
 from piregular.rings import (
     _LiteralParser,
     _monic_rem,
@@ -511,7 +514,7 @@ def test_generated_kernels_reach_no_globals(form, dim):
     # for a product and a signed term alike; index rows are never summed with a
     # sign, so ``table`` has no signed term, and only ``table`` has the engine's
     # two solves and its column codes; a scan's certificate kernel, over
-    # ``residue`` only, reads the payload of the char poly it is passed
+    # ``residue`` only, reads nothing but the modulus
     kinds = ("product",) + (
         ("solve", "solve_left", "codes") if form == "table" else ("accumulate",))
     if form == "residue" and dim < rings._KERNEL_CAP:
@@ -519,8 +522,42 @@ def test_generated_kernels_reach_no_globals(form, dim):
     for key in ((form, dim, kind) for kind in kinds):
         code = rings._KERNELS[key].__code__
         assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul",
-                                      "q", "indices", "vectors", "col_maps", "left_maps",
-                                      "payload"}
+                                      "q", "indices", "vectors", "col_maps", "left_maps"}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_the_certificate_kernel_is_straight_line(m, n):
+    # Berkowitz included, a scan's certificate calls no function and reads no
+    # attribute but the modulus
+    tree = ast.parse(rings._certificate_source(m, n))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)} == {("spec", "modulus")}
+
+
+def _generated_char_poly(m: int):
+    """s1, ..., sm of the lines the certificate kernel writes, as a function of the rows."""
+    source = "\n    ".join(("def kernel(spec, x):", "k = spec.modulus",
+                            rings._square(m, "x_{}_{}".format) + " = x", *rings._char_poly_lines(m),
+                            "return (" + " ".join(f"s{t}," for t in range(1, m + 1)) + ")"))
+    return rings._compile(source, f"<{m}x{m} char poly>")
+
+
+@pytest.mark.parametrize("m", range(1, rings._KERNEL_CAP + 1))
+@pytest.mark.parametrize("k", [2, 9, 12])
+def test_the_generated_char_poly_is_char_poly_rows(m, k):
+    # q = (1, s1, ..., sm) is char_poly_rows read backwards: on every 2x2 matrix
+    # over zmod:9, and on 200 seeded matrices otherwise
+    spec, kernel, rng = IntegersMod(k), _generated_char_poly(m), random.Random(f"{m}/{k}")
+    if (m, k) == (2, 9):
+        matrices = [(row0, row1) for row0 in product(range(k), repeat=2)
+                    for row1 in product(range(k), repeat=2)]
+    else:
+        matrices = [tuple(tuple(rng.randrange(k) for _ in range(m)) for _ in range(m))
+                    for _ in range(200)]
+    for x in matrices:
+        assert kernel(spec, x) == char_poly_rows(spec, x).payload[-2::-1], x
 
 
 def test_product_sources_are_unchanged(monkeypatch):

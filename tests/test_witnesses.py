@@ -329,25 +329,29 @@ def test_step_functions_extend_the_instance_powers(monkeypatch):
 @pytest.mark.parametrize("dim", range(1, rings._KERNEL_CAP + 1))
 def test_building_c_makes_one_dot_call_per_entry_and_none_in_a_scan(monkeypatch, dim):
     # the step path builds C with one p_dot per entry on top of its one Berkowitz
-    # call on X; a scan's certificate kernel, over zmod:k, writes C out and makes
-    # only the p_dot calls of that Berkowitz call
+    # call on X; a scan's certificate kernel, over zmod:k, writes Berkowitz and C
+    # out, so it makes no p_dot and no char_poly_rows call at all
     z12 = IntegersMod(12)
     insts = [integer_instance(dim // 2, dim - dim // 2, dim)]
     if dim <= 3:
         insts.append(sampled_finite_instance(z12, dim, dim))
-    calls = []
+    calls, berkowitz_calls = [], []
     for spec in (Integers, IntegersMod):
         monkeypatch.setattr(spec, "p_dot", lambda self, row, col, dot=spec.p_dot:
                             calls.append(1) or dot(self, row, col))
+    monkeypatch.setattr(witnesses, "char_poly_rows", lambda ring, rows:
+                        berkowitz_calls.append(1) or char_poly_rows(ring, rows))
     for inst in insts:
         char_poly_rows(inst.X.ring, inst.X.rows)
         berkowitz = len(calls)
         right_to_left_certificate(inst)
-        assert len(calls) == 2 * berkowitz + dim * dim
+        assert len(calls) == 2 * berkowitz + dim * dim and len(berkowitz_calls) == 1
         if inst.A.ring == z12:
-            witnesses._Context(z12, dim, inst.n, scan=True).certify(inst.A.rows, inst.X.rows)
-            assert len(calls) == 3 * berkowitz + dim * dim
+            ctx = witnesses._Context(z12, dim, inst.n, scan=True)
+            assert ctx.certify(inst.A.rows, inst.X.rows)[3]
+            assert len(calls) == 2 * berkowitz + dim * dim and len(berkowitz_calls) == 1
         calls.clear()
+        berkowitz_calls.clear()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
