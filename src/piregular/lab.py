@@ -6,38 +6,39 @@ tuple of rows of small element indices, multiplied by the ``table`` kernels
 of :mod:`piregular.rings`; over ``zmod:k`` they are its payload rows.  Every
 exhaustive scan runs through one driver, :func:`_scan`: it checks every size
 against the budget before an engine is built, then streams one per-matrix
-function over each matrix in row-major order, on one process or in chunks on
-a pool; :func:`cp_report` and the transpose check share one such function
-and one fold.  The report certifies each right witness on payload rows with one
-call of its certificate context's generated kernel, and no wrapper objects; a
-certificate the kernel fails is rerun by the row functions of
-:mod:`piregular.witnesses`, which name the failure.
+function over each matrix in row-major order, or folds its results, on one
+process or on forked ones that each keep the matrices whose {B, B^T} group
+it owns, B = A^(n+1), so that each column map is built once; :func:`cp_report`
+and the transpose check share one such function and one fold.  The report
+certifies each right witness on payload rows with one call of its certificate
+context's generated kernel, and no wrapper objects; a certificate the kernel
+fails is rerun by the row functions of :mod:`piregular.witnesses`, which name
+the failure.
 
 The right search finds the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
 those constraints are independent, so per-column lexicographic minima give
 exactly the witness a full scan over whole matrices would find first.
-The solutions for one B form a column map, built from the codes of B v for
-every v, which share each row's sums over v's leading entries, memoized per
-B as an ``array``; distinct powers are few.  A
+The solutions for one B form a column map, a ``str`` of ``chr`` of the code of
+B v for every v, which share each row's sums over v's leading entries,
+memoized per B and read by ``str.find``; distinct powers are few.  A
 right witness solves A^n = A^(n+1) X.  A left witness, A^n = Y A^(n+1),
 needs row i of Y to solve B^T y = (row i of T) over a commutative ring, so
 the left search reads T's rows against the column map of B^T, found through
 a second memo per B that holds the same maps; the rows of Y are scanned in
 the same lexicographic order, so the tie-breaks agree.  Both searches and the
-codes are straight-line kernels generated per dimension next to the ``table``
+map are straight-line kernels generated per dimension next to the ``table``
 product.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
-from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, product
+from itertools import chain, product, repeat
 from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
@@ -68,9 +69,12 @@ class _Engine:
     payloads of ``zmod:k`` are 0..k-1, so there index rows are payload rows.
     ``solve(T, B)`` and ``solve_left(T, B)``, the first X with T = B X and the
     first Y with T = Y B, or None, are the ``table`` solve kernels bound alike;
-    they read ``col_maps``, B's column map, and ``left_maps``, B^T's.  The ring
-    must be commutative: the left search rests on (Y B)^T = B^T Y^T, and
-    :func:`_size` refuses any other.
+    they read ``col_maps``, B's column map from the ``codes`` kernel, and
+    ``left_maps``, B^T's.  A map is a ``str`` of one ``chr(code of B v)`` per
+    vector v in lexicographic order, 1 byte a place up to 256 places, else 2 or
+    4: as lists, the maps of one ``certify-mix`` benchmark job took its peak RSS
+    from 27.8-28.1 to 33.4-34.8 MiB.  The ring must be commutative: the left
+    search rests on (Y B)^T = B^T Y^T, and :func:`_size` refuses any other.
     """
 
     def __init__(self, spec: RingSpec, m: int):
@@ -83,8 +87,7 @@ class _Engine:
         self.mul = [[index[spec.p_mul(a, b)] for b in payloads] for a in payloads]
         self.indices = range(self.q)
         self.vectors = list(product(self.indices, repeat=m))
-        self._codes = partial(_KERNELS["table", m, "codes"], self)
-        self.col_maps = _Memo(self._col_map)  # base -> its column map
+        self.col_maps = _Memo(partial(_KERNELS["table", m, "codes"], self))  # base -> its map
         self.left_maps = _Memo(lambda base: self.col_maps[tuple(zip(*base))])  # of base^T
         self.mat_mul = partial(_KERNELS["table", m, "product"], self)
         self.solve = partial(_KERNELS["table", m, "solve"], self)
@@ -124,21 +127,6 @@ class _Engine:
         low = binary_power(mat, n, None, self.mat_mul)
         return low, self.mat_mul(low, mat)
 
-    # -- the witness search ---------------------------------------------------
-
-    def _col_map(self, mat):
-        """For each achievable column target of v -> mat*v, the first v in
-        lexicographic order; -1 marks unreachable targets.  The ``codes`` kernel
-        gives the target of every v, each row's sums over v's first entries shared
-        by the vectors that begin alike; a backward pass leaves the first v per code.
-        The map is an ``array``, 2 or 4 bytes a slot: as lists, the maps of one
-        ``certify-mix`` benchmark job took its peak RSS from 27.8-28.1 to 33.4-34.8 MiB."""
-        codes = self._codes(mat)
-        table = array("h" if len(codes) <= 32768 else "i", [-1]) * len(codes)
-        for vcode in range(len(codes) - 1, -1, -1):
-            table[codes[vcode]] = vcode
-        return table
-
 
 _ENGINES: dict = {}
 
@@ -155,51 +143,90 @@ def _engine(spec: RingSpec, m: int) -> _Engine:
     return engine
 
 
-def _walk(spec: RingSpec, m: int, visit, start: int, stop: int):
-    """``visit`` on matrices number ``start`` to ``stop - 1`` in row-major order."""
-    engine = _engine(spec, m)
-    return map(partial(visit, engine), islice(product(engine.vectors, repeat=m), start, stop))
-
-
-def _walk_chunk(*args) -> list:
-    return list(_walk(*args))
-
-
 def _pool_size(workers: int, total: int) -> int:
-    """min(workers, usable CPUs), or 1 if that leaves under 4 matrices each."""
+    """min(workers, usable CPUs), or 1 if that leaves under 4 matrices each or
+    this platform cannot fork."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     used = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     return used if total >= 4 * used else 1
 
 
-def _scan(spec: RingSpec, m: int, visit, workers: int = 1) -> Iterator:
+def _scan(spec: RingSpec, m: int, visit, workers: int = 1, fold=None):
     """``visit(engine, A)`` for every A in M_m(spec), in row-major order.
 
-    Every size is checked and the engine built before this returns; the
-    results come lazily.  More workers (see :func:`_pool_size`) split the
-    walk into contiguous chunks on a process pool, read back in chunk order,
-    so the results are the same for any worker count; ``visit`` must then
-    be a module-level function or a partial of one."""
+    Every size is checked and the engine built before this returns.  Without
+    ``fold`` the results come lazily, on this process.  With it, this returns
+    the parts ``fold(pairs)``, one per process, each over the ``(number,
+    result)`` pairs, by row-major number, of the matrices that process kept.
+    One process keeps every matrix.  On W (see :func:`_pool_size`), process w
+    calls ``visit(engine, A, owns)`` on every A, where ``owns(B)`` says whether
+    the pair {B, B^T} hashes to w, and keeps the results that are not None; a
+    ``visit`` that keeps A only when ``owns`` holds for the base whose column
+    maps (B's and B^T's) it reads builds each map in one process."""
     require_positive(dim=m, workers=workers)
     total = _size(spec, m * m, f"{m}x{m} matrices to scan")
-    _engine(spec, m)  # checked and built before any worker starts
+    engine = _engine(spec, m)  # checked and built before any process forks
+    results = map(partial(visit, engine), product(engine.vectors, repeat=m))
+    if fold is None:
+        return results
     workers = _pool_size(workers, total)
     if workers == 1:
-        return _walk(spec, m, visit, 0, total)
-    return _pooled(partial(_walk_chunk, spec, m, visit), total, workers)
+        return [fold(enumerate(results))]
+    return _pooled(partial(_part, engine, visit, fold, workers), workers)
 
 
-def _pooled(walk_chunk, total: int, workers: int) -> Iterator:
-    """4 contiguous chunks per worker, each passed on as soon as the pool
-    returns it; stopping early cancels the chunks not yet started."""
-    bounds = [total * i // (4 * workers) for i in range(4 * workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        try:
-            for part in pool.map(walk_chunk, bounds[:-1], bounds[1:]):
-                yield from part
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+def _part(engine: _Engine, visit, fold, workers: int, worker: int):
+    owns = _Memo(lambda base: hash(min(base, tuple(zip(*base)))) % workers == worker)
+    results = map(partial(visit, engine), product(engine.vectors, repeat=engine.m),
+                  repeat(owns.__getitem__))
+    return fold((number, result) for number, result in enumerate(results)
+                if result is not None)
+
+
+def _pooled(part, workers: int) -> list:
+    """``[part(0), ..., part(workers - 1)]``: this process computes part 0 while
+    ``fork`` children, which inherit the engine and the compiled kernels,
+    compute the others, each sent back through a one-way pipe.  A child's
+    exception is raised here with its type, a child that ends without sending
+    its part is an InternalViolation, and no child outlives the call."""
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for worker in range(1, workers):
+            reader, writer = fork.Pipe(duplex=False)
+            child = fork.Process(target=_send, args=(part, worker, writer))
+            child.start()
+            writer.close()  # so that the reader sees the end if the child never writes
+            children.append((child, reader))
+        parts = [part(0)]
+        for worker, (_, reader) in enumerate(children, 1):
+            try:
+                done, result = reader.recv()
+            except EOFError:
+                raise InternalViolation(
+                    f"scan process {worker} of {workers} ended without sending its part") from None
+            if not done:
+                raise result
+            parts.append(result)
+        return parts
+    except BaseException:
+        for child, _ in children:
+            child.kill()
+        raise
+    finally:
+        for child, reader in children:
+            child.join()
+            reader.close()
+
+
+def _send(part, worker: int, writer) -> None:
+    try:
+        result = True, part(worker)
+    except Exception as exc:  # raised again in the parent
+        result = False, exc
+    writer.send(result)
 
 
 def _search(mat: SquareMatrix, n: int, left: bool) -> Optional[SquareMatrix]:
@@ -334,14 +361,17 @@ class CpReport:
 
 _KINDS = {(True, True): "both", (True, False): "right_only",
           (False, True): "left_only", (False, False): "neither"}
-_OUTCOMES = {sides: (*sides, None, None) for sides in _KINDS}  # shared: pickled once per chunk
+_OUTCOMES = {sides: (*sides, None, None) for sides in _KINDS}  # shared: no tuple per matrix
 
 
-def _sides(n: int, ctx: Optional[_Context], engine: _Engine, mat) -> tuple:
+def _sides(n: int, ctx: Optional[_Context], engine: _Engine, mat, owns=None) -> Optional[tuple]:
     """(right, left, A, failure): whether A has a right and a left witness
     at n; A as JSON if it has just one, else None; the failure of the certificate
-    built on payload rows from its right witness by ``ctx``'s kernel, unless it is None."""
+    built on payload rows from its right witness by ``ctx``'s kernel, unless it is
+    None.  None if ``owns`` is given and false for A^(n+1), the base of both searches."""
     low, high = engine.power_pair(mat, n)
+    if owns is not None and not owns(high):
+        return None
     x = engine.solve(low, high)
     right, left = x is not None, engine.solve_left(low, high) is not None
     failure = None
@@ -365,19 +395,29 @@ def _step_failure(ctx: _Context, a, x) -> str:
     return "InternalViolation: the certificate kernel fails a certificate the step path passes"
 
 
+def _fold(pairs) -> tuple:
+    """The ``_KINDS`` counts of the ``(number, sides)`` pairs, and their one-sided
+    matrices and certificate failures, each tagged with its number."""
+    counts = dict.fromkeys(_KINDS.values(), 0)
+    one_sided, failures = [], []
+    for number, (right, left, a, failure) in pairs:
+        counts[_KINDS[right, left]] += 1
+        if a is not None:
+            one_sided.append((number, {"A": a, "right": right, "left": left}))
+        if failure is not None:
+            failures.append((number, failure))
+    return counts, one_sided, failures
+
+
 def _agreement(spec: RingSpec, m: int, n: int, certify: bool, workers: int = 1) -> tuple:
     """The fold of :func:`_sides` over M_m(spec): the ``_KINDS`` counts, the
     one-sided matrices and the certificate failures, in scan order."""
     require_positive(n=n)
-    ctx = _Context(spec, m, n, scan=True) if certify else None  # a pooled chunk unpickles it
-    counts = dict.fromkeys(_KINDS.values(), 0)
-    one_sided, failures = [], []
-    for right, left, a, failure in _scan(spec, m, partial(_sides, n, ctx), workers):
-        counts[_KINDS[right, left]] += 1
-        if a is not None:
-            one_sided.append({"A": a, "right": right, "left": left})
-        if failure is not None:
-            failures.append(failure)
+    ctx = _Context(spec, m, n, scan=True) if certify else None  # forked processes inherit it
+    parts = _scan(spec, m, partial(_sides, n, ctx), workers, _fold)
+    counts = {kind: sum(part[0][kind] for part in parts) for kind in _KINDS.values()}
+    one_sided, failures = ([entry for _, entry in sorted(chain.from_iterable(
+        part[i] for part in parts))] for i in (1, 2))
     return counts, one_sided, failures
 
 

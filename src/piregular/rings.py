@@ -23,7 +23,7 @@ mod k, and ``p_add``/``p_mul`` calls for every other ring; above that it is
 ``accumulate(dim)`` binds a signed term ``c +- l*r`` alike.  A fourth form,
 ``table``, serves :mod:`piregular.lab` at every dimension (its budget keeps
 dim <= 20) on rows of element indices, with the engine's right and left
-witness searches and the column codes they read as three more kinds; a scan's
+witness searches and the column maps they read as three more kinds; a scan's
 whole certificate over ``zmod:k`` is one more ``residue`` kernel per dimension
 and exponent.  Kernels are cached in the module under ``(form, dim, kind)`` on
 first use, never on a spec; a binding is a fresh ``partial`` of one and the
@@ -372,16 +372,17 @@ def _solve_source(m: int, kind: str) -> str:
     """``kernel(engine, l, r)``: the first X in row-major order with ``l = r X``
     (``solve``), or the first Y with ``l = Y r`` (``solve_left``), or None, on an
     engine's rows of element indices.  Column j of ``l`` (row j for ``solve_left``)
-    is coded base ``q``, first entry most significant, and looked up in the column
-    map of ``r`` (of ``r``'s transpose), whose -1 marks an unreachable target; the
-    chosen ``vectors`` are X's columns, or Y's rows as they stand."""
+    is coded base ``q``, first entry most significant, and found as ``chr(code)`` in
+    the column map of ``r`` (of ``r``'s transpose): its first place is the first
+    solving vector, and -1 means none; the chosen ``vectors`` are X's columns, or
+    Y's rows as they stand."""
     right = kind == "solve"
     lines = ["def kernel(spec, l, r):", "q, vectors = spec.q, spec.vectors",
              _square(m, "a{}_{}".format) + " = l",
-             f"codes = spec.{'col_maps' if right else 'left_maps'}[r]"]
+             f"find = spec.{'col_maps' if right else 'left_maps'}[r].find"]
     for j in range(m):
         cells = (f"a{i}_{j}" if right else f"a{j}_{i}" for i in range(m))
-        lines += [f"v{j} = codes[{reduce('({})*q + {}'.format, cells)}]",
+        lines += [f"v{j} = find(chr({reduce('({})*q + {}'.format, cells)}))",
                   f"if v{j} < 0: return None"]
     if not right:
         return "\n    ".join((*lines, "return (" + " ".join(f"vectors[v{j}]," for j in range(m)) + ")"))
@@ -390,10 +391,14 @@ def _solve_source(m: int, kind: str) -> str:
 
 
 def _codes_source(m: int) -> str:
-    """``kernel(engine, r)``: the code of ``r v``, base ``q`` with its first entry
-    most significant, for every index vector ``v`` in lexicographic order.  One
-    comprehension runs over the entries of ``v``, binding each row's sum up to
-    entry k once for all the vectors that share those first k entries."""
+    """``kernel(engine, r)``: the column map of ``r``, a ``str`` whose place ``v``
+    holds ``chr`` of the code of ``r v``, base ``q`` with its first entry most
+    significant, for every index vector ``v`` in lexicographic order, so that
+    ``find(chr(t))`` is the first ``v`` with ``r v = t``, or -1.  A place takes 1
+    byte up to 256 places, else 2 or 4; every code fits ``chr``, as q^m is at most
+    ``DEFAULT_BUDGET``.  One comprehension runs over the entries of ``v``, binding
+    each row's sum up to entry k once for all the vectors that share those first
+    k entries."""
     def prefix(i, k):
         return f"m{i}_0[x0]" if k == 0 else f"add[p{i}_{k - 1}][m{i}_{k}[x{k}]]"
     loops = []
@@ -405,7 +410,8 @@ def _codes_source(m: int) -> str:
         "def kernel(spec, r):", "q, indices, add, mul = spec.q, spec.indices, spec.add, spec.mul",
         _square(m, "a{}_{}".format) + " = r",
         *(f"m{i}_{k} = mul[a{i}_{k}]" for i in range(m) for k in range(m)),
-        "return [" + " ".join((code, *loops, f"for x{m - 1} in indices")) + "]"))
+        "return ''.join([" + " ".join((f"chr({code})", *loops, f"for x{m - 1} in indices"))
+        + "])"))
 
 
 def _char_poly_lines(m: int) -> list:

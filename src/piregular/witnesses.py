@@ -56,11 +56,11 @@ from .rings import (
 
 class _Context:
     """The bound product of one ring, dimension and n, and on a first certificate what only
-    certificates use, I among it; it pickles as its arguments.  A ``scan`` context, over
-    ``zmod:k``, also binds ``certify(a, x)``: the generated certificate kernel of its
-    dimension and n (``rings._certificate_source``), which returns ``(C, w, Y, ok)`` in
-    straight-line code, Berkowitz for q included, and calls no function.  It is compiled
-    once per process and pays off over thousands of certificates; binding it drops every
+    certificates use, I among it.  A ``scan`` context, over ``zmod:k``, also binds
+    ``certify(a, x)``: the generated certificate kernel of its dimension and n
+    (``rings._certificate_source``), which returns ``(C, w, Y, ok)`` in straight-line
+    code, Berkowitz for q included, and calls no function.  It is compiled once, before
+    a pooled scan forks, and pays off over thousands of certificates; binding it drops every
     other certificate kernel from ``rings._KERNELS``, so a process that scans many
     exponents keeps one.  A public call, which certifies one, and the verifier keep the
     step path."""
@@ -91,9 +91,6 @@ class _Context:
             self._certifying = (self.identity(), (ring.zero_payload(),) * big_n,
                                 (*range(1, self.dim), big_n - n, big_n, big_n + 1))
         return self._certifying
-
-    def __reduce__(self):
-        return _Context, (self.ring, self.dim, self.n, self.certify is not None)
 
 
 class _Powers(dict):

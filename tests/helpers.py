@@ -236,7 +236,7 @@ def reference_solve(engine, target, base, transposed=False):
         code = 0
         for t in column:
             code = code * q + t
-        vcode = table[code]
+        vcode = table.find(chr(code))
         if vcode < 0:
             return None
         chosen.append(engine.vectors[vcode])

@@ -1,8 +1,10 @@
+import ast
 import json
 import multiprocessing
 import os
 import random
 import re
+import sys
 import time
 from functools import partial
 from itertools import product
@@ -223,6 +225,12 @@ def test_classify_walks_lazily(monkeypatch):
     assert len(calls) == 1
 
 
+def read_map(table) -> list:
+    """The first vector code per target code, as the solves read a column map;
+    -1 marks unreachable targets."""
+    return [table.find(chr(code)) for code in range(len(table))]
+
+
 @pytest.mark.parametrize("spec, m", [(Z4, 2), (DUAL_Z2, 2), (Z2, 3), (Z5, 1), (Z2, 4),
                                      (IntegersMod(3), 4)])
 def test_column_maps_match_the_enumeration_oracle(spec, m):
@@ -232,23 +240,31 @@ def test_column_maps_match_the_enumeration_oracle(spec, m):
     bases = (all_matrices(spec, m) if engine.q ** (m * m) <= 5000
              else (random_matrix(spec, m, rng) for _ in range(100)))
     for base in bases:
-        assert list(engine._col_map(engine.from_square(base))) == naive_col_map(spec, base)
+        assert read_map(engine.col_maps[engine.from_square(base)]) == naive_col_map(spec, base)
 
 
-@pytest.mark.parametrize("token, slots, typecode", [
-    ("zmod:181", 32761, "h"),  # q^m <= 32768: every vector code fits a short
-    ("zmod:182", 33124, "i"),
+@pytest.mark.parametrize("token, slots, width", [
+    ("zmod:16", 256, 1),  # q^m <= 256: every vector code fits one byte
+    ("zmod:17", 289, 2),
+    ("zmod:256", 65536, 2),
+    ("zmod:257", 66049, 4),
 ])
-def test_column_maps_switch_typecode_at_the_short_limit(token, slots, typecode):
+def test_column_maps_take_the_narrowest_storage(token, slots, width):
     spec = parse_ring_spec(token)
     engine = lab._Engine(spec, 2)
-    rng = random.Random(slots)
-    # a singular base leaves targets unreachable and reaches others many times
-    bases = [mat("[[1,2],[2,4]]", spec), *(random_matrix(spec, 2, rng) for _ in range(2))]
-    for base in bases:
-        table = engine._col_map(engine.from_square(base))
-        assert (len(table), table.typecode) == (slots, typecode)
-        assert list(table) == naive_col_map(spec, base)
+    # a singular base leaves targets unreachable and reaches others many times,
+    # its largest code among them; a drawn base is most likely invertible
+    for base in (mat("[[1,2],[2,4]]", spec), random_matrix(spec, 2, random.Random(slots))):
+        table = engine.col_maps[engine.from_square(base)]
+        assert len(table) == slots
+        assert sys.getsizeof(table * 2) - sys.getsizeof(table) == slots * width  # bytes a place
+        assert read_map(table) == naive_col_map(spec, base)
+
+
+def test_every_vector_code_fits_a_character():
+    # a map holds chr(code) for codes below q^m, which the budget keeps at most
+    # DEFAULT_BUDGET
+    assert DEFAULT_BUDGET - 1 <= sys.maxunicode
 
 
 def solves_agree(engine, a, n):
@@ -371,27 +387,15 @@ def test_cp_report_deterministic_across_workers():
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_pool_is_capped_at_the_usable_cpus(monkeypatch, capsys, cpus):
     from piregular.cli import dispatch
-    pools = []  # [max_workers, chunk count] per pool
+    pools = []  # the process count of each pooled scan
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size and chunk
-        count and runs the chunks in this process, starting no worker."""
+    def recording_pool(part, workers):
+        """Stands in for lab._pooled: records its size and computes every part
+        in this process, starting no child."""
+        pools.append(workers)
+        return [part(worker) for worker in range(workers)]
 
-        def __init__(self, max_workers):
-            pools.append([max_workers])
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, starts, stops):
-            starts = list(starts)
-            pools[-1].append(len(starts))
-            return map(fn, starts, stops)
-
-    monkeypatch.setattr(lab, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lab, "_pooled", recording_pool)
     monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
     monkeypatch.setattr(lab.os, "cpu_count", lambda: cpus)
@@ -399,7 +403,7 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch, capsys, cpus):
     assert pools == []
     report = cp_report(3, 2, 1, workers=100000)
     assert report.workers == cpus
-    assert pools == ([] if cpus == 1 else [[cpus, 4 * cpus]])
+    assert pools == ([] if cpus == 1 else [cpus])
     assert canonical_dumps(report.to_json_payload()) == solo
     # under 4 matrices per process the scan runs serially and says so
     assert cp_report(2, 1, 1, workers=100000).workers == 1
@@ -410,12 +414,109 @@ def test_pool_is_capped_at_the_usable_cpus(monkeypatch, capsys, cpus):
 
 def test_no_worker_outlives_a_pooled_scan(monkeypatch):
     monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    results = lab._scan(Z5, 2, partial(lab._sides, 1, None), workers=2)
-    next(results)
-    # the chunks stream from a live pool; closing the scan shuts it down
-    assert multiprocessing.active_children() != []
-    results.close()
+    parts = lab._scan(Z5, 2, partial(lab._sides, 1, None), 2,
+                      lambda pairs: (os.getpid(), sum(1 for _ in pairs)))
+    # this process folds part 0 and a forked child part 1; both are joined on return
+    assert parts[0][0] == os.getpid() != parts[1][0]
+    assert parts[0][1] + parts[1][1] == 625
     assert multiprocessing.active_children() == []
+
+
+def failing_visit(parent: int, in_parent, in_child, engine, mat, owns=None):
+    """A scan visit that calls ``in_parent`` in process ``parent`` and ``in_child``
+    in a forked child, and keeps nothing."""
+    (in_parent if os.getpid() == parent else in_child)()
+
+
+def leave_silently():
+    os._exit(0)
+
+
+def raise_budget():
+    raise BudgetExceeded("raised in a scan process")
+
+
+@pytest.mark.parametrize("fail, error, message", [
+    (raise_budget, BudgetExceeded, "raised in a scan process"),  # re-raised with its type
+    (leave_silently, InternalViolation, "scan process 1 of 2 ended without sending its part"),
+])
+def test_a_failing_child_fails_the_scan_and_leaves_no_process(monkeypatch, fail, error, message):
+    monkeypatch.setattr(lab, "_pool_size", lambda workers, total: workers)
+    with pytest.raises(error, match=message) as caught:
+        lab._scan(Z5, 2, partial(failing_visit, os.getpid(), lambda: None, fail), 2, list)
+    assert caught.value.exit_code == error.exit_code
+    assert multiprocessing.active_children() == []
+
+
+def test_a_failing_parent_stops_its_children(monkeypatch):
+    # each child would sleep 2 ms on each of 625 matrices, 1.25 s in all; the
+    # parent fails at once and stops them
+    monkeypatch.setattr(lab, "_pool_size", lambda workers, total: workers)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        lab._scan(Z5, 2, partial(failing_visit, os.getpid(), raise_budget,
+                                 partial(time.sleep, 0.002)), 3, list)
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - start < 0.6
+
+
+def test_a_platform_without_fork_scans_on_one_process(monkeypatch):
+    monkeypatch.setattr(lab.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(lab.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert lab._pool_size(3, 10 ** 6) == 1
+    assert cp_report(3, 2, 1, workers=3).workers == 1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pooled_scan_builds_each_column_map_in_one_process(monkeypatch, tmp_path, workers):
+    # each process logs the bases of the maps it holds after its part, on an
+    # engine built for this scan, so that no map is inherited
+    log, plain = tmp_path / "maps", lab._part
+
+    def logged(engine, *args):
+        part = plain(engine, *args)
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()} {list(engine.col_maps)}\n")
+        return part
+
+    monkeypatch.setattr(lab, "_part", logged)
+    monkeypatch.setattr(lab, "_ENGINES", {})
+    monkeypatch.setattr(lab, "_pool_size", lambda workers, total: workers)
+    assert cp_report(9, 2, 1, workers=workers).workers == workers
+    held = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert len({pid for pid, _ in held}) == workers
+    bases = [base for _, maps in held for base in ast.literal_eval(maps)]
+    monkeypatch.setattr(lab, "_ENGINES", {})
+    cp_report(9, 2, 1, workers=1)
+    serial = lab._engine(Z9, 2).col_maps
+    assert len(bases) == len(set(bases)) == len(serial) == 1587
+    assert set(bases) == set(serial)
+
+
+@pytest.mark.parametrize("args", [(4, 2, 1), (3, 2, 2), (2, 3, 1), (9, 2, 1)])
+def test_pooled_reports_are_the_one_process_bytes(monkeypatch, args):
+    solo = canonical_dumps(cp_report(*args, workers=1).to_json_payload())
+    monkeypatch.setattr(lab, "_pool_size", lambda workers, total: workers)
+    for workers in (2, 3):
+        report = cp_report(*args, workers=workers)
+        assert report.workers == workers
+        assert canonical_dumps(report.to_json_payload()) == solo
+
+
+def test_pooled_parts_merge_in_scan_order(monkeypatch):
+    # one-sided matrices and failures come from every process, merged by number
+    engine = lab._engine(Z4, 2)  # the scans below run on this cached engine, forked too
+    plain_solve_left = engine.solve_left
+    monkeypatch.setattr(engine, "solve_left", lambda target, base: (
+        None if target[0][0] == 1 else plain_solve_left(target, base)))
+    kernel = rings._KERNELS[CERTIFICATE_2X2]
+    monkeypatch.setitem(rings._KERNELS, CERTIFICATE_2X2, lambda spec, a, x: (
+        *kernel(spec, a, x)[:3], a[1][1] != 2))
+    solo = cp_report(4, 2, 1, workers=1).to_json_payload()
+    assert len(solo["counterexamples"]) > 20 and len(solo["pipeline"]["failures"]) > 20
+    monkeypatch.setattr(lab, "_pool_size", lambda workers, total: workers)
+    for workers in (2, 3):
+        assert cp_report(4, 2, 1, workers=workers).to_json_payload() == solo
 
 
 def test_cp_report_payload_excludes_timing():
@@ -492,8 +593,8 @@ def test_scans_compute_each_power_once(monkeypatch):
 
 
 def test_agreeing_outcomes_share_one_result_tuple():
-    # a chunk pickles each common result once when the scan shares it
-    results = lab._walk_chunk(IntegersMod(4), 2, partial(lab._sides, 1, None), 0, 256)
+    # the scan shares each common result, so an agreeing matrix makes no tuple
+    results = list(lab._scan(IntegersMod(4), 2, partial(lab._sides, 1, None)))
     agreeing = [r for r in results if r[0] == r[1]]
     assert len(agreeing) == 256  # Z_4 is commutative: no matrix is one-sided
     assert len({id(r) for r in agreeing}) == len({r[:2] for r in agreeing}) == 2

@@ -513,16 +513,19 @@ def test_generated_kernels_reach_no_globals(form, dim):
     # the compiled source names only its own locals and these spec attributes,
     # for a product and a signed term alike; index rows are never summed with a
     # sign, so ``table`` has no signed term, and only ``table`` has the engine's
-    # two solves and its column codes; a scan's certificate kernel, over
-    # ``residue`` only, reads nothing but the modulus
+    # two solves and its column maps, which also name the builtin ``chr`` and
+    # the ``str`` methods ``join`` and ``find``; a scan's certificate kernel,
+    # over ``residue`` only, reads nothing but the modulus
     kinds = ("product",) + (
         ("solve", "solve_left", "codes") if form == "table" else ("accumulate",))
     if form == "residue" and dim < rings._KERNEL_CAP:
         kinds += (("certificate", 1), ("certificate", 3))
+    strings = {"chr", "join", "find"} if form == "table" else set()
     for key in ((form, dim, kind) for kind in kinds):
         code = rings._KERNELS[key].__code__
         assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul",
-                                      "q", "indices", "vectors", "col_maps", "left_maps"}
+                                      "q", "indices", "vectors", "col_maps", "left_maps",
+                                      *strings}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
