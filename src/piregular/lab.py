@@ -10,10 +10,10 @@ function over each matrix in row-major order, or folds its results, on one
 process or on forked ones that each keep the matrices whose {B, B^T} group
 it owns, B = A^(n+1), so that each column map is built once; :func:`cp_report`
 and the transpose check share one such function and one fold.  The report
-certifies each right witness on payload rows with one call of its certificate
-context's generated kernel, and no wrapper objects; a certificate the kernel
-fails is rerun by the row functions of :mod:`piregular.witnesses`, which name
-the failure.
+certifies each right witness on payload rows with one call of the generated
+certificate kernel it compiles before the scan, and no wrapper objects; a
+certificate the kernel fails is rerun by the row functions of
+:mod:`piregular.witnesses`, which name the failure.
 
 The right search finds the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
@@ -43,9 +43,9 @@ from typing import Iterator, Optional
 
 from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
 from .matrices import SquareMatrix, _require_commutative, matrix_to_json
-from .rings import (DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, _Memo, binary_power,
-                    require_positive)
-from .witnesses import _Context, certificate_rows, instance_rows
+from .rings import (DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, _Memo, _certificate_kernel,
+                    binary_power, require_positive)
+from .witnesses import _check_exponent_budget, certificate_rows, instance_rows
 
 
 def _size(spec: RingSpec, exponent: int, what: str) -> int:
@@ -128,19 +128,20 @@ class _Engine:
         return low, self.mat_mul(low, mat)
 
 
-_ENGINES: dict = {}
+_ENGINES: dict = {}  # (spec, m) -> its engine, for the last key asked for only
 
 
 def _engine(spec: RingSpec, m: int) -> _Engine:
     """The cached engine.  Its tables hold q^2 entries (sums, products) and
-    q^m entries (vectors, column maps); both must fit the budget."""
+    q^m entries (vectors, column maps); both must fit the budget.  Building
+    one drops every other."""
     require_positive(dim=m)
     _size(spec, max(2, m), "table entries")
     key = (spec, m)
-    engine = _ENGINES.get(key)
-    if engine is None:
-        engine = _ENGINES[key] = _Engine(spec, m)
-    return engine
+    if key not in _ENGINES:
+        _ENGINES.clear()
+        _ENGINES[key] = _Engine(spec, m)
+    return _ENGINES[key]
 
 
 def _pool_size(workers: int, total: int) -> int:
@@ -364,32 +365,33 @@ _KINDS = {(True, True): "both", (True, False): "right_only",
 _OUTCOMES = {sides: (*sides, None, None) for sides in _KINDS}  # shared: no tuple per matrix
 
 
-def _sides(n: int, ctx: Optional[_Context], engine: _Engine, mat, owns=None) -> Optional[tuple]:
+def _sides(n: int, certify, engine: _Engine, mat, owns=None) -> Optional[tuple]:
     """(right, left, A, failure): whether A has a right and a left witness
     at n; A as JSON if it has just one, else None; the failure of the certificate
-    built on payload rows from its right witness by ``ctx``'s kernel, unless it is
-    None.  None if ``owns`` is given and false for A^(n+1), the base of both searches."""
+    built on payload rows from its right witness by ``certify``, the bound certificate
+    kernel, unless it is None.  None if ``owns`` is given and false for A^(n+1), the
+    base of both searches."""
     low, high = engine.power_pair(mat, n)
     if owns is not None and not owns(high):
         return None
     x = engine.solve(low, high)
     right, left = x is not None, engine.solve_left(low, high) is not None
     failure = None
-    if ctx is not None and right:
+    if certify is not None and right:
         a, x = engine.payload_rows(mat), engine.payload_rows(x)
-        if not ctx.certify(a, x)[3]:
+        if not certify(a, x)[3]:
             failure = {"A": matrix_to_json(engine.to_square(mat)),
-                       "reason": _step_failure(ctx, a, x)}
+                       "reason": _step_failure(engine.spec, n, a, x)}
     if right == left and failure is None:
         return _OUTCOMES[right, left]
     return right, left, matrix_to_json(engine.to_square(mat)) if right != left else None, failure
 
 
-def _step_failure(ctx: _Context, a, x) -> str:
+def _step_failure(spec: RingSpec, n: int, a, x) -> str:
     """Why the step path fails the certificate the kernel failed, in its own words; if it
     passes, the disagreement is an InternalViolation, never silent."""
     try:
-        certificate_rows(x, *instance_rows(ctx, a, x))
+        certificate_rows(x, *instance_rows(spec, n, a, x))
     except PiregularError as exc:
         return f"{type(exc).__name__}: {exc}"
     return "InternalViolation: the certificate kernel fails a certificate the step path passes"
@@ -413,8 +415,12 @@ def _agreement(spec: RingSpec, m: int, n: int, certify: bool, workers: int = 1) 
     """The fold of :func:`_sides` over M_m(spec): the ``_KINDS`` counts, the
     one-sided matrices and the certificate failures, in scan order."""
     require_positive(n=n)
-    ctx = _Context(spec, m, n, scan=True) if certify else None  # forked processes inherit it
-    parts = _scan(spec, m, partial(_sides, n, ctx), workers, _fold)
+    kernel = None
+    if certify:  # refuse first: a 12x12 kernel took 0.4 s to compile on a 2-core machine
+        _check_exponent_budget(n, m)
+        _size(spec, m * m, f"{m}x{m} matrices to scan")
+        kernel = partial(_certificate_kernel(m, n), spec)  # compiled before the scan forks
+    parts = _scan(spec, m, partial(_sides, n, kernel), workers, _fold)
     counts = {kind: sum(part[0][kind] for part in parts) for kind in _KINDS.values()}
     one_sided, failures = ([entry for _, entry in sorted(chain.from_iterable(
         part[i] for part in parts))] for i in (1, 2))
@@ -425,7 +431,7 @@ def cp_report(k: int, m: int, n: int, workers: int = 1) -> CpReport:
     """Scan all of M_m(Z_k) at exponent n; the output is identical for any
     worker count, and ``workers`` in the report is the count used."""
     started = time.perf_counter()
-    require_positive(n=n, dim=m)  # the certificate context checks n * m before the scan
+    require_positive(n=n, dim=m)  # _agreement checks n * m before the scan
     counts, counterexamples, failures = _agreement(IntegersMod(k), m, n, True, workers)
     total = sum(counts.values())
     return CpReport(modulus=k, dim=m, exponent=n, total=total, counts=counts,

@@ -24,10 +24,11 @@ mod k, and ``p_add``/``p_mul`` calls for every other ring; above that it is
 ``table``, serves :mod:`piregular.lab` at every dimension (its budget keeps
 dim <= 20) on rows of element indices, with the engine's right and left
 witness searches and the column maps they read as three more kinds; a scan's
-whole certificate over ``zmod:k`` is one more ``residue`` kernel per dimension
-and exponent.  Kernels are cached in the module under ``(form, dim, kind)`` on
-first use, never on a spec; a binding is a fresh ``partial`` of one and the
-spec, and a scan that binds its certificate kernel drops the other ones.
+whole certificate over ``zmod:k`` is one more kernel per dimension and
+exponent.  Kernels are cached in the module under ``(form, dim, kind)`` on
+first use, never on a spec, a finite set; a binding is a fresh ``partial`` of
+one and the spec.  A certificate kernel is compiled afresh and held by the scan
+that asked for it, so no cache keeps one per exponent.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -317,16 +318,11 @@ def _product_kernel(key):
     with ``acc`` bound to ``spec.p_sub`` or ``spec.p_add``; it has no ``table`` form.
     ``("table", m, "solve")``, ``("table", m, "solve_left")`` and ``("table", m,
     "codes")`` serve the searches of :mod:`piregular.lab`, see :func:`_solve_source`
-    and :func:`_codes_source`, and ``("residue", m, ("certificate", n))`` its
-    certificates, see :func:`_certificate_source`.  Sources hold only integer
-    indices and names."""
+    and :func:`_codes_source`.  Sources hold only integer indices and names."""
     form, m, kind = key
     if kind in ("solve", "solve_left", "codes"):
         source = _codes_source(m) if kind == "codes" else _solve_source(m, kind)
         return _compile(source, f"<{m}x{m} {form} {kind}>")
-    if isinstance(kind, tuple):  # ("certificate", n), over the residue form only
-        n = kind[1]
-        return _compile(_certificate_source(m, n), f"<{m}x{m} {form} certificate n={n}>")
     prelude = {"integer": "pass", "residue": "k = spec.modulus",
                "calls": "add, mul = spec.p_add, spec.p_mul",
                "table": "add, mul = spec.add, spec.mul"}[form]
@@ -502,6 +498,11 @@ def _certificate_source(m: int, n: int) -> str:
     rows = (_square(m, f"{name}_{{}}_{{}}".format) for name in ("c", w, y))
     return "\n    ".join((*lines, "return " + ", ".join(rows) + ", "
                             + " and ".join(f"({check})" for check in checks)))
+
+
+def _certificate_kernel(m: int, n: int):
+    """The kernel of :func:`_certificate_source`, compiled afresh for the scan that holds it."""
+    return _compile(_certificate_source(m, n), f"<{m}x{m} residue certificate n={n}>")
 
 
 def _compile(source: str, filename: str):

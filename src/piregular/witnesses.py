@@ -15,21 +15,20 @@ left witness (a Y with A^n = Y A^(n+1)) is fully constructive:
     A^n = Y A^(n+1).
 
 The pipeline is :func:`instance_rows` then :func:`certificate_rows` on payload
-rows, in a context made once per public call or scan that checks n >= 1 and
-n*dim <= DEFAULT_BUDGET and binds the product; it builds I only when a table
-reads A^0, as a certificate's C does.  The instance check starts one table of
-powers of A that every later stage fills in place, so each power is computed
-once.  A failure raises.  A scan runs the same steps as one generated kernel
-per dimension and n, bound by its context, and reruns these functions only to
-name a failure.  The verifier makes a context and a table of its own (no
-power if N != n*dim) and checks p against one Berkowitz call on X; emitting
-trusts only this producer's certificates.
+rows.  The instance check makes the one object of a public call, a table of
+powers of A that checks n >= 1 and n*dim <= DEFAULT_BUDGET before it holds
+anything, binds the product, and builds I only when a power reads A^0, as a
+certificate's C does; every later stage fills it in place, so each power is
+computed once.  A failure raises.  A scan runs the same steps as one generated
+kernel per dimension and n, which it compiles and holds itself, and reruns
+these functions only to name a failure.  The verifier makes a table of its own
+(no power if N != n*dim) and checks p against one Berkowitz call on X;
+emitting trusts only this producer's certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from .errors import (
     BudgetExceeded,
@@ -45,7 +44,6 @@ from .matrices import determinant as det_poly_matrix  # noqa: F401  (perfbench w
 from .rings import (
     DEFAULT_BUDGET,
     RingElem,
-    _KERNELS,
     _strip,
     binary_power,
     parse_ring_spec,
@@ -54,54 +52,23 @@ from .rings import (
 )
 
 
-class _Context:
-    """The bound product of one ring, dimension and n, and on a first certificate what only
-    certificates use, I among it.  A ``scan`` context, over ``zmod:k``, also binds
-    ``certify(a, x)``: the generated certificate kernel of its dimension and n
-    (``rings._certificate_source``), which returns ``(C, w, Y, ok)`` in straight-line
-    code, Berkowitz for q included, and calls no function.  It is compiled once, before
-    a pooled scan forks, and pays off over thousands of certificates; binding it drops every
-    other certificate kernel from ``rings._KERNELS``, so a process that scans many
-    exponents keeps one.  A public call, which certifies one, and the verifier keep the
-    step path."""
+class _Powers(dict):
+    """k -> rows of A^k over ``ring`` at exponent ``n``, from A^1 = ``a``: the one object
+    of a public call or a verification.  It refuses n < 1 and n*dim past DEFAULT_BUDGET
+    before it holds anything, and binds ``mul``, the one product of every power and check."""
 
-    __slots__ = ("ring", "dim", "n", "mul", "certify", "_certifying")
+    __slots__ = ("ring", "n", "a", "mul")
 
-    def __init__(self, ring, dim: int, n: int, scan: bool = False):
+    def __init__(self, ring, n: int, a):
         require_positive(PreconditionFailed, exponent=n)
-        _check_exponent_budget(n, dim)
-        self.ring, self.dim, self.n, self.mul = ring, dim, n, ring.matmul(dim)
-        self.certify = None
-        if scan:  # the live contexts keep their own kernels through their partials
-            key = ("residue", dim, ("certificate", n))
-            for other in [other for other in _KERNELS if isinstance(other[2], tuple) and other != key]:
-                del _KERNELS[other]
-            self.certify = partial(_KERNELS[key], ring)
-        self._certifying = None
+        _check_exponent_budget(n, len(a))
+        self.ring, self.n, self.a, self.mul = ring, n, a, ring.matmul(len(a))
+        self[1] = a
 
     def identity(self) -> tuple:
         """The rows of I, A^0 of a table that reads it; instances and verifications never do."""
-        zero, one, dim = self.ring.zero_payload(), self.ring.one_payload(), self.dim
+        zero, one, dim = self.ring.zero_payload(), self.ring.one_payload(), len(self.a)
         return tuple([(zero,) * i + (one,) + (zero,) * (dim - 1 - i) for i in range(dim)])
-
-    def certifying(self) -> tuple:
-        """(I, p's N zeros, a certificate's other exponents), made once."""
-        if self._certifying is None:
-            ring, n, big_n = self.ring, self.n, self.n * self.dim
-            self._certifying = (self.identity(), (ring.zero_payload(),) * big_n,
-                                (*range(1, self.dim), big_n - n, big_n, big_n + 1))
-        return self._certifying
-
-
-class _Powers(dict):
-    """k -> rows of A^k, from A^1 = ``a``, with the context ``ctx`` and its product
-    ``mul``, the one product of every power and check on A; A^0 is the context's I."""
-
-    __slots__ = ("ctx", "a", "mul")
-
-    def __init__(self, ctx: _Context, a):
-        self[1] = a
-        self.ctx, self.a, self.mul = ctx, a, ctx.mul
 
     def fill(self, exponents) -> "_Powers":
         """Add each missing A^k, ``exponents`` ascending, and return the table:
@@ -110,7 +77,7 @@ class _Powers(dict):
         for k in exponents:
             if k not in self:
                 self[k] = (mul(self[k - 1], a) if k - 1 in self
-                           else binary_power(a, k, self.ctx.identity, mul))
+                           else binary_power(a, k, self.identity, mul))
         return self
 
 
@@ -146,9 +113,9 @@ def _check_exponent_budget(n: int, dim: int) -> None:
         raise BudgetExceeded(f"exponent {n} times dimension {dim} exceeds budget {DEFAULT_BUDGET}")
 
 
-def instance_rows(ctx: _Context, a, x) -> tuple:
+def instance_rows(ring, n: int, a, x) -> tuple:
     """(powers of A to n+1, A^(n+1) X), payload rows; PreconditionFailed unless A^n = A^(n+1) X."""
-    n, powers = ctx.n, _Powers(ctx, a).fill((ctx.n, ctx.n + 1))
+    powers = _Powers(ring, n, a).fill((n, n + 1))
     ax = powers.mul(powers[n + 1], x)
     if powers[n] != ax:
         raise PreconditionFailed(f"A^{n} != A^{n + 1}*X: not a right witness instance")
@@ -158,7 +125,7 @@ def instance_rows(ctx: _Context, a, x) -> tuple:
 @dataclass(frozen=True, slots=True)
 class RightWitnessInstance:
     """A verified instance of A^n = A^(n+1) X; checked at construction by
-    :func:`instance_rows` in a new context, keeping its result as ``_checked_rows``."""
+    :func:`instance_rows`, keeping its result as ``_checked_rows``."""
 
     A: SquareMatrix
     n: int
@@ -167,8 +134,7 @@ class RightWitnessInstance:
 
     def __post_init__(self):
         (x,), a = _rows_over(self.A, self.X), self.A
-        object.__setattr__(self, "_checked_rows",
-                           instance_rows(_Context(a.ring, a.dim, self.n), a.rows, x))
+        object.__setattr__(self, "_checked_rows", instance_rows(a.ring, self.n, a.rows, x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,7 +197,7 @@ def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> Exponent
     if m < n:
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
     k, powers = m - n, RightWitnessInstance(a, n, x)._checked_rows[0].fill((m, m + 1))
-    mul, x_k = powers.mul, _Powers(powers.ctx, x.rows).fill((k,))[k]
+    mul, x_k = powers.mul, binary_power(x.rows, k, powers.identity, powers.mul)
     _require((("a^m = a^(m+1)*x", powers[m] == mul(powers[m + 1], x.rows)),
               ("a^n = a^(n+k)*x^k", powers[n] == mul(powers[m], x_k))))
     return ExponentRaiseRecord(n=n, m=m, shift=k)
@@ -260,16 +226,16 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
 def certificate_rows(x, powers, ax) -> tuple:
     """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
     ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
-    ctx, mul, (ident, zeros, exponents) = powers.ctx, powers.mul, powers.ctx.certifying()
-    ring, n, big_n = ctx.ring, ctx.n, ctx.n * ctx.dim
-    powers[0] = ident
-    powers.fill(exponents)
+    ring, n, mul, dim = powers.ring, powers.n, powers.mul, len(x)
+    big_n = n * dim
+    powers[0] = powers.identity()
+    powers.fill((*range(1, dim), big_n - n, big_n, big_n + 1))
     # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
     chi = char_poly_rows(ring, x)
     q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
-    p = chi.spec.wrap(zeros + _strip(ring, list(q)))  # q(0) = 1: already canonical
+    p = chi.spec.wrap((ring.zero_payload(),) * big_n + _strip(ring, list(q)))  # q(0) = 1
     # C = -(s1 I + s2 A + ... + sm A^(m-1)), one combination of A^0, ..., A^(m-1)
-    c = ring.p_combination(tuple(map(ring.p_neg, q[1:])), [powers[k] for k in range(ctx.dim)])
+    c = ring.p_combination(tuple(map(ring.p_neg, q[1:])), [powers[k] for k in range(dim)])
     w = _commuting_witness(mul, powers[big_n], c, big_n)
     y = _lowered_left_witness(mul, w, powers[big_n - n], big_n, n)
     return p, c, big_n, w, y, _require(_certificate_checks(
@@ -289,10 +255,10 @@ def right_to_left_certificate(inst: RightWitnessInstance) -> LeftWitnessCertific
 
 def _certificate_checks(powers: _Powers, x, p, chi, c, big_n, w, y, ax=None) -> tuple:
     """The seven identities on A, n, X, p, C, N, w, Y (payload rows), each evaluated
-    once; A and n are the table's and its context's, and p must be x^N times ``chi``,
-    the char poly of X, reversed.  A^n, A^(n+1), A^N, A^(N+1) fill ``powers`` in place
-    only if N = n*dim; else every identity needing them fails."""
-    ring, n, a, mul = powers.ctx.ring, powers.ctx.n, powers.a, powers.mul
+    once; A and n are the table's, and p must be x^N times ``chi``, the char poly of
+    X, reversed.  A^n, A^(n+1), A^N, A^(N+1) fill ``powers`` in place only if
+    N = n*dim; else every identity needing them fails."""
+    ring, n, a, mul = powers.ring, powers.n, powers.a, powers.mul
     zero, ok = ring.zero_payload(), big_n == n * len(a)
     if ok:
         powers.fill((n, n + 1, big_n, big_n + 1))
@@ -314,7 +280,7 @@ def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
     """Re-check every identity from the stored fields alone, all over A's
     ring and dimension, on powers of A computed here and shared with nothing."""
     a, (x, c, w, y) = cert.A, _rows_over(cert.A, cert.X, cert.C, cert.w, cert.Y)
-    checks = _certificate_checks(_Powers(_Context(a.ring, a.dim, cert.n), a.rows), x, cert.p,
+    checks = _certificate_checks(_Powers(a.ring, cert.n, a.rows), x, cert.p,
                                  char_poly_rows(a.ring, x), c, cert.N, w, y)
     return CertificateVerdict(ok=all(holds for _, holds in checks), identities=checks)
 

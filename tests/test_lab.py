@@ -53,12 +53,19 @@ Z4 = IntegersMod(4)
 Z2 = IntegersMod(2)
 Z5 = IntegersMod(5)
 Z9 = IntegersMod(9)
-CERTIFICATE_2X2 = ("residue", 2, ("certificate", 1))  # the scan kernel's key at dim 2, n = 1
 DUAL_Z2 = parse_ring_spec("quot:zmod:2:t^2")
 
 
 def mat(text, spec=Z4):
     return parse_matrix_literal(spec, text)
+
+
+def patch_certificate_verdict(monkeypatch, verdict):
+    """Make each scan's certificate kernel keep its C, w and Y but return ``verdict(a)``."""
+    def compiled(m, n):
+        kernel = rings._certificate_kernel(m, n)
+        return lambda spec, a, x: (*kernel(spec, a, x)[:3], verdict(a))
+    monkeypatch.setattr(lab, "_certificate_kernel", compiled)
 
 
 # -- witness searches ------------------------------------------------------------
@@ -189,6 +196,24 @@ def test_oversized_scans_refuse_before_building_an_engine(scan, too_large):
     with pytest.raises(BudgetExceeded, match=re.escape(too_large)):
         scan()
     assert lab._ENGINES == before
+
+
+def test_the_engine_cache_keeps_only_the_last_ring_and_dimension(monkeypatch):
+    # building an engine drops every other, whichever was used most
+    monkeypatch.setattr(lab, "_ENGINES", {})
+    for spec in (Z4, Z9, Z4):
+        assert sum(1 for _ in classify_all(spec, 2)) == spec.modulus ** 4
+    assert list(lab._ENGINES) == [(Z4, 2)]
+
+
+def test_a_loop_of_searches_over_one_ring_builds_one_engine(monkeypatch):
+    built, plain = [], lab._Engine
+    monkeypatch.setattr(lab, "_ENGINES", {})
+    monkeypatch.setattr(lab, "_Engine", lambda spec, m: built.append((spec, m)) or plain(spec, m))
+    rng = random.Random(7)
+    for _ in range(20):
+        right_witness_search(random_matrix(Z9, 2, rng), 1)
+    assert built == [(Z9, 2)]
 
 
 def test_tables_exactly_at_the_budget_still_run(monkeypatch):
@@ -509,9 +534,7 @@ def test_pooled_parts_merge_in_scan_order(monkeypatch):
     plain_solve_left = engine.solve_left
     monkeypatch.setattr(engine, "solve_left", lambda target, base: (
         None if target[0][0] == 1 else plain_solve_left(target, base)))
-    kernel = rings._KERNELS[CERTIFICATE_2X2]
-    monkeypatch.setitem(rings._KERNELS, CERTIFICATE_2X2, lambda spec, a, x: (
-        *kernel(spec, a, x)[:3], a[1][1] != 2))
+    patch_certificate_verdict(monkeypatch, lambda a: a[1][1] != 2)
     solo = cp_report(4, 2, 1, workers=1).to_json_payload()
     assert len(solo["counterexamples"]) > 20 and len(solo["pipeline"]["failures"]) > 20
     monkeypatch.setattr(lab, "_pool_size", lambda workers, total: workers)
@@ -645,9 +668,7 @@ def test_a_certificate_failure_reaches_the_report(monkeypatch):
             raise InternalViolation("boom")
         return plain_certificate(x, powers, ax)
 
-    kernel = rings._KERNELS[CERTIFICATE_2X2]
-    monkeypatch.setitem(rings._KERNELS, CERTIFICATE_2X2, lambda spec, a, x: (
-        *kernel(spec, a, x)[:3], a != identity.rows))
+    patch_certificate_verdict(monkeypatch, lambda a: a != identity.rows)
     monkeypatch.setattr(lab, "certificate_rows", certificate)
     report = cp_report(4, 2, 1, workers=1)
     assert report.pipeline_failures == [
@@ -689,9 +710,7 @@ def test_scan_certificates_make_the_public_paths_products(monkeypatch, k, m, n, 
     calls = count_products(monkeypatch)
     report = cp_report(k, m, n, workers=1)
     assert report.ok and report.pipeline_checked > 0 and calls == []
-    key = ("residue", m, ("certificate", n))
-    kernel = rings._KERNELS[key]
-    monkeypatch.setitem(rings._KERNELS, key, lambda *args: (*kernel(*args)[:3], False))
+    patch_certificate_verdict(monkeypatch, lambda a: False)
     report = cp_report(k, m, n, workers=1)
     assert len(calls) == per_certificate * report.pipeline_checked
     assert len(report.pipeline_failures) == report.pipeline_checked
@@ -720,7 +739,7 @@ def test_the_certificate_kernel_agrees_with_the_step_path(k, m, n):
     # witness with one entry moved by 1, where that breaks A^n = A^(n+1) X, fails in
     # the kernel and the scan names it as the step path does
     spec = IntegersMod(k)
-    ctx, engine = witnesses._Context(spec, m, n, scan=True), lab._engine(spec, m)
+    certify, engine = partial(rings._certificate_kernel(m, n), spec), lab._engine(spec, m)
     matrices = list(product(engine.vectors, repeat=m))
     if len(matrices) > 6561:
         matrices = random.Random(f"{k}/{m}/{n}").sample(matrices, 500)
@@ -730,16 +749,16 @@ def test_the_certificate_kernel_agrees_with_the_step_path(k, m, n):
         x = engine.solve(low, high)
         if x is None:
             continue
-        _, c, _, w, y, _ = witnesses.certificate_rows(x, *witnesses.instance_rows(ctx, a, x))
-        assert ctx.certify(a, x) == (c, w, y, True)
+        _, c, _, w, y, _ = witnesses.certificate_rows(x, *witnesses.instance_rows(spec, n, a, x))
+        assert certify(a, x) == (c, w, y, True)
         moved = divmod(number % (m * m), m)  # a different entry from matrix to matrix
         x = tuple(tuple((e + ((i, j) == moved)) % k for j, e in enumerate(row))
                   for i, row in enumerate(x))
         if low == spec.p_matmul(high, x):
             continue
         broken += 1
-        assert ctx.certify(a, x) == (None, None, None, False)
-        failure = lab._sides(n, ctx, _Solving(engine, x), a)[3]
+        assert certify(a, x) == (None, None, None, False)
+        failure = lab._sides(n, certify, _Solving(engine, x), a)[3]
         assert failure["reason"] == (
             f"PreconditionFailed: A^{n} != A^{n + 1}*X: not a right witness instance")
     assert broken > 0
@@ -757,32 +776,46 @@ def test_the_scan_kernel_is_compiled_once_before_the_pool_forks(monkeypatch, tmp
 
     monkeypatch.setattr(rings, "_compile", logged)
     kernels = rings._Memo(rings._product_kernel)  # a cold cache, so that the parent compiles
-    for module in (rings, lab, witnesses):
+    for module in (rings, lab):
         monkeypatch.setattr(module, "_KERNELS", kernels)
     monkeypatch.setattr(lab, "_ENGINES", {})
-    witnesses._Context(Z9, 2, 1, scan=True)
-    assert CERTIFICATE_2X2 in rings._KERNELS
-    rings._KERNELS.clear()
     monkeypatch.setattr(lab, "_pool_size", lambda workers, total: workers)  # a pool on any machine
     report = cp_report(9, 2, 1, workers=2)
     assert report.ok and report.workers == 2
     compiles = [line.split(" ", 1) for line in log.read_text().splitlines()]
     assert {pid for pid, _ in compiles} == {str(os.getpid())}
-    assert "<2x2 residue certificate n=1>" in {name for _, name in compiles[1:]}
+    assert [name for _, name in compiles].count("<2x2 residue certificate n=1>") == 1
 
 
-def test_a_process_keeps_one_certificate_kernel_whatever_it_scans():
-    # binding a scan's kernel drops every other certificate kernel by key, so a loop
-    # over exponents keeps the last one; a live context keeps its own through its partial
-    live = witnesses._Context(Z4, 2, 1, scan=True)
+def test_no_cache_keeps_a_certificate_kernel_whatever_a_process_scans():
+    # a scan compiles its certificate kernel and holds it alone, so a loop over
+    # exponents leaves the kernel cache its finite set of string kinds, and a
+    # kernel bound before the loop still certifies
+    live = partial(rings._certificate_kernel(2, 1), Z4)
     for n in range(1, 51):
         assert cp_report(2, 2, n).ok
     assert cp_report(2, 1, 3).ok
-    assert [key for key in rings._KERNELS if isinstance(key[2], tuple)] == [
-        ("residue", 1, ("certificate", 3))]
+    assert all(type(kind) is str for _, _, kind in rings._KERNELS)
     a = ((1, 2), (0, 1))  # A^2 = I over Z_4, so X = A
-    _, c, _, w, y, _ = witnesses.certificate_rows(a, *witnesses.instance_rows(live, a, a))
-    assert live.certify(a, a) == (c, w, y, True)
+    _, c, _, w, y, _ = witnesses.certificate_rows(a, *witnesses.instance_rows(Z4, 1, a, a))
+    assert live(a, a) == (c, w, y, True)
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["--k", "2", "--dim", "2", "--n", "1048577"], "exponent 1048577 times dimension 2"),
+    (["--k", "2", "--dim", "12"], "2^144 12x12 matrices to scan"),
+])
+def test_cp_verify_refuses_before_compiling_or_building_anything(monkeypatch, capsys,
+                                                                 argv, refusal):
+    # the exponent budget, then the scan's size, are read before its certificate
+    # kernel is compiled (0.4 s at 12x12 on a 2-core machine) and before its engine is built
+    from piregular.cli import dispatch
+    compiles = []
+    monkeypatch.setattr(rings, "_compile", lambda *args: compiles.append(args))
+    monkeypatch.setattr(lab, "_ENGINES", {})
+    assert dispatch(["cp-verify", *argv]) == 2
+    assert refusal in capsys.readouterr().err
+    assert compiles == [] and lab._ENGINES == {}
 
 
 def test_the_largest_admitted_exponent_keeps_the_kernel_small():

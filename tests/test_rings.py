@@ -485,11 +485,10 @@ def test_residue_kernels_read_the_modulus_from_the_spec():
     assert IntegersMod(7).accumulate(2)(rows, True, rows, rows) == ((1, 5), (0, 0))
     assert IntegersMod(9).accumulate(2)(rows, True, rows, rows) == ((1, 0), (6, 1))
     assert IntegersMod(9).accumulate(2)(rows, False, rows, rows) == ((0, 3), (8, 6))
-    # one kernel per form, dimension and kind serves every modulus; a scan's
-    # certificate kernel is one per exponent too
+    # one kernel per form, dimension and kind serves every modulus; no scan's
+    # certificate kernel is cached
     assert all(form in ("integer", "residue", "calls", "table") and type(dim) is int
-               and (kind in ("product", "accumulate", "solve", "solve_left", "codes")
-                    or form == "residue" and kind[0] == "certificate" and type(kind[1]) is int)
+               and kind in ("product", "accumulate", "solve", "solve_left", "codes")
                for form, dim, kind in rings._KERNELS)
 
 
@@ -518,11 +517,11 @@ def test_generated_kernels_reach_no_globals(form, dim):
     # over ``residue`` only, reads nothing but the modulus
     kinds = ("product",) + (
         ("solve", "solve_left", "codes") if form == "table" else ("accumulate",))
+    kernels = [rings._KERNELS[form, dim, kind] for kind in kinds]
     if form == "residue" and dim < rings._KERNEL_CAP:
-        kinds += (("certificate", 1), ("certificate", 3))
+        kernels += [rings._certificate_kernel(dim, n) for n in (1, 3)]
     strings = {"chr", "join", "find"} if form == "table" else set()
-    for key in ((form, dim, kind) for kind in kinds):
-        code = rings._KERNELS[key].__code__
+    for code in (kernel.__code__ for kernel in kernels):
         assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul",
                                       "q", "indices", "vectors", "col_maps", "left_maps",
                                       *strings}

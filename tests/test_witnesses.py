@@ -77,10 +77,15 @@ def test_drazin_mod5_scalar():
 def test_instance_exponent_times_dim_must_fit_the_budget(monkeypatch):
     # A = diag(2, 1) over Z_4 has A^n = A^(n+1) for n >= 2, so X = I works at
     # every exponent; n * dim = DEFAULT_BUDGET still passes, one more does not,
-    # and that refusal computes no power.
+    # and that refusal binds no product and computes no power.
     a, x = mat(Z4, "[[2,0],[0,1]]"), SquareMatrix.identity(Z4, 2)
     assert RightWitnessInstance(a, DEFAULT_BUDGET // 2, x).n == DEFAULT_BUDGET // 2
-    monkeypatch.setattr(witnesses, "_Powers", None)
+
+    def refuse(*args):
+        raise AssertionError("a refused instance reached a product or a power")
+
+    monkeypatch.setattr(witnesses, "binary_power", refuse)
+    monkeypatch.setattr(IntegersMod, "matmul", refuse)
     for n in (DEFAULT_BUDGET // 2 + 1, 10 ** 9):
         with pytest.raises(BudgetExceeded, match="exceeds budget"):
             RightWitnessInstance(a, n, x)
@@ -180,11 +185,11 @@ def test_step_functions_run_over_the_free_algebra():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_only_a_zeroth_power_builds_the_identity(n, monkeypatch):
     # I is built on demand: an instance and a verification never read A^0, a
-    # certificate's C does once per context, and exponent_raise at m = n reads x^0
+    # certificate's C does once, and exponent_raise at m = n reads x^0
     built = []
-    identity = witnesses._Context.identity
-    monkeypatch.setattr(witnesses._Context, "identity",
-                        lambda ctx: built.append(ctx.dim) or identity(ctx))
+    identity = witnesses._Powers.identity
+    monkeypatch.setattr(witnesses._Powers, "identity",
+                        lambda powers: built.append(len(powers.a)) or identity(powers))
     a, x = mat(Z9, "[[1,3],[0,0]]"), mat(Z9, "[[4,0],[2,1]]")  # A idempotent, AX = A
     inst = RightWitnessInstance(a, n, x)
     assert built == [] and 0 not in inst._checked_rows[0]
@@ -347,8 +352,8 @@ def test_building_c_makes_one_dot_call_per_entry_and_none_in_a_scan(monkeypatch,
         right_to_left_certificate(inst)
         assert len(calls) == 2 * berkowitz + dim * dim and len(berkowitz_calls) == 1
         if inst.A.ring == z12:
-            ctx = witnesses._Context(z12, dim, inst.n, scan=True)
-            assert ctx.certify(inst.A.rows, inst.X.rows)[3]
+            certify = rings._certificate_kernel(dim, inst.n)
+            assert certify(z12, inst.A.rows, inst.X.rows)[3]
             assert len(calls) == 2 * berkowitz + dim * dim and len(berkowitz_calls) == 1
         calls.clear()
         berkowitz_calls.clear()
