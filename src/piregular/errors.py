@@ -31,15 +31,15 @@ class NotEnumerable(PiregularError):
 
 
 class BudgetExceeded(PiregularError):
-    """A scan, a table, an instance's n * dim, a parsed power's size, the
-    work of a sampled standard identity's samples (each entry product charged
-    the square of an entry's coefficient slots) or a search's tuples of matrix
-    units would exceed DEFAULT_BUDGET (2^20), the term products made parsing one text
-    would exceed WORK_BUDGET (2^18), the dense coefficient slots its sums,
-    products and negations walk would exceed SLOT_BUDGET (2^22), a product
-    walking the right factor's slots once per nonzero entry of the left and a
-    slot costing one per polynomial layer of the ring, or a result
-    holds an integer with more digits than CPython turns into text
+    """A scan, a table, an instance's n * dim, a raised m * dim, a lowered left
+    witness's N, a parsed power's size, the work of a sampled standard identity's
+    samples (each entry product charged the square of an entry's coefficient
+    slots) or a search's tuples of matrix units would exceed DEFAULT_BUDGET (2^20),
+    the term products made parsing one text would exceed WORK_BUDGET (2^18), the
+    dense coefficient slots its sums, products and negations walk would exceed
+    SLOT_BUDGET (2^22), a product walking the right factor's slots once per nonzero
+    entry of the left and a slot costing one per polynomial layer of the ring, or a
+    result holds an integer with more digits than CPython turns into text
     (``sys.get_int_max_str_digits()``, 4300 by default)."""
 
     @classmethod

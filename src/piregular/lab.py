@@ -10,10 +10,10 @@ function over each matrix in row-major order, or folds its results, on one
 process or on forked ones that each keep the matrices whose {B, B^T} group
 it owns, B = A^(n+1), so that each column map is built once; :func:`cp_report`
 and the transpose check share one such function and one fold.  The report
-certifies each right witness on payload rows with one call of the generated
-certificate kernel it compiles before the scan, and no wrapper objects; a
-certificate the kernel fails is rerun by the row functions of
-:mod:`piregular.witnesses`, which name the failure.
+certifies each right witness on payload rows with one call of the certificate
+kernel of :mod:`piregular.witnesses`, compiled before the scan, and no wrapper
+objects; a certificate the kernel fails is rerun there by the step path, whose
+exception names the failure.
 
 The right search finds the first X in row-major order with T = B X.
 Column j of X only has to solve B v = t_j, t_j the j-th column of T, and
@@ -41,11 +41,11 @@ from functools import partial
 from itertools import chain, product, repeat
 from typing import Iterator, Optional
 
-from .errors import BudgetExceeded, InternalViolation, PiregularError, PreconditionFailed
+from .errors import BudgetExceeded, InternalViolation, PreconditionFailed
 from .matrices import SquareMatrix, _require_commutative, matrix_to_json
-from .rings import (DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, _Memo, _certificate_kernel,
-                    binary_power, require_positive)
-from .witnesses import _check_exponent_budget, certificate_rows, instance_rows
+from .rings import (DEFAULT_BUDGET, IntegersMod, RingSpec, _KERNELS, _Memo, binary_power,
+                    require_positive)
+from .witnesses import _certificate_kernel, _check_exponent_budget, _step_failure
 
 
 def _size(spec: RingSpec, exponent: int, what: str) -> int:
@@ -385,16 +385,6 @@ def _sides(n: int, certify, engine: _Engine, mat, owns=None) -> Optional[tuple]:
     if right == left and failure is None:
         return _OUTCOMES[right, left]
     return right, left, matrix_to_json(engine.to_square(mat)) if right != left else None, failure
-
-
-def _step_failure(spec: RingSpec, n: int, a, x) -> str:
-    """Why the step path fails the certificate the kernel failed, in its own words; if it
-    passes, the disagreement is an InternalViolation, never silent."""
-    try:
-        certificate_rows(x, *instance_rows(spec, n, a, x))
-    except PiregularError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return "InternalViolation: the certificate kernel fails a certificate the step path passes"
 
 
 def _fold(pairs) -> tuple:

@@ -187,13 +187,19 @@ def berkowitz_char_poly(mat: SquareMatrix) -> RingElem:
 
 def char_poly_rows(ring, rows) -> RingElem:  # berkowitz_char_poly on payload rows
     _require_commutative(ring)
+    return poly_ring(ring).wrap(tuple(_berkowitz_coefficients(ring, rows)[::-1]))  # monic
+
+
+def _berkowitz_coefficients(ring, rows) -> list:
+    """The coefficients of det(xI - A), leading first, by the recurrence on ``ring``'s
+    payload methods alone, so that the staged ring of :mod:`piregular.witnesses` can
+    run it to write a scan's Berkowitz out."""
     m = len(rows)
     dot, neg, mul, one = ring.p_dot, ring.p_neg, ring.p_mul, ring.one_payload()
     if m == 1:
-        coeffs = [one, neg(rows[0][0])]  # leading-first
-    else:
-        (a, b), (c, d) = rows[0][:2], rows[1][:2]
-        coeffs = [one, neg(ring.p_add(a, d)), ring.p_sub(mul(a, d), mul(b, c))]
+        return [one, neg(rows[0][0])]
+    (a, b), (c, d) = rows[0][:2], rows[1][:2]
+    coeffs = [one, neg(ring.p_add(a, d)), ring.p_sub(mul(a, d), mul(b, c))]
     for k in range(3, m + 1):
         block = [row[:k - 1] for row in rows[:k - 1]]
         row = rows[k - 1][:k - 1]
@@ -205,7 +211,7 @@ def char_poly_rows(ring, rows) -> RingElem:  # berkowitz_char_poly on payload ro
             toeplitz.append(neg(dot(row, vec)))
         rev = toeplitz[::-1]  # new[i] pairs toeplitz[i], toeplitz[i-1], ... with coeffs
         coeffs = [dot(rev[k - i:], coeffs[:i + 1]) for i in range(k)] + [dot(rev[:k], coeffs)]
-    return poly_ring(ring).wrap(tuple(coeffs[::-1]))  # monic, so already canonical
+    return coeffs
 
 
 def determinant(mat: SquareMatrix) -> RingElem:

@@ -23,12 +23,11 @@ mod k, and ``p_add``/``p_mul`` calls for every other ring; above that it is
 ``accumulate(dim)`` binds a signed term ``c +- l*r`` alike.  A fourth form,
 ``table``, serves :mod:`piregular.lab` at every dimension (its budget keeps
 dim <= 20) on rows of element indices, with the engine's right and left
-witness searches and the column maps they read as three more kinds; a scan's
-whole certificate over ``zmod:k`` is one more kernel per dimension and
-exponent.  Kernels are cached in the module under ``(form, dim, kind)`` on
-first use, never on a spec, a finite set; a binding is a fresh ``partial`` of
-one and the spec.  A certificate kernel is compiled afresh and held by the scan
-that asked for it, so no cache keeps one per exponent.
+witness searches and the column maps they read as three more kinds.  Kernels
+are cached in the module under ``(form, dim, kind)`` on first use, never on a
+spec, a finite set; a binding is a fresh ``partial`` of one and the spec.  A
+scan's certificate kernel is written by :mod:`piregular.witnesses` with
+:func:`_entry` and compiled by :func:`_compile`; no cache here keeps one.
 
 Every text input is read by one tokenizer and one recursive descent: ring
 specs such as ``zmod:4``, ``poly:int:t`` or ``quot:zmod:3:t^2`` (whose
@@ -62,7 +61,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import count, product, takewhile
+from itertools import product, takewhile
 from string import ascii_letters, digits
 from typing import Any, Optional
 
@@ -408,101 +407,6 @@ def _codes_source(m: int) -> str:
         *(f"m{i}_{k} = mul[a{i}_{k}]" for i in range(m) for k in range(m)),
         "return ''.join([" + " ".join((f"chr({code})", *loops, f"for x{m - 1} in indices"))
         + "])"))
-
-
-def _char_poly_lines(m: int) -> list:
-    """Lines that set ``s1``, ..., ``sm`` in ``[0, k)``, where q = (1, s1, ..., sm)
-    is the characteristic polynomial of the m-by-m cells ``x_i_j`` read backwards,
-    by the recurrence of :func:`piregular.matrices.char_poly_rows`: the closed
-    form of the leading 1x1 or 2x2 block, then one Toeplitz step per larger
-    leading block.  The step that adds corner c, with row R and column C
-    against the old c-by-c block M, reads t1 = -x_c_c and t(r+2) = -R M^r C,
-    each M^r C one product vector ``v`` from the last, and rewrites s(c+1),
-    ..., s1 in place from the top: si + ti + t(i-1) s1 + ... + t1 s(i-1), with
-    no si for i = c+1.  Every sum is one ``residue`` entry with one ``% k``."""
-    if m == 1:
-        return ["s1 = -" + _entry("residue", ["x_0_0"])]
-    lines = ["s1 = -" + _entry("residue", ["x_0_0", "x_1_1"]),
-             "s2 = " + _entry("residue", [("x_0_0", "x_1_1"), ("-x_0_1", "x_1_0")])]
-    for c in range(2, m):
-        vec = [f"x_{i}_{c}" for i in range(c)]
-        lines.append("t1 = -" + _entry("residue", [f"x_{c}_{c}"]))
-        for r in range(c):
-            if r:
-                lines.extend(f"v{r}_{i} = " + _entry("residue", [
-                    (f"x_{i}_{j}", vec[j]) for j in range(c)]) for i in range(c))
-                vec = [f"v{r}_{i}" for i in range(c)]
-            lines.append(f"t{r + 2} = -" + _entry("residue", [
-                (f"x_{c}_{j}", vec[j]) for j in range(c)]))
-        lines.extend(f"s{i} = " + _entry("residue", [f"s{i}"] * (i <= c) + [f"t{i}"] + [
-            (f"t{i - j}", f"s{j}") for j in range(1, i)]) for i in range(c + 1, 0, -1))
-    return lines
-
-
-def _certificate_source(m: int, n: int) -> str:
-    """``kernel(spec, a, x)``: a scan's whole certificate for the m-by-m
-    payload rows ``a`` and ``x`` over ``zmod:k`` at exponent ``n``, in
-    straight-line code that calls no function.  It checks A^n = A^(n+1) X,
-    then builds, with N = n*m and q = (1, s1, ..., sm) the reversed
-    characteristic polynomial of X written out by :func:`_char_poly_lines`,
-    C = -(s1 I + s2 A + ... + sm A^(m-1)), w = A^N C^(N+1) and
-    Y = w^(N-n+1) A^(N-n), and evaluates the identities that can fail:
-    ``raised_right_witness``, ``commuting_witness``, ``raised_left_witness`` and
-    ``left_witness`` (``right_witness`` is the instance check).
-    ``exponent_is_n_times_dim`` and ``char_poly_factor_shape`` hold by
-    construction.  It returns ``(C, w, Y, True)``, or ``ok = False`` in the last
-    place when an identity fails, and ``(None, None, None, False)`` when the
-    instance does not hold.  Every product is written out with the ``residue``
-    entry of :func:`_product_kernel`, and the products and their order are those
-    of :mod:`piregular.witnesses`: each power of A one product from a held
-    A^(e-1), else a :func:`binary_power` chain, and C^(N+1) and w^(N-n+1) by
-    :func:`binary_power`."""
-    big = n * m
-    lines = ["def kernel(spec, a, x):", "k = spec.modulus",
-             _square(m, "a_{}_{}".format) + " = a", _square(m, "x_{}_{}".format) + " = x"]
-    held, made = {1: "a"}, count()
-
-    def identity() -> str:  # A^0, read only as A^(N-n) when m = 1
-        lines.extend(f"i_{i}_{j} = {int(i == j)}" for i in range(m) for j in range(m))
-        return "i"
-
-    def mul(left: str, right: str) -> str:
-        name = f"p{next(made)}"
-        lines.extend(f"{name}_{i}_{j} = " + _entry("residue", [
-            (f"{left}_{i}_{t}", f"{right}_{t}_{j}") for t in range(m)])
-            for i in range(m) for j in range(m))
-        return name
-
-    def power(e: int) -> str:
-        if e not in held:
-            held[e] = (mul(held[e - 1], "a") if e - 1 in held
-                       else binary_power("a", e, identity, mul))
-        return held[e]
-
-    def equal(left: str, right: str) -> str:
-        return " and ".join(f"{left}_{i}_{j} == {right}_{i}_{j}"
-                            for i in range(m) for j in range(m))
-
-    a_n, a_n1 = power(n), power(n + 1)
-    lines.append(f"if not ({equal(a_n, mul(a_n1, 'x'))}): return None, None, None, False")
-    for e in (*range(1, m), big - n, big, big + 1):
-        power(e)
-    lines.extend(_char_poly_lines(m))
-    lines.extend(f"c_{i}_{j} = -(" + " + ".join(["s1"] * (i == j) + [
-        f"s{t + 1}*{held[t]}_{i}_{j}" for t in range(1, m)]) + ") % k"
-        for i in range(m) for j in range(m))
-    w = mul(power(big), binary_power("c", big + 1, None, mul))
-    y = mul(binary_power(w, big - n + 1, None, mul), power(big - n))
-    checks = (equal(power(big), mul(power(big + 1), "c")), equal(mul("a", w), mul(w, "a")),
-              equal(power(big), mul(w, power(big + 1))), equal(a_n, mul(y, a_n1)))
-    rows = (_square(m, f"{name}_{{}}_{{}}".format) for name in ("c", w, y))
-    return "\n    ".join((*lines, "return " + ", ".join(rows) + ", "
-                            + " and ".join(f"({check})" for check in checks)))
-
-
-def _certificate_kernel(m: int, n: int):
-    """The kernel of :func:`_certificate_source`, compiled afresh for the scan that holds it."""
-    return _compile(_certificate_source(m, n), f"<{m}x{m} residue certificate n={n}>")
 
 
 def _compile(source: str, filename: str):

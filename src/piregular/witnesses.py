@@ -19,37 +19,30 @@ rows.  The instance check makes the one object of a public call, a table of
 powers of A that checks n >= 1 and n*dim <= DEFAULT_BUDGET before it holds
 anything, binds the product, and builds I only when a power reads A^0, as a
 certificate's C does; every later stage fills it in place, so each power is
-computed once.  A failure raises.  A scan runs the same steps as one generated
-kernel per dimension and n, which it compiles and holds itself, and reruns
-these functions only to name a failure.  The verifier makes a table of its own
-(no power if N != n*dim) and checks p against one Berkowitz call on X;
-emitting trusts only this producer's certificates.
+computed once.  :func:`exponent_raise` and :func:`azumaya_lower_left` hold m*dim
+and N to the same budget before any power.  A failure raises.  A scan's kernel
+is the same code, the instance check, Berkowitz and :func:`_witness_rows`, run
+once per dimension and n on :class:`_Cells`, whose payloads are source text;
+the scan holds the kernel it compiles, and reruns the steps only to name a
+failure.  The verifier makes a table of its own (no power if N != n*dim) and
+checks p against one Berkowitz call on X; emitting trusts only this producer's
+certificates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain, count
 
-from .errors import (
-    BudgetExceeded,
-    InternalViolation,
-    MalformedPayload,
-    PreconditionFailed,
-    SpecMismatch,
-    UnverifiedCertificate,
-)
+from . import rings
+from .errors import (BudgetExceeded, InternalViolation, MalformedPayload, PiregularError,
+                     PreconditionFailed, SpecMismatch, UnverifiedCertificate)
 from .jsonio import canonical_dumps
-from .matrices import SquareMatrix, char_poly_rows, matrix_from_json, matrix_to_json
+from .matrices import (SquareMatrix, _berkowitz_coefficients, char_poly_rows, matrix_from_json,
+                       matrix_to_json)
 from .matrices import determinant as det_poly_matrix  # noqa: F401  (perfbench wraps it by name)
-from .rings import (
-    DEFAULT_BUDGET,
-    RingElem,
-    _strip,
-    binary_power,
-    parse_ring_spec,
-    poly_ring,
-    require_positive,
-)
+from .rings import (DEFAULT_BUDGET, RingElem, RingSpec, _entry, _square, _strip, binary_power,
+                    parse_ring_spec, poly_ring, require_positive)
 
 
 class _Powers(dict):
@@ -108,7 +101,8 @@ def _lowered_left_witness(mul, w, a_gap, big_n, n):  # Y = w^(N-n+1) A^(N-n); w 
 
 
 def _check_exponent_budget(n: int, dim: int) -> None:
-    """Refuse n * dim, which bounds a certificate's p, past DEFAULT_BUDGET."""
+    """Refuse n * dim past DEFAULT_BUDGET: an instance's n or a raised m times its
+    dimension, which bounds a certificate's p, or a lowered N at dim 1, as N = n*dim."""
     if n * dim > DEFAULT_BUDGET:
         raise BudgetExceeded(f"exponent {n} times dimension {dim} exceeds budget {DEFAULT_BUDGET}")
 
@@ -196,6 +190,7 @@ def exponent_raise(a: SquareMatrix, x: SquareMatrix, n: int, m: int) -> Exponent
     require_positive(PreconditionFailed, n=n, m=m)
     if m < n:
         raise PreconditionFailed(f"need 1 <= n <= m, got n={n!r}, m={m!r}")
+    _check_exponent_budget(m, len(_rows_over(a, x)[0]))  # before any power
     k, powers = m - n, RightWitnessInstance(a, n, x)._checked_rows[0].fill((m, m + 1))
     mul, x_k = powers.mul, binary_power(x.rows, k, powers.identity, powers.mul)
     _require((("a^m = a^(m+1)*x", powers[m] == mul(powers[m + 1], x.rows)),
@@ -214,6 +209,7 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     require_positive(PreconditionFailed, n=n, N=N)
     if N < n:
         raise PreconditionFailed(f"need 1 <= n <= N, got n={n!r}, N={N!r}")
+    _check_exponent_budget(N, 1)  # before any power
     powers = RightWitnessInstance(a, n, x)._checked_rows[0].fill((N - n, N, N + 1))
     mul, (wr,) = powers.mul, _rows_over(a, w)
     if powers[N] != mul(wr, powers[N + 1]):
@@ -223,21 +219,28 @@ def azumaya_lower_left(a: SquareMatrix, x: SquareMatrix, w: SquareMatrix,
     return SquareMatrix(a.ring, y)
 
 
-def certificate_rows(x, powers, ax) -> tuple:
-    """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
-    ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
-    ring, n, mul, dim = powers.ring, powers.n, powers.mul, len(x)
+def _witness_rows(powers: _Powers, q) -> tuple:
+    """(C, N, w, Y) over ``powers``' ring, from the table of an instance and
+    q = (1, s1, ..., sm), the characteristic polynomial of X read backwards."""
+    ring, n, mul, dim = powers.ring, powers.n, powers.mul, len(powers.a)
     big_n = n * dim
     powers[0] = powers.identity()
     powers.fill((*range(1, dim), big_n - n, big_n, big_n + 1))
-    # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
-    chi = char_poly_rows(ring, x)
-    q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
-    p = chi.spec.wrap((ring.zero_payload(),) * big_n + _strip(ring, list(q)))  # q(0) = 1
     # C = -(s1 I + s2 A + ... + sm A^(m-1)), one combination of A^0, ..., A^(m-1)
     c = ring.p_combination(tuple(map(ring.p_neg, q[1:])), [powers[k] for k in range(dim)])
     w = _commuting_witness(mul, powers[big_n], c, big_n)
-    y = _lowered_left_witness(mul, w, powers[big_n - n], big_n, n)
+    return c, big_n, w, _lowered_left_witness(mul, w, powers[big_n - n], big_n, n)
+
+
+def certificate_rows(x, powers, ax) -> tuple:
+    """(p, C, N, w, Y, identities) on payload rows, from :func:`instance_rows`'
+    ``powers`` and ``ax``; raises InternalViolation naming any failing identity."""
+    ring = powers.ring
+    # q(x) = det(I - xX) = 1 + s1 x + ... + sm x^m, the char poly of X reversed
+    chi = char_poly_rows(ring, x)
+    q = chi.payload[::-1]  # (step 1); p = x^(nm) q(x), in chi's ring poly_ring(ring)
+    c, big_n, w, y = _witness_rows(powers, q)
+    p = chi.spec.wrap((ring.zero_payload(),) * big_n + _strip(ring, list(q)))  # q(0) = 1
     return p, c, big_n, w, y, _require(_certificate_checks(
         powers, x, p, chi, c, big_n, w, y, ax))
 
@@ -283,6 +286,100 @@ def verify_certificate(cert: LeftWitnessCertificate) -> CertificateVerdict:
     checks = _certificate_checks(_Powers(a.ring, cert.n, a.rows), x, cert.p,
                                  char_poly_rows(a.ring, x), c, cert.N, w, y)
     return CertificateVerdict(ok=all(holds for _, holds in checks), identities=checks)
+
+
+# -- a scan's certificate kernel ---------------------------------------------
+
+
+class _Cells(RingSpec):
+    """The staged ring of a scan's certificate kernel over ``zmod:k``: a payload is the
+    source text of a name, a negated name, ``0`` or ``1``; a matrix, its cells' names.
+    Each product, dot product and scalar operation writes one line to ``lines`` and
+    returns the names it assigned; products and dots take one ``% k`` and drop ``1*``
+    factors and ``0`` terms, and a negation is written inline."""
+
+    def __init__(self):
+        self.lines, self.names = [], count()
+
+    def _line(self, text: str) -> str:
+        name = f"t{next(self.names)}"
+        self.lines.append(f"{name} = {text}")
+        return name
+
+    @staticmethod
+    def _terms(row, col) -> list:
+        return [l if r == "1" else r if l == "1" else (l, r)
+                for l, r in zip(row, col) if "0" not in (l, r)]
+
+    def matmul(self, dim: int):
+        def mul(l, r) -> tuple:  # one block of cells p<i>_<row>_<col>
+            block, cols = f"p{next(self.names)}", tuple(zip(*r))
+            self.lines.extend(f"{block}_{i}_{j} = " + _entry("residue", self._terms(row, col))
+                              for i, row in enumerate(l) for j, col in enumerate(cols))
+            return tuple(tuple(f"{block}_{i}_{j}" for j in range(dim)) for i in range(dim))
+        return mul
+
+    def zero_payload(self):
+        return "0"
+
+    def one_payload(self):
+        return "1"
+
+    def p_dot(self, row, col):
+        terms = self._terms(row, col)  # 1*1 is each Berkowitz step's leading coefficient
+        return "1" if terms == ["1"] else self._line(_entry("residue", terms))
+
+    def p_neg(self, a):
+        return a[1:] if a[:1] == "-" else "-" + a
+
+    def p_add(self, a, b):
+        return self._line(f"{a} + {b}")
+
+    def p_mul(self, a, b):
+        return self._line(f"{a}*{b}")
+
+
+def _certificate_source(m: int, n: int) -> str:
+    """``kernel(spec, a, x)``: a scan's certificate for m-by-m payload rows over
+    ``zmod:k`` at exponent n, straight-line code written by the step path's instance
+    check, Berkowitz and :func:`_witness_rows` on :class:`_Cells`, so it makes that
+    path's products in its order.  ``(None, None, None, False)`` if A^n != A^(n+1) X,
+    else ``(C, w, Y, ok)``, ``ok`` the identities that can fail: ``raised_right_witness``,
+    ``commuting_witness``, ``raised_left_witness`` and ``left_witness``."""
+    cells, (a, x) = _Cells(), (tuple(tuple(f"{name}_{i}_{j}" for j in range(m))
+                                     for i in range(m)) for name in "ax")
+    powers = _Powers(cells, n, a).fill((n, n + 1))
+    mul, a_n, a_n1 = powers.mul, powers[n], powers[n + 1]
+
+    def equal(left, right) -> str:
+        return "(" + " and ".join(map("{} == {}".format, chain(*left), chain(*right))) + ")"
+
+    def square(rows) -> str:
+        return _square(m, lambda i, j: rows[i][j])
+
+    cells.lines.append(f"if not {equal(a_n, mul(a_n1, x))}: return None, None, None, False")
+    c, big_n, w, y = _witness_rows(powers, _berkowitz_coefficients(cells, x))
+    a_big, a_big1 = powers[big_n], powers[big_n + 1]
+    checks = (equal(a_big, mul(a_big1, c)), equal(mul(a, w), mul(w, a)),
+              equal(a_big, mul(w, a_big1)), equal(a_n, mul(y, a_n1)))
+    return "\n    ".join(("def kernel(spec, a, x):", "k = spec.modulus", square(a) + " = a",
+                          square(x) + " = x", *cells.lines, "return " + ", ".join(
+                              map(square, (c, w, y))) + ", " + " and ".join(checks)))
+
+
+def _certificate_kernel(m: int, n: int):
+    """The kernel of :func:`_certificate_source`, compiled afresh for the scan that holds it."""
+    return rings._compile(_certificate_source(m, n), f"<{m}x{m} residue certificate n={n}>")
+
+
+def _step_failure(spec: RingSpec, n: int, a, x) -> str:
+    """Why the step path fails the certificate the kernel failed, in its own words; if it
+    passes, the disagreement is an InternalViolation, never silent."""
+    try:
+        certificate_rows(x, *instance_rows(spec, n, a, x))
+    except PiregularError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "InternalViolation: the certificate kernel fails a certificate the step path passes"
 
 
 # -- JSON round trip ---------------------------------------------------------

@@ -63,7 +63,7 @@ def mat(text, spec=Z4):
 def patch_certificate_verdict(monkeypatch, verdict):
     """Make each scan's certificate kernel keep its C, w and Y but return ``verdict(a)``."""
     def compiled(m, n):
-        kernel = rings._certificate_kernel(m, n)
+        kernel = witnesses._certificate_kernel(m, n)
         return lambda spec, a, x: (*kernel(spec, a, x)[:3], verdict(a))
     monkeypatch.setattr(lab, "_certificate_kernel", compiled)
 
@@ -660,7 +660,7 @@ def test_a_one_sided_matrix_reaches_both_reports_and_the_exit_code(monkeypatch, 
 def test_a_certificate_failure_reaches_the_report(monkeypatch):
     # the kernel fails the identity's certificate, so the step path reruns it and
     # its certificate_rows names the failure
-    plain_certificate = lab.certificate_rows
+    plain_certificate = witnesses.certificate_rows
     identity = SquareMatrix.identity(Z4, 2)
 
     def certificate(x, powers, ax):
@@ -669,7 +669,7 @@ def test_a_certificate_failure_reaches_the_report(monkeypatch):
         return plain_certificate(x, powers, ax)
 
     patch_certificate_verdict(monkeypatch, lambda a: a != identity.rows)
-    monkeypatch.setattr(lab, "certificate_rows", certificate)
+    monkeypatch.setattr(witnesses, "certificate_rows", certificate)
     report = cp_report(4, 2, 1, workers=1)
     assert report.pipeline_failures == [
         {"A": IDENTITY_JSON, "reason": "InternalViolation: boom"}]
@@ -739,7 +739,7 @@ def test_the_certificate_kernel_agrees_with_the_step_path(k, m, n):
     # witness with one entry moved by 1, where that breaks A^n = A^(n+1) X, fails in
     # the kernel and the scan names it as the step path does
     spec = IntegersMod(k)
-    certify, engine = partial(rings._certificate_kernel(m, n), spec), lab._engine(spec, m)
+    certify, engine = partial(witnesses._certificate_kernel(m, n), spec), lab._engine(spec, m)
     matrices = list(product(engine.vectors, repeat=m))
     if len(matrices) > 6561:
         matrices = random.Random(f"{k}/{m}/{n}").sample(matrices, 500)
@@ -791,7 +791,7 @@ def test_no_cache_keeps_a_certificate_kernel_whatever_a_process_scans():
     # a scan compiles its certificate kernel and holds it alone, so a loop over
     # exponents leaves the kernel cache its finite set of string kinds, and a
     # kernel bound before the loop still certifies
-    live = partial(rings._certificate_kernel(2, 1), Z4)
+    live = partial(witnesses._certificate_kernel(2, 1), Z4)
     for n in range(1, 51):
         assert cp_report(2, 2, n).ok
     assert cp_report(2, 1, 3).ok

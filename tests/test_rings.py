@@ -30,8 +30,8 @@ from piregular import (
     poly_ring,
     sample_element,
 )
-from piregular import lab, rings
-from piregular.matrices import char_poly_rows
+from piregular import lab, rings, witnesses
+from piregular.matrices import _berkowitz_coefficients, char_poly_rows
 from piregular.rings import (
     _LiteralParser,
     _monic_rem,
@@ -519,7 +519,7 @@ def test_generated_kernels_reach_no_globals(form, dim):
         ("solve", "solve_left", "codes") if form == "table" else ("accumulate",))
     kernels = [rings._KERNELS[form, dim, kind] for kind in kinds]
     if form == "residue" and dim < rings._KERNEL_CAP:
-        kernels += [rings._certificate_kernel(dim, n) for n in (1, 3)]
+        kernels += [witnesses._certificate_kernel(dim, n) for n in (1, 3)]
     strings = {"chr", "join", "find"} if form == "table" else set()
     for code in (kernel.__code__ for kernel in kernels):
         assert set(code.co_names) <= {"modulus", "p_add", "p_sub", "p_mul", "add", "mul",
@@ -532,17 +532,20 @@ def test_generated_kernels_reach_no_globals(form, dim):
 def test_the_certificate_kernel_is_straight_line(m, n):
     # Berkowitz included, a scan's certificate calls no function and reads no
     # attribute but the modulus
-    tree = ast.parse(rings._certificate_source(m, n))
+    tree = ast.parse(witnesses._certificate_source(m, n))
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
     assert {(node.value.id, node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)} == {("spec", "modulus")}
 
 
 def _generated_char_poly(m: int):
-    """s1, ..., sm of the lines the certificate kernel writes, as a function of the rows."""
+    """s1, ..., sm in [0, k) of the lines the certificate kernel writes for Berkowitz, the
+    recurrence run on its staged ring, as a function of the rows."""
+    cells, x = witnesses._Cells(), [[f"x_{i}_{j}" for j in range(m)] for i in range(m)]
+    q = _berkowitz_coefficients(cells, x)
     source = "\n    ".join(("def kernel(spec, x):", "k = spec.modulus",
-                            rings._square(m, "x_{}_{}".format) + " = x", *rings._char_poly_lines(m),
-                            "return (" + " ".join(f"s{t}," for t in range(1, m + 1)) + ")"))
+                            rings._square(m, "x_{}_{}".format) + " = x", *cells.lines,
+                            "return (" + " ".join(f"({s}) % k," for s in q[1:]) + ")"))
     return rings._compile(source, f"<{m}x{m} char poly>")
 
 

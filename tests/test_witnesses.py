@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -164,6 +165,35 @@ def test_azumaya_rejects_bad_inputs():
         azumaya_lower_left(a, x, mat(Z5, "[[1]]"), 2, 1)  # w fails its identity
     with pytest.raises(PreconditionFailed):
         azumaya_lower_left(a, mat(Z5, "[[1]]"), mat(Z5, "[[3]]"), 2, 1)
+
+
+def test_raised_and_lowered_exponents_must_fit_the_budget(monkeypatch):
+    # exponent_raise holds m*dim to DEFAULT_BUDGET, as an instance holds n*dim, and
+    # azumaya_lower_left holds N to it, as a certificate's N = n*dim is held: at each
+    # bound over zmod:2 the call still runs, and past it the call refuses before any
+    # product or power, as it does over int for A = [[2,1],[1,1]] and X = A^-1
+    z2, big = IntegersMod(2), DEFAULT_BUDGET
+    one, ident = mat(z2, "[[1]]"), SquareMatrix.identity(z2, 2)
+    a, x = mat(Z, "[[2,1],[1,1]]"), mat(Z, "[[1,-1],[-1,2]]")
+    assert exponent_raise(one, one, 1, big).shift == big - 1
+    assert exponent_raise(ident, ident, 1, big // 2).shift == big // 2 - 1
+    assert azumaya_lower_left(one, one, one, big, 1) == one
+    assert azumaya_lower_left(ident, ident, ident, big, 1) == ident
+
+    def refuse(*args):
+        raise AssertionError("a refused step reached a product or a power")
+
+    monkeypatch.setattr(witnesses, "binary_power", refuse)
+    for spec in (Integers, IntegersMod):
+        monkeypatch.setattr(spec, "matmul", refuse)
+    for step in (lambda: exponent_raise(one, one, 1, big + 1),
+                 lambda: exponent_raise(ident, ident, 1, big // 2 + 1),
+                 lambda: exponent_raise(a, x, 1, 2 ** 24),
+                 lambda: azumaya_lower_left(one, one, one, big + 1, 1),
+                 lambda: azumaya_lower_left(ident, ident, ident, big + 1, 1),
+                 lambda: azumaya_lower_left(a, x, x, 2 ** 23, 1)):
+        with pytest.raises(BudgetExceeded, match="exceeds budget"):
+            step()
 
 
 def test_step_functions_run_over_the_free_algebra():
@@ -331,6 +361,18 @@ def test_step_functions_extend_the_instance_powers(monkeypatch):
     assert right_to_left_certificate(inst) == right_to_left_certificate(inst)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_the_certificate_kernel_writes_the_step_paths_products(monkeypatch, m, n):
+    # the kernel is the step path run on named cells: one block of cells p<i>_<row>_<col>
+    # for each product instance_rows and certificate_rows make on an instance of its
+    # shape, here A = X = I over zmod:2
+    blocks = re.findall(r"\bp(\d+)_0_0 = ", witnesses._certificate_source(m, n))
+    a, calls = SquareMatrix.identity(IntegersMod(2), m).rows, count_products(monkeypatch)
+    witnesses.certificate_rows(a, *witnesses.instance_rows(IntegersMod(2), n, a, a))
+    assert len(blocks) == len(set(blocks)) == len(calls)
+
+
 @pytest.mark.parametrize("dim", range(1, rings._KERNEL_CAP + 1))
 def test_building_c_makes_one_dot_call_per_entry_and_none_in_a_scan(monkeypatch, dim):
     # the step path builds C with one p_dot per entry on top of its one Berkowitz
@@ -352,7 +394,7 @@ def test_building_c_makes_one_dot_call_per_entry_and_none_in_a_scan(monkeypatch,
         right_to_left_certificate(inst)
         assert len(calls) == 2 * berkowitz + dim * dim and len(berkowitz_calls) == 1
         if inst.A.ring == z12:
-            certify = rings._certificate_kernel(dim, inst.n)
+            certify = witnesses._certificate_kernel(dim, inst.n)
             assert certify(z12, inst.A.rows, inst.X.rows)[3]
             assert len(calls) == 2 * berkowitz + dim * dim and len(berkowitz_calls) == 1
         calls.clear()
